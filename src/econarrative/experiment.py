@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import ingest, sentiment, synthgen
 from .embed import HashingEmbedder, daily_embedding
@@ -26,7 +27,6 @@ from .harness import (
     LabelSeries,
     REGRESSION_TASKS,
     TaskSpec,
-    direction_of,
     evaluate,
     make_labels,
     mcnemar,
@@ -74,6 +74,7 @@ class FeatureMatrix:
     feature_max_dates: tuple[date, ...]
     t_columns: slice
     f_columns: slice
+    t_steps: int  # days per text window: `window` for sentiment, 1 for embeddings
     task: str
 
 
@@ -157,6 +158,47 @@ def _load_text(spec: dict | None, series: FinancialSeries, horizon: int) -> Twee
 # -- feature stage --------------------------------------------------------
 
 
+def _directions(values: Sequence[float]) -> np.ndarray:
+    """Up-move flag per trading day, values[j] > values[j-1]; False on day 0."""
+    v = np.asarray(values, dtype=float)
+    return np.concatenate([[False], v[1:] > v[:-1]])
+
+
+def _text_column(aligned: AlignedDataset, kind: str, emb_cfg: dict, read: np.ndarray) -> np.ndarray:
+    """One text row per trading day, shape (days, width). Sentiment scores
+    every day once; embeddings fill only the days in `read`."""
+    if kind == "sentiment-window":
+        return sentiment.daily_sentiment_column(aligned)[:, None]
+    if kind == "none":
+        return np.zeros((len(aligned), 0))
+    if kind != "embedding":
+        raise ValueError(f"unknown text feature kind {kind!r}")
+    embedder = HashingEmbedder(dimension=emb_cfg.get("dimension", 16), seed=emb_cfg.get("seed", 0))
+    mode, k = emb_cfg.get("mode", "individual-mean"), emb_cfg.get("k", 10)
+    vectors = [daily_embedding(embedder, aligned.tweets[i], mode=mode, k=k) for i in read]
+    column = np.zeros((len(aligned), len(vectors[0])))
+    column[read] = vectors
+    return column
+
+
+def _financial_column(aligned: AlignedDataset, kind: str) -> np.ndarray:
+    """One financial row per trading day, shape (days, width)."""
+    if kind == "value-window":
+        return np.asarray(aligned.values, dtype=float)[:, None]
+    if kind == "direction-window":
+        return _directions(aligned.values).astype(float)[:, None]
+    if kind == "none":
+        return np.zeros((len(aligned), 0))
+    raise ValueError(f"unknown financial feature kind {kind!r}")
+
+
+def _windows(column: np.ndarray, steps: int, rows: np.ndarray) -> np.ndarray:
+    """The `steps` days ending at each row, oldest first, flattened step-major."""
+    view = sliding_window_view(column, steps, axis=0)  # (days - steps + 1, width, steps)
+    picked = view[rows - steps + 1].swapaxes(1, 2)
+    return picked.reshape(len(rows), steps * column.shape[1])
+
+
 def build_features(
     aligned: AlignedDataset,
     labels: LabelSeries,
@@ -169,73 +211,30 @@ def build_features(
     if window < 1:
         raise ValueError("feature window must be >= 1")
 
-    label_by_date = dict(zip(labels.dates, labels.values))
-    values = aligned.values
-    lexicon = sentiment.load_lexicon()
-    embedder = None
-    emb_cfg = features_cfg.get("embedding", {})
-    if text_kind == "embedding":
-        embedder = HashingEmbedder(
-            dimension=emb_cfg.get("dimension", 16), seed=emb_cfg.get("seed", 0)
-        )
-
-    rows: list[np.ndarray] = []
-    row_dates: list[date] = []
-    row_labels: list = []
-    max_dates: list[date] = []
-    t_width = f_width = None
-
-    # week-majority baselines and the 7-day sentiment window both need
-    # one extra step of history beyond the feature window itself
+    # a direction window of `window` moves and the week-majority
+    # baselines' 7 moves each need the value before their first day
     start = max(window, 7)
-    for i in range(start, len(aligned)):
-        d = aligned.dates[i]
-        if d not in label_by_date:
-            continue
-        if text_kind == "sentiment-window":
-            t_block = np.array(
-                [sentiment.daily_sentiment(aligned, aligned.dates[j], lexicon) for j in range(i - 6, i + 1)]
-            )
-        elif text_kind == "embedding":
-            t_block = daily_embedding(
-                embedder,
-                aligned.tweets[i],
-                mode=emb_cfg.get("mode", "individual-mean"),
-                k=emb_cfg.get("k", 10),
-            )
-        elif text_kind == "none":
-            t_block = np.zeros(0)
-        else:
-            raise ValueError(f"unknown text feature kind {text_kind!r}")
-
-        if fin_kind == "value-window":
-            f_block = np.array(values[i - window + 1:i + 1])
-        elif fin_kind == "direction-window":
-            f_block = np.array(
-                [1.0 if direction_of(values[j - 1], values[j]) == "increase" else 0.0
-                 for j in range(i - window + 1, i + 1)]
-            )
-        elif fin_kind == "none":
-            f_block = np.zeros(0)
-        else:
-            raise ValueError(f"unknown financial feature kind {fin_kind!r}")
-
-        if t_width is None:
-            t_width, f_width = len(t_block), len(f_block)
-        rows.append(np.concatenate([t_block, f_block]))
-        row_dates.append(d)
-        row_labels.append(label_by_date[d])
-        max_dates.append(d)
-
+    label_by_date = dict(zip(labels.dates, labels.values))
+    rows = np.array(
+        [i for i in range(start, len(aligned)) if aligned.dates[i] in label_by_date], dtype=np.intp
+    )
     if len(rows) < 2:
         raise ValueError("not enough usable dates to build features")
+
+    t_steps = window if text_kind == "sentiment-window" else 1
+    text = _text_column(aligned, text_kind, features_cfg.get("embedding", {}), rows)
+    t_block = _windows(text, t_steps, rows)
+    f_block = _windows(_financial_column(aligned, fin_kind), window, rows)
+    t_width, f_width = t_block.shape[1], f_block.shape[1]
+    row_dates = tuple(aligned.dates[i] for i in rows)
     return FeatureMatrix(
-        dates=tuple(row_dates),
-        X=np.vstack(rows),
-        labels=tuple(row_labels),
-        feature_max_dates=tuple(max_dates),
+        dates=row_dates,
+        X=np.concatenate([t_block, f_block], axis=1),
+        labels=tuple(label_by_date[d] for d in row_dates),
+        feature_max_dates=row_dates,
         t_columns=slice(0, t_width),
         f_columns=slice(t_width, t_width + f_width),
+        t_steps=t_steps,
         task=task,
     )
 
@@ -269,7 +268,7 @@ def _baseline_predictions(
     task: str,
 ) -> list:
     values = aligned.values
-    date_to_index = {d: i for i, d in enumerate(aligned.dates)}
+    moves = np.where(_directions(values), "increase", "decrease").tolist()
     if task in REGRESSION_TASKS:
         train_mean = float(np.mean([float(v) for v in train_labels]))
         train_majority = None
@@ -279,7 +278,7 @@ def _baseline_predictions(
         train_mean = None
     out = []
     for row in test_idx:
-        i = date_to_index[matrix.dates[row]]
+        i = aligned.index_of(matrix.dates[row])
         if task == "pct-change":
             prev_value = 100.0 * (values[i] - values[i - 1]) / values[i - 1]
         else:
@@ -287,10 +286,8 @@ def _baseline_predictions(
         context = BaselineContext(
             task=task,
             prev_value=prev_value,
-            prev_direction=direction_of(values[i - 1], values[i]),
-            week_directions=tuple(
-                direction_of(values[j - 1], values[j]) for j in range(i - 6, i + 1)
-            ),
+            prev_direction=moves[i],
+            week_directions=tuple(moves[i - 6:i + 1]),
             train_majority=train_majority,
             train_mean=train_mean,
         )
@@ -345,16 +342,17 @@ def _fit_and_predict(
         f_block = matrix.X[:, matrix.f_columns]
         if t_block.shape[1] == 0 or f_block.shape[1] != window:
             raise ValueError("darnn requires text drivers and a value-window history")
-        steps = f_block.shape[1]
-        if t_block.shape[1] % steps != 0:
-            raise ValueError("text feature width must align with the window length")
-        drivers = t_block.reshape(len(matrix.dates), steps, -1)
+        if matrix.t_steps != window:
+            raise ValueError(
+                f"darnn needs text windows of {window} days, got {matrix.t_steps}-day text features"
+            )
+        drivers = t_block.reshape(len(matrix.dates), window, -1)
         label_mean = float(np.mean([float(v) for v in matrix.labels[:n_train]]))
         label_std = float(np.std([float(v) for v in matrix.labels[:n_train]])) or 1.0
         history = (f_block - label_mean) / label_std
         targets = (np.array([float(v) for v in matrix.labels]) - label_mean) / label_std
         model = AttentionRnn.init(
-            T=steps,
+            T=window,
             n=drivers.shape[2],
             m=model_cfg.get("m", 32),
             p=model_cfg.get("p", 32),

@@ -107,18 +107,22 @@ class AlignedDataset:
     tweets: tuple[tuple[TweetRecord, ...], ...]
     indicator: str
     lag_rule: str = "next-trading-day"
+    _index: dict[date, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (len(self.dates) == len(self.values) == len(self.tweets)):
             raise IngestError("dates, values and tweet lists must be parallel")
+        # first occurrence wins, as with tuple.index
+        index = {d: i for i, d in reversed(tuple(enumerate(self.dates)))}
+        object.__setattr__(self, "_index", index)
 
     def __len__(self) -> int:
         return len(self.dates)
 
     def index_of(self, d: date) -> int:
         try:
-            return self.dates.index(d)
-        except ValueError:
+            return self._index[d]
+        except KeyError:
             raise KeyError(f"date {d} not in dataset") from None
 
     def tweets_on(self, d: date) -> tuple[TweetRecord, ...]:
@@ -244,11 +248,13 @@ def preprocess(corpus: TweetCorpus, rules: PreprocessRules | None = None) -> Twe
         if rules.drop_empty and not text:
             continue
         if rules.dedupe:
-            key = (rec.date, WS_RE.sub(" ", text.casefold()).strip())
+            # casefold neither makes nor changes whitespace, so the cleaned
+            # text's collapsed spacing carries over to the key
+            key = (rec.date, text.casefold())
             if key in seen:
                 continue
             seen.add(key)
-        kept.append(replace(rec, text=text))
+        kept.append(rec if text == rec.text else replace(rec, text=text))
     kept.sort(key=lambda r: r.date)
     date_range = (kept[0].date, kept[-1].date) if kept else None
     applied = tuple(

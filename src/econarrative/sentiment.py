@@ -15,9 +15,11 @@ from datetime import date
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Sequence
 
-from .ingest import AlignedDataset, TweetCorpus
+import numpy as np
+
+from .ingest import AlignedDataset, TweetCorpus, TweetRecord
 
 TOKEN_RE = re.compile(r"[\w']+")
 
@@ -100,14 +102,25 @@ def score(text: str, lexicon: SentimentLexicon | None = None) -> float:
     return total / math.sqrt(total * total + lexicon.normalization_alpha)
 
 
-def daily_sentiment(dataset: AlignedDataset, d: date, lexicon: SentimentLexicon | None = None) -> float:
-    """Mean per-tweet compound score for one trading day; 0.0 when empty."""
-    tweets = dataset.tweets_on(d)
+def day_score(tweets: Sequence[TweetRecord], lexicon: SentimentLexicon) -> float:
+    """Mean per-tweet compound score of one day's tweets; 0.0 when empty."""
     if not tweets:
         return 0.0
-    lexicon = lexicon or load_lexicon()
     scores = [score(t.text, lexicon) for t in tweets]
     return sum(scores) / len(scores)
+
+
+def daily_sentiment(dataset: AlignedDataset, d: date, lexicon: SentimentLexicon | None = None) -> float:
+    """Mean per-tweet compound score for one trading day; 0.0 when empty."""
+    return day_score(dataset.tweets_on(d), lexicon or load_lexicon())
+
+
+def daily_sentiment_column(
+    dataset: AlignedDataset, lexicon: SentimentLexicon | None = None
+) -> np.ndarray:
+    """day_score of every trading day, in date order; each tweet is scored once."""
+    lexicon = lexicon or load_lexicon()
+    return np.array([day_score(day, lexicon) for day in dataset.tweets], dtype=float)
 
 
 def sentiment_window(
@@ -118,7 +131,7 @@ def sentiment_window(
     if idx < 6:
         raise ValueError(f"need 7 trading days of history before {end_date}, have {idx + 1}")
     lexicon = lexicon or load_lexicon()
-    values = tuple(daily_sentiment(dataset, dataset.dates[i], lexicon) for i in range(idx - 6, idx + 1))
+    values = tuple(day_score(day, lexicon) for day in dataset.tweets[idx - 6:idx + 1])
     return DailySentimentVector(end_date=end_date, values=values)
 
 

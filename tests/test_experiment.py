@@ -2,14 +2,19 @@ import json
 from datetime import date
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from econarrative import ingest, sentiment, synthgen
+from econarrative.embed import HashingEmbedder, daily_embedding
 from econarrative.experiment import (
     ExperimentError,
+    build_features,
     config_hash,
     run_experiment,
     write_report,
 )
+from econarrative.harness import make_labels
 
 
 def _planted_config(text_source, seed=7):
@@ -141,6 +146,21 @@ class TestRegressionModels:
         assert darnn_row["mse"] is not None
         assert darnn_row["mse"] >= 0.0
 
+    def test_darnn_rejects_embedding_drivers(self):
+        config = self._config()
+        config["features"] = {
+            "text": "embedding",
+            "financial": "value-window",
+            "window": 7,
+            "embedding": {"dimension": 14, "mode": "individual-mean"},
+        }
+        config["models"] = [
+            {"name": "darnn", "type": "darnn", "inputs": "TF", "epochs": 1, "m": 4, "p": 4}
+        ]
+        with pytest.raises(ExperimentError, match="text windows of 7 days") as err:
+            run_experiment(config)
+        assert err.value.stage == "model:darnn"
+
 
 class TestReportPersistence:
     def test_report_files_written(self, tmp_path):
@@ -237,3 +257,60 @@ class TestFileBackedData:
         }
         report = run_experiment(config)
         assert 0.0 <= report.models[0]["accuracy"] <= 1.0
+
+
+def _aligned_and_labels(task="next-value", n=120):
+    series = synthgen.gen_random_walk(n=n, sigma=0.01, v0=100.0, seed=3)
+    corpus = synthgen.gen_random_texts(synthgen.SynthConfig(seed=4, per_day=2), series.dates)
+    aligned = ingest.align(corpus, series)
+    aligned_series = ingest.FinancialSeries(
+        name=series.name, points=tuple(zip(aligned.dates, aligned.values))
+    )
+    return aligned, make_labels(aligned_series, task, 1)
+
+
+class TestFeatureColumns:
+    def test_each_aligned_tweet_scored_once(self, monkeypatch):
+        aligned, labels = _aligned_and_labels("direction-change")
+        calls = []
+        real_score = sentiment.score
+
+        def counting_score(text, lexicon=None):
+            calls.append(text)
+            return real_score(text, lexicon)
+
+        monkeypatch.setattr(sentiment, "score", counting_score)
+        features = {"text": "sentiment-window", "financial": "direction-window", "window": 7}
+        build_features(aligned, labels, features, "direction-change")
+        assert len(calls) == sum(len(day) for day in aligned.tweets) > 0
+
+    def test_windows_match_per_row_construction(self):
+        aligned, labels = _aligned_and_labels()
+        emb = {"dimension": 8, "seed": 2, "mode": "individual-mean"}
+        features = {"text": "embedding", "financial": "value-window", "window": 7, "embedding": emb}
+        matrix = build_features(aligned, labels, features, "next-value")
+        embedder = HashingEmbedder(dimension=8, seed=2)
+        label_dates = set(labels.dates)
+        expected = [
+            np.concatenate(
+                [
+                    daily_embedding(embedder, aligned.tweets[i], mode="individual-mean"),
+                    np.array(aligned.values[i - 6:i + 1]),
+                ]
+            )
+            for i in range(7, len(aligned))
+            if aligned.dates[i] in label_dates
+        ]
+        assert matrix.t_steps == 1
+        assert matrix.X.tobytes() == np.vstack(expected).tobytes()
+
+    def test_sentiment_window_width_follows_window(self):
+        aligned, labels = _aligned_and_labels()
+        features = {"text": "sentiment-window", "financial": "value-window", "window": 3}
+        matrix = build_features(aligned, labels, features, "next-value")
+        column = sentiment.daily_sentiment_column(aligned)
+        assert matrix.t_steps == 3
+        assert matrix.X[:, matrix.t_columns].shape[1] == 3
+        for row, d in enumerate(matrix.dates):
+            i = aligned.index_of(d)
+            assert matrix.X[row, matrix.t_columns].tolist() == column[i - 2:i + 1].tolist()

@@ -1,3 +1,4 @@
+import sys
 from datetime import date
 
 import pytest
@@ -113,6 +114,23 @@ class TestPreprocess:
         assert [r.text for r in once.records] == [r.text for r in twice.records]
 
 
+    def test_unchanged_record_is_reused(self):
+        rec = TweetRecord("1", date(2021, 1, 4), "clean text already", 2000)
+        out = preprocess(_corpus(rec))
+        assert out.records[0] is rec
+
+    def test_casefold_neither_makes_nor_changes_whitespace(self):
+        # the dedupe key skips a second whitespace pass on this property
+        for cp in range(sys.maxunicode + 1):
+            ch = chr(cp)
+            folded = ch.casefold()
+            if ingest.WS_RE.fullmatch(ch):
+                assert folded == ch, hex(cp)
+            else:
+                assert ingest.WS_RE.search(folded) is None, hex(cp)
+                assert not any(c.isspace() for c in folded), hex(cp)
+
+
 class TestLoadSeries:
     def test_basic(self, write_csv):
         path = write_csv(["2021-01-04,1.0", "2021-01-05,2.0", "2021-01-06,3.0"])
@@ -189,6 +207,14 @@ class TestAlign:
         series = _series(*zip([d for d, _ in self.CAL], values))
         dataset = align(TweetCorpus(records=(), date_range=None), series)
         assert dataset.values == values
+
+    def test_index_of_agrees_with_tuple_index(self):
+        corpus = _corpus(TweetRecord("1", date(2021, 1, 9), "weekend news", 2000))
+        dataset = align(corpus, _series(*self.CAL, (date(2021, 1, 13), 13.0)))
+        for d in dataset.dates:
+            assert dataset.index_of(d) == dataset.dates.index(d)
+        with pytest.raises(KeyError, match="not in dataset"):
+            dataset.index_of(date(2021, 1, 9))
 
     def test_empty_overlap(self):
         corpus = _corpus(TweetRecord("1", date(2030, 1, 1), "future", 2000))

@@ -9,6 +9,7 @@ from econarrative.sentiment import (
     DailySentimentVector,
     SentimentLexicon,
     daily_sentiment,
+    daily_sentiment_column,
     load_lexicon,
     score,
     sentiment_histogram,
@@ -103,6 +104,18 @@ class TestDailySentiment:
         scores = [score(t) for t in ["great win", "bad loss", "fine"]]
         value = daily_sentiment(dataset, date(2021, 1, 4))
         assert min(scores) <= value <= max(scores)
+
+
+    def test_column_equals_per_day_means_exactly(self):
+        dataset = _aligned(
+            [
+                (date(2021, 1, 4), ["great win", "bad loss", "fine"]),
+                (date(2021, 1, 5), []),
+                (date(2021, 1, 6), ["not good", "rise and fall", "the of and"]),
+            ]
+        )
+        column = daily_sentiment_column(dataset)
+        assert column.tolist() == [daily_sentiment(dataset, d) for d in dataset.dates]
 
 
 class TestSentimentWindow:
