@@ -16,9 +16,9 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__, ingest, sentiment, synthgen
-from .experiment import config_hash, run_experiment
-from .harness import evaluate, make_labels
-from .models import model_from_doc, model_to_doc
+from .experiment import config_hash, prepare, run_experiment
+from .harness import REGRESSION_TASKS, TASKS, evaluate
+from .models import LINEAR_PENALTIES, model_from_doc, model_to_doc
 
 logger = logging.getLogger("econarrative")
 
@@ -75,25 +75,14 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_features(args) -> int:
-    from .experiment import build_features
-
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    series = ingest.load_series(args.series, column=args.column)
-    corpus = (
-        ingest.preprocess(ingest.load_tweets(args.tweets, min_followers=args.min_followers))
-        if args.tweets
-        else ingest.TweetCorpus(records=(), date_range=None)
-    )
-    aligned = ingest.align(corpus, series)
-    aligned_series = ingest.FinancialSeries(
-        name=series.name, points=tuple(zip(aligned.dates, aligned.values))
-    )
-    labels = make_labels(aligned_series, args.task, args.horizon)
-    matrix = build_features(
-        aligned, labels, {"text": args.kind, "financial": args.financial, "window": args.window},
-        args.task,
-    )
+    text = {"path": args.tweets, "min_followers": args.min_followers} if args.tweets else None
+    _, matrix = prepare({
+        "data": {"series": {"path": args.series, "column": args.column}, "text": text},
+        "task": {"kind": args.task, "horizon": args.horizon},
+        "features": {"text": args.kind, "financial": args.financial, "window": args.window},
+    })
     with (out / "features.csv").open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         width = matrix.X.shape[1]
@@ -134,8 +123,7 @@ def _cmd_train(args) -> int:
         kind = "classification"
     else:
         y = np.array([float(v) for v in labels])
-        reg = {"linear": "none", "ridge": "l2", "lasso": "l1"}[args.model]
-        model = fit_linear(X, y, reg=reg, lam=args.lam)
+        model = fit_linear(X, y, reg=LINEAR_PENALTIES[args.model], lam=args.lam)
         kind = "regression"
     _write_json(out / "model.json", model_to_doc(model, task=kind))
     logger.info("trained %s on %d rows", args.model, len(dates))
@@ -166,7 +154,7 @@ def _cmd_evaluate(args) -> int:
         for row in reader:
             predictions.append(row["prediction"])
             labels.append(row["label"])
-    if args.task in ("next-value", "pct-change"):
+    if args.task in REGRESSION_TASKS:
         predictions = [float(v) for v in predictions]
         labels = [float(v) for v in labels]
     report = evaluate(predictions, labels, args.task)
@@ -325,8 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--financial", default="value-window",
                    choices=["value-window", "direction-window", "none"])
     p.add_argument("--window", type=int, default=7)
-    p.add_argument("--task", default="direction-change",
-                   choices=["next-value", "pct-change", "direction-change"])
+    p.add_argument("--task", default="direction-change", choices=TASKS)
     p.add_argument("--horizon", type=int, default=1)
     p.add_argument("--min-followers", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -335,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="fit a model on a feature CSV")
     p.add_argument("--features", required=True)
-    p.add_argument("--model", default="logistic", choices=["logistic", "linear", "ridge", "lasso"])
+    p.add_argument("--model", default="logistic", choices=["logistic", *LINEAR_PENALTIES])
     p.add_argument("--lam", type=float, default=0.01)
     p.add_argument("--out", required=True)
     p.add_argument("-v", "--verbose", action="count", default=0)
@@ -350,8 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="score a predictions CSV against labels")
     p.add_argument("--predictions", required=True, help="CSV with prediction,label columns")
-    p.add_argument("--task", default="direction-change",
-                   choices=["next-value", "pct-change", "direction-change"])
+    p.add_argument("--task", default="direction-change", choices=TASKS)
     p.add_argument("--out")
     p.add_argument("-v", "--verbose", action="count", default=0)
     p.set_defaults(func=_cmd_evaluate)
@@ -362,8 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "train-majority", "up", "down", "train-mean"])
     p.add_argument("--series", required=True)
     p.add_argument("--column", default="value")
-    p.add_argument("--task", default="direction-change",
-                   choices=["next-value", "pct-change", "direction-change"])
+    p.add_argument("--task", default="direction-change", choices=TASKS)
     p.add_argument("--horizon", type=int, default=1)
     p.add_argument("--train-fraction", type=float, default=0.8)
     p.add_argument("--out", required=True)

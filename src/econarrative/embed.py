@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -20,6 +19,7 @@ import numpy as np
 import requests
 
 from .ingest import TweetRecord
+from .retry import post_with_retries
 
 SEP_TOKEN = "⟂SEP⟂"  # reserved joiner for joint-mode encoding
 
@@ -27,7 +27,7 @@ AGGREGATION_MODES = ("individual-mean", "individual-concat", "joint")
 
 
 class EmbeddingServiceError(RuntimeError):
-    """External embedding endpoint unreachable or returned bad vectors."""
+    """External embedding endpoint unreachable, rejected the request or returned bad vectors."""
 
 
 @dataclass(frozen=True)
@@ -88,25 +88,19 @@ class ExternalEmbedder:
         self._session = requests.Session()
 
     def _post(self, texts: list[str]) -> list[list[float]]:
-        headers = {}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        delay = self.backoff
-        last: Exception | None = None
-        for _ in range(self.max_retries):
-            try:
-                resp = self._session.post(
-                    self.endpoint, json={"texts": texts}, headers=headers, timeout=self.timeout
-                )
-                if resp.status_code >= 500:
-                    raise EmbeddingServiceError(f"server error {resp.status_code}")
-                resp.raise_for_status()
-                return resp.json()["vectors"]
-            except (requests.RequestException, EmbeddingServiceError, KeyError, ValueError) as exc:
-                last = exc
-                time.sleep(delay)
-                delay *= 2
-        raise EmbeddingServiceError(f"embedding service failed after {self.max_retries} tries: {last}")
+        headers = {"Authorization": f"Bearer {self.api_key}"} if self.api_key else {}
+        return post_with_retries(
+            self._session,
+            self.endpoint,
+            {"texts": texts},
+            headers,
+            timeout=self.timeout,
+            retries=self.max_retries,
+            backoff=self.backoff,
+            extract=lambda reply: reply["vectors"],
+            error_cls=EmbeddingServiceError,
+            service="embedding service",
+        )
 
     def embed(self, text: str) -> np.ndarray:
         return self.embed_batch([text])[0]
@@ -127,11 +121,6 @@ class ExternalEmbedder:
                     )
                 out.append(arr)
         return out
-
-
-def embed_text(embedder, text: str) -> np.ndarray:
-    """Embed one text with either backend."""
-    return embedder.embed(text)
 
 
 def _as_text_and_followers(tweet) -> tuple[str, int]:
@@ -155,21 +144,14 @@ def daily_embedding(embedder, tweets: Sequence, mode: str, k: int = 10) -> np.nd
     if mode == "individual-mean":
         if not pairs:
             return np.zeros(d)
-        vectors = [embed_text(embedder, text) for text, _ in pairs]
+        vectors = [embedder.embed(text) for text, _ in pairs]
         return np.mean(vectors, axis=0)
     if mode == "individual-concat":
         if k <= 0:
             raise ValueError("concat mode needs a positive per-day tweet count k")
         ranked = sorted(range(len(pairs)), key=lambda i: (-pairs[i][1], i))[:k]
-        slots = [embed_text(embedder, pairs[i][0]) for i in ranked]
+        slots = [embedder.embed(pairs[i][0]) for i in ranked]
         slots += [np.zeros(d)] * (k - len(slots))
         return np.concatenate(slots)
     joined = f" {SEP_TOKEN} ".join(text for text, _ in pairs)
-    return embed_text(embedder, joined)
-
-
-def output_dimension(embedder, mode: str, k: int = 10) -> int:
-    """Feature width produced by daily_embedding for a given setup."""
-    if mode == "individual-concat":
-        return embedder.dimension * k
-    return embedder.dimension
+    return embedder.embed(joined)

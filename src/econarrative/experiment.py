@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -33,6 +34,7 @@ from .harness import (
 )
 from .ingest import AlignedDataset, FinancialSeries, TweetCorpus
 from .models import (
+    LINEAR_PENALTIES,
     BaselineContext,
     fit_linear,
     fit_logistic,
@@ -71,11 +73,11 @@ class FeatureMatrix:
     dates: tuple[date, ...]
     X: np.ndarray
     labels: tuple
-    feature_max_dates: tuple[date, ...]
+    feature_max_dates: tuple[date, ...]  # newest day each row's features read
     t_columns: slice
     f_columns: slice
     t_steps: int  # days per text window: `window` for sentiment, 1 for embeddings
-    task: str
+    window: int  # days per financial window
 
 
 @dataclass
@@ -192,19 +194,19 @@ def _financial_column(aligned: AlignedDataset, kind: str) -> np.ndarray:
     raise ValueError(f"unknown financial feature kind {kind!r}")
 
 
-def _windows(column: np.ndarray, steps: int, rows: np.ndarray) -> np.ndarray:
-    """The `steps` days ending at each row, oldest first, flattened step-major."""
+def _windows(column: np.ndarray, steps: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The `steps` days ending at each row, oldest first, flattened step-major,
+    and the index of the last day each row read."""
+    first = rows - steps + 1
+    if first.min() < 0:
+        start = rows.min()
+        raise ValueError(f"need {steps} trading days of history, day {start} has {start + 1}")
     view = sliding_window_view(column, steps, axis=0)  # (days - steps + 1, width, steps)
-    picked = view[rows - steps + 1].swapaxes(1, 2)
-    return picked.reshape(len(rows), steps * column.shape[1])
+    picked = view[first].swapaxes(1, 2)
+    return picked.reshape(len(rows), steps * column.shape[1]), first + steps - 1
 
 
-def build_features(
-    aligned: AlignedDataset,
-    labels: LabelSeries,
-    features_cfg: dict,
-    task: str,
-) -> FeatureMatrix:
+def build_features(aligned: AlignedDataset, labels: LabelSeries, features_cfg: dict) -> FeatureMatrix:
     window = int(features_cfg.get("window", 7))
     text_kind = features_cfg.get("text", "none")
     fin_kind = features_cfg.get("financial", "value-window")
@@ -223,19 +225,19 @@ def build_features(
 
     t_steps = window if text_kind == "sentiment-window" else 1
     text = _text_column(aligned, text_kind, features_cfg.get("embedding", {}), rows)
-    t_block = _windows(text, t_steps, rows)
-    f_block = _windows(_financial_column(aligned, fin_kind), window, rows)
+    t_block, t_last = _windows(text, t_steps, rows)
+    f_block, f_last = _windows(_financial_column(aligned, fin_kind), window, rows)
     t_width, f_width = t_block.shape[1], f_block.shape[1]
     row_dates = tuple(aligned.dates[i] for i in rows)
     return FeatureMatrix(
         dates=row_dates,
         X=np.concatenate([t_block, f_block], axis=1),
         labels=tuple(label_by_date[d] for d in row_dates),
-        feature_max_dates=row_dates,
+        feature_max_dates=tuple(aligned.dates[i] for i in np.maximum(t_last, f_last)),
         t_columns=slice(0, t_width),
         f_columns=slice(t_width, t_width + f_width),
         t_steps=t_steps,
-        task=task,
+        window=window,
     )
 
 
@@ -259,16 +261,12 @@ def _standardize(train: np.ndarray, test: np.ndarray) -> tuple[np.ndarray, np.nd
 # -- model stage ----------------------------------------------------------
 
 
-def _baseline_predictions(
-    kind: str,
-    aligned: AlignedDataset,
-    matrix: FeatureMatrix,
-    test_idx: range,
-    train_labels: Sequence,
-    task: str,
+def _baseline_model(
+    model_cfg: dict, matrix: FeatureMatrix, n_train: int, aligned: AlignedDataset, task: str
 ) -> list:
     values = aligned.values
     moves = np.where(_directions(values), "increase", "decrease").tolist()
+    train_labels = matrix.labels[:n_train]
     if task in REGRESSION_TASKS:
         train_mean = float(np.mean([float(v) for v in train_labels]))
         train_majority = None
@@ -277,8 +275,8 @@ def _baseline_predictions(
         train_majority = "increase" if ups > len(train_labels) - ups else "decrease"
         train_mean = None
     out = []
-    for row in test_idx:
-        i = aligned.index_of(matrix.dates[row])
+    for d in matrix.dates[n_train:]:
+        i = aligned.index_of(d)
         if task == "pct-change":
             prev_value = 100.0 * (values[i] - values[i - 1]) / values[i - 1]
         else:
@@ -291,104 +289,111 @@ def _baseline_predictions(
             train_majority=train_majority,
             train_mean=train_mean,
         )
-        out.append(financial_baseline(kind, context))
+        out.append(financial_baseline(model_cfg["kind"], context))
     return out
 
 
+def _standardized_inputs(model_cfg: dict, matrix: FeatureMatrix, n_train: int):
+    X = _input_columns(matrix, model_cfg.get("inputs", "TF"))
+    return _standardize(X[:n_train], X[n_train:])
+
+
+def _logistic_model(model_cfg: dict, matrix: FeatureMatrix, n_train: int, *_) -> list:
+    X_train, X_test = _standardized_inputs(model_cfg, matrix, n_train)
+    y = np.array([1.0 if v == "increase" else 0.0 for v in matrix.labels[:n_train]])
+    model = fit_logistic(X_train, y, lam=model_cfg.get("lam", 0.01))
+    return ["increase" if v else "decrease" for v in model.predict(X_test)]
+
+
+def _linear_model(model_cfg: dict, matrix: FeatureMatrix, n_train: int, *_) -> list:
+    kind = model_cfg["type"]
+    X_train, X_test = _standardized_inputs(model_cfg, matrix, n_train)
+    y = np.array([float(v) for v in matrix.labels[:n_train]])
+    lam = model_cfg.get("lam", 0.0 if kind == "linear" else 1.0)
+    model = fit_linear(X_train, y, reg=LINEAR_PENALTIES[kind], lam=lam)
+    return [float(v) for v in model.predict(X_test)]
+
+
+def _darnn_model(model_cfg: dict, matrix: FeatureMatrix, n_train: int, *_) -> list:
+    if model_cfg.get("inputs", "TF") != "TF":
+        raise ValueError("the attention RNN needs both driver and history inputs")
+    window = matrix.window
+    t_block = matrix.X[:, matrix.t_columns]
+    f_block = matrix.X[:, matrix.f_columns]
+    if t_block.shape[1] == 0 or f_block.shape[1] != window:
+        raise ValueError("darnn requires text drivers and a value-window history")
+    if matrix.t_steps != window:
+        raise ValueError(
+            f"darnn needs text windows of {window} days, got {matrix.t_steps}-day text features"
+        )
+    drivers = t_block.reshape(len(matrix.dates), window, -1)
+    label_mean = float(np.mean([float(v) for v in matrix.labels[:n_train]]))
+    label_std = float(np.std([float(v) for v in matrix.labels[:n_train]])) or 1.0
+    history = (f_block - label_mean) / label_std
+    targets = (np.array([float(v) for v in matrix.labels]) - label_mean) / label_std
+    model = AttentionRnn.init(
+        T=window,
+        n=drivers.shape[2],
+        m=model_cfg.get("m", 32),
+        p=model_cfg.get("p", 32),
+        seed=model_cfg.get("seed", 0),
+    )
+    trained = train_darnn(
+        model,
+        drivers[:n_train],
+        history[:n_train],
+        targets[:n_train],
+        epochs=model_cfg.get("epochs", 100),
+        learning_rate=model_cfg.get("lr", 1e-3),
+        seed=model_cfg.get("seed", 0),
+        batch_size=model_cfg.get("batch_size", 32),
+    )
+    raw = trained.predict(drivers[n_train:], history[n_train:])
+    return [float(v) * label_std + label_mean for v in raw]
+
+
+# model type -> (task kind it fits, None for either; fit-and-predict function,
+# called as fn(model_cfg, matrix, n_train, aligned, task) and returning the
+# predictions for the rows after the first n_train)
+MODELS = {
+    "baseline": (None, _baseline_model),
+    "logistic": ("classification", _logistic_model),
+    **{kind: ("regression", _linear_model) for kind in LINEAR_PENALTIES},
+    "darnn": ("regression", _darnn_model),
+}
+
+
 def _fit_and_predict(
-    model_cfg: dict,
-    matrix: FeatureMatrix,
-    aligned: AlignedDataset,
-    n_train: int,
-    task: str,
-    window: int,
+    model_cfg: dict, matrix: FeatureMatrix, n_train: int, aligned: AlignedDataset, task: str
 ) -> list:
     kind = model_cfg.get("type")
-    inputs = model_cfg.get("inputs", "TF")
-    test_idx = range(n_train, len(matrix.dates))
-    train_labels = matrix.labels[:n_train]
+    if kind not in MODELS:
+        raise ValueError(f"unknown model type {kind!r}")
+    fits, fit_and_predict = MODELS[kind]
+    if fits not in (None, "regression" if task in REGRESSION_TASKS else "classification"):
+        raise ValueError(f"{kind} models only fit {fits} tasks")
+    return fit_and_predict(model_cfg, matrix, n_train, aligned, task)
 
-    if kind == "baseline":
-        return _baseline_predictions(
-            model_cfg["kind"], aligned, matrix, test_idx, train_labels, task
-        )
 
-    X = _input_columns(matrix, inputs)
-    X_train, X_test = X[:n_train], X[n_train:]
-
-    if kind == "logistic":
-        if task in REGRESSION_TASKS:
-            raise ValueError("logistic models only fit classification tasks")
-        X_train, X_test = _standardize(X_train, X_test)
-        y = np.array([1.0 if v == "increase" else 0.0 for v in train_labels])
-        model = fit_logistic(X_train, y, lam=model_cfg.get("lam", 0.01))
-        return ["increase" if v else "decrease" for v in model.predict(X_test)]
-
-    if kind in ("linear", "ridge", "lasso"):
-        if task not in REGRESSION_TASKS:
-            raise ValueError(f"{kind} models only fit regression tasks")
-        X_train, X_test = _standardize(X_train, X_test)
-        y = np.array([float(v) for v in train_labels])
-        reg = {"linear": "none", "ridge": "l2", "lasso": "l1"}[kind]
-        model = fit_linear(X_train, y, reg=reg, lam=model_cfg.get("lam", 0.0 if kind == "linear" else 1.0))
-        return [float(v) for v in model.predict(X_test)]
-
-    if kind == "darnn":
-        if task not in REGRESSION_TASKS:
-            raise ValueError("the attention RNN predicts regression targets")
-        if inputs != "TF":
-            raise ValueError("the attention RNN needs both driver and history inputs")
-        t_block = matrix.X[:, matrix.t_columns]
-        f_block = matrix.X[:, matrix.f_columns]
-        if t_block.shape[1] == 0 or f_block.shape[1] != window:
-            raise ValueError("darnn requires text drivers and a value-window history")
-        if matrix.t_steps != window:
-            raise ValueError(
-                f"darnn needs text windows of {window} days, got {matrix.t_steps}-day text features"
-            )
-        drivers = t_block.reshape(len(matrix.dates), window, -1)
-        label_mean = float(np.mean([float(v) for v in matrix.labels[:n_train]]))
-        label_std = float(np.std([float(v) for v in matrix.labels[:n_train]])) or 1.0
-        history = (f_block - label_mean) / label_std
-        targets = (np.array([float(v) for v in matrix.labels]) - label_mean) / label_std
-        model = AttentionRnn.init(
-            T=window,
-            n=drivers.shape[2],
-            m=model_cfg.get("m", 32),
-            p=model_cfg.get("p", 32),
-            seed=model_cfg.get("seed", 0),
-        )
-        trained = train_darnn(
-            model,
-            drivers[:n_train],
-            history[:n_train],
-            targets[:n_train],
-            epochs=model_cfg.get("epochs", 100),
-            learning_rate=model_cfg.get("lr", 1e-3),
-            seed=model_cfg.get("seed", 0),
-            batch_size=model_cfg.get("batch_size", 32),
-        )
-        raw = trained.predict(drivers[n_train:], history[n_train:])
-        return [float(v) * label_std + label_mean for v in raw]
-
-    raise ValueError(f"unknown model type {kind!r}")
+def _model_name(model_cfg: dict) -> str:
+    if model_cfg.get("name"):
+        return model_cfg["name"]
+    if model_cfg.get("type") == "baseline":
+        return model_cfg.get("kind")
+    return f"{model_cfg.get('type')}-{model_cfg.get('inputs', 'TF')}"
 
 
 # -- runner ---------------------------------------------------------------
 
 
-def run_experiment(config: dict, out_dir: str | Path | None = None) -> ExperimentReport:
-    chash = config_hash(config)
+def _task_of(config: dict) -> tuple[str, int]:
     task_cfg = config.get("task", {})
-    with _stage("config"):
-        spec = TaskSpec(
-            target=task_cfg.get("target", ""),
-            task=task_cfg.get("kind", "direction-change"),
-            horizon=int(task_cfg.get("horizon", 1)),
-        )
-    task = spec.task
-    horizon = spec.horizon
+    return task_cfg.get("kind", "direction-change"), int(task_cfg.get("horizon", 1))
 
+
+def prepare(config: dict) -> tuple[AlignedDataset, FeatureMatrix]:
+    """Ingest and align a config's data, label it and build its features."""
+    task, horizon = _task_of(config)
     with _stage("ingest"):
         series = _load_series(config["data"]["series"])
         corpus = _load_text(config["data"].get("text"), series, horizon)
@@ -399,32 +404,36 @@ def run_experiment(config: dict, out_dir: str | Path | None = None) -> Experimen
             name=series.name, points=tuple(zip(aligned.dates, aligned.values))
         )
         labels = make_labels(aligned_series, task, horizon)
-        features_cfg = config.get("features", {})
-        matrix = build_features(aligned, labels, features_cfg, task)
+        matrix = build_features(aligned, labels, config.get("features", {}))
+    return aligned, matrix
+
+
+def run_experiment(config: dict, out_dir: str | Path | None = None) -> ExperimentReport:
+    chash = config_hash(config)
+    task_cfg = config.get("task", {})
+    with _stage("config"):
+        task, horizon = _task_of(config)
+        TaskSpec(target=task_cfg.get("target", ""), task=task, horizon=horizon)
+        names = [_model_name(m) for m in config.get("models", [])]
+        repeated = [name for i, name in enumerate(names) if name in names[:i]]
+        if repeated:
+            raise ValueError(f"duplicate model name {repeated[0]!r}: give each model its own 'name'")
+
+    aligned, matrix = prepare(config)
 
     with _stage("split"):
-        fraction = float(config.get("eval", {}).get("train_fraction", 0.8))
-        if not 0 < fraction < 1:
-            raise ValueError("train_fraction must be in (0, 1)")
         n_rows = len(matrix.dates)
-        n_train = int(np.floor(fraction * n_rows))
-        if n_train == 0 or n_train == n_rows:
-            raise ValueError(f"degenerate split: {n_train} of {n_rows}")
+        n_train = ingest.train_size(n_rows, float(config.get("eval", {}).get("train_fraction", 0.8)))
 
-    window = int(config.get("features", {}).get("window", 7))
     model_rows: list[dict] = []
     predictions: dict[str, list] = {}
     correctness: dict[str, list[bool]] = {}
     test_labels = matrix.labels[n_train:]
     test_dates = matrix.dates[n_train:]
 
-    for model_cfg in config.get("models", []):
-        name = model_cfg.get("name") or (
-            model_cfg.get("kind") if model_cfg.get("type") == "baseline"
-            else f"{model_cfg.get('type')}-{model_cfg.get('inputs', 'TF')}"
-        )
+    for name, model_cfg in zip(names, config.get("models", [])):
         with _stage(f"model:{name}"):
-            preds = _fit_and_predict(model_cfg, matrix, aligned, n_train, task, window)
+            preds = _fit_and_predict(model_cfg, matrix, n_train, aligned, task)
             report = evaluate(preds, test_labels, task)
         row = {"name": name, "type": model_cfg.get("type"), "inputs": model_cfg.get("inputs")}
         row.update(report.to_dict())
@@ -436,21 +445,19 @@ def run_experiment(config: dict, out_dir: str | Path | None = None) -> Experimen
             correctness[name] = [p == l for p, l in zip(preds, test_labels)]
 
     pairs = []
-    names = list(correctness)
     with _stage("mcnemar"):
-        for i in range(len(names)):
-            for j in range(i + 1, len(names)):
-                result = mcnemar(correctness[names[i]], correctness[names[j]])
-                pairs.append(
-                    {
-                        "model_a": names[i],
-                        "model_b": names[j],
-                        "b": result.b,
-                        "c": result.c,
-                        "p_value": result.p_value,
-                        "method": result.method,
-                    }
-                )
+        for a, b in itertools.combinations(correctness, 2):
+            result = mcnemar(correctness[a], correctness[b])
+            pairs.append(
+                {
+                    "model_a": a,
+                    "model_b": b,
+                    "b": result.b,
+                    "c": result.c,
+                    "p_value": result.p_value,
+                    "method": result.method,
+                }
+            )
 
     audit = {
         "max_feature_date_ok": all(
@@ -461,7 +468,7 @@ def run_experiment(config: dict, out_dir: str | Path | None = None) -> Experimen
     }
     report = ExperimentReport(
         config_hash=chash,
-        task={"target": task_cfg.get("target", series.name), "kind": task, "horizon": horizon},
+        task={"target": task_cfg.get("target", aligned.indicator), "kind": task, "horizon": horizon},
         n_train=n_train,
         n_test=n_rows - n_train,
         train_range=(matrix.dates[0].isoformat(), matrix.dates[n_train - 1].isoformat()),

@@ -28,15 +28,12 @@ class TaskSpec:
     target: str
     task: str
     horizon: int
-    model_kind: str = "F"
 
     def __post_init__(self) -> None:
         if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}")
         if self.horizon not in HORIZONS:
             raise ValueError(f"horizon must be one of {HORIZONS}")
-        if self.model_kind not in ("F", "T", "TF"):
-            raise ValueError("model kind must be F, T or TF")
 
     @property
     def is_regression(self) -> bool:
@@ -95,7 +92,6 @@ class MetricsReport:
     mse: float | None = None
     accuracy: float | None = None
     f1: float | None = None
-    predictions: tuple = ()
 
     def to_dict(self) -> dict:
         out = {"task": self.task, "n": self.n}
@@ -118,7 +114,7 @@ def evaluate(predictions: Sequence, labels: Sequence, task: str) -> MetricsRepor
     pairs = tuple(zip(predictions, labels))
     if task in REGRESSION_TASKS:
         mse = sum((float(p) - float(y)) ** 2 for p, y in pairs) / len(pairs)
-        return MetricsReport(task=task, n=len(pairs), mse=mse, predictions=pairs)
+        return MetricsReport(task=task, n=len(pairs), mse=mse)
     correct = sum(1 for p, y in pairs if p == y)
     tp = sum(1 for p, y in pairs if p == "increase" and y == "increase")
     fp = sum(1 for p, y in pairs if p == "increase" and y == "decrease")
@@ -126,13 +122,7 @@ def evaluate(predictions: Sequence, labels: Sequence, task: str) -> MetricsRepor
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return MetricsReport(
-        task=task,
-        n=len(pairs),
-        accuracy=correct / len(pairs),
-        f1=f1,
-        predictions=pairs,
-    )
+    return MetricsReport(task=task, n=len(pairs), accuracy=correct / len(pairs), f1=f1)
 
 
 @dataclass(frozen=True)

@@ -49,15 +49,6 @@ class TweetCorpus:
     def __len__(self) -> int:
         return len(self.records)
 
-    def texts(self) -> list[str]:
-        return [r.text for r in self.records]
-
-    def by_date(self) -> dict[date, list[TweetRecord]]:
-        grouped: dict[date, list[TweetRecord]] = {}
-        for rec in self.records:
-            grouped.setdefault(rec.date, []).append(rec)
-        return grouped
-
 
 @dataclass(frozen=True)
 class FinancialSeries:
@@ -130,15 +121,6 @@ class AlignedDataset:
 
     def value_on(self, d: date) -> float:
         return self.values[self.index_of(d)]
-
-    def slice(self, start: int, stop: int) -> "AlignedDataset":
-        return AlignedDataset(
-            dates=self.dates[start:stop],
-            values=self.values[start:stop],
-            tweets=self.tweets[start:stop],
-            indicator=self.indicator,
-            lag_rule=self.lag_rule,
-        )
 
 
 @dataclass(frozen=True)
@@ -382,17 +364,15 @@ def blocking_split(series: FinancialSeries, boundaries: Sequence[date]) -> list[
     return blocks
 
 
-def chrono_split(dataset: AlignedDataset, train_fraction: float) -> tuple[AlignedDataset, AlignedDataset]:
-    """Chronological train/test split; train gets floor(fraction * N) points."""
+def train_size(n: int, train_fraction: float) -> int:
+    """Rows in the training part of a chronological split of n date-ordered
+    rows: the first floor(train_fraction * n); the rest are the test part."""
     if not 0 < train_fraction < 1:
         raise ValueError("train_fraction must be in (0, 1)")
-    n = len(dataset)
-    if n < 2:
-        raise IngestError("dataset too short to split")
     n_train = math.floor(train_fraction * n)
     if n_train == 0 or n_train == n:
-        raise IngestError(f"degenerate split: {n_train} train of {n}")
-    return dataset.slice(0, n_train), dataset.slice(n_train, n)
+        raise ValueError(f"degenerate split: {n_train} of {n}")
+    return n_train
 
 
 def write_tweets_jsonl(corpus: TweetCorpus, path: str | Path) -> None:

@@ -1,7 +1,6 @@
 from .baselines import BaselineContext, financial_baseline
-from .combine import combine_features
 from .darnn import AttentionRnn, gradient_check, train_darnn
-from .linear import LinearModel, fit_linear, linear_objective
+from .linear import LINEAR_PENALTIES, LinearModel, fit_linear, linear_objective
 from .logistic import LogisticModel, fit_logistic, logistic_objective
 from .serialize import model_from_doc, model_to_doc
 from .textclf import TextClassifier, fit_text_classifier
@@ -9,10 +8,10 @@ from .textclf import TextClassifier, fit_text_classifier
 __all__ = [
     "AttentionRnn",
     "BaselineContext",
+    "LINEAR_PENALTIES",
     "LinearModel",
     "LogisticModel",
     "TextClassifier",
-    "combine_features",
     "financial_baseline",
     "fit_linear",
     "fit_logistic",

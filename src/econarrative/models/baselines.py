@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from ..harness import REGRESSION_TASKS
+
 BASELINE_KINDS = (
     "as-previous",
     "inverse-previous",
@@ -19,8 +21,6 @@ BASELINE_KINDS = (
     "down",
     "train-mean",
 )
-
-REGRESSION_TASKS = {"next-value", "pct-change"}
 
 
 class MissingContextError(ValueError):

@@ -19,13 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .logistic import _sigmoid
+
 
 class DivergenceError(RuntimeError):
     pass
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -60.0, 60.0)))
 
 
 def _softmax(z: np.ndarray, axis: int) -> np.ndarray:

@@ -13,7 +13,6 @@ import json
 import os
 import re
 import threading
-import time
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
@@ -22,6 +21,7 @@ from typing import Mapping, Sequence
 import requests
 
 from .ingest import TweetRecord
+from .retry import post_with_retries
 
 MAX_TWEETS_PER_DAY = 10
 
@@ -53,7 +53,7 @@ class RefusalError(RuntimeError):
 
 
 class LlmRequestError(RuntimeError):
-    """Chat endpoint unreachable after retries."""
+    """Chat endpoint unreachable after retries, or it rejected the request."""
 
 
 @dataclass(frozen=True)
@@ -104,14 +104,25 @@ class LlmClientConfig:
             raise ValueError("max_parallel must be >= 1")
 
 
-def _format_value(v: float) -> str:
-    return repr(float(v))
-
-
 def _cap_by_followers(tweets: Sequence[TweetRecord], cap: int) -> list[TweetRecord]:
     ranked = sorted(range(len(tweets)), key=lambda i: (-tweets[i].followers, i))
     keep = sorted(ranked[:cap])
     return [tweets[i] for i in keep]
+
+
+def _financial_block(values_by_date: Mapping[date, float], dates: Sequence[date]) -> str:
+    lines = [f"{d.isoformat()}: {float(values_by_date[d])!r}" for d in dates]
+    return "<Financial values>\n" + "\n".join(lines) + "\n</Financial values>"
+
+
+def _tweet_block(tweets_by_date: Mapping[date, Sequence[TweetRecord]], dates: Sequence[date]) -> str:
+    """Each day's tweets, capped at MAX_TWEETS_PER_DAY by follower count."""
+    lines = [
+        f"{d.isoformat()}: {rec.text}"
+        for d in dates
+        for rec in _cap_by_followers(list(tweets_by_date[d]), MAX_TWEETS_PER_DAY)
+    ]
+    return "<Tweets>\n" + "\n".join(lines) + "\n</Tweets>"
 
 
 def build_analysis_prompt(
@@ -149,20 +160,11 @@ def build_analysis_prompt(
         f"<Potential Effects on {target}>PLACE_HOLDER</Potential Effects on {target}>"
     )
 
-    fin_lines = [f"{d.isoformat()}: {_format_value(values_by_date[d])}" for d in value_dates]
-    financial_block = "<Financial values>\n" + "\n".join(fin_lines) + "\n</Financial values>"
-
-    tweet_lines = []
-    for d in tweet_dates:
-        for rec in _cap_by_followers(list(tweets_by_date[d]), MAX_TWEETS_PER_DAY):
-            tweet_lines.append(f"{d.isoformat()}: {rec.text}")
-    tweet_block = "<Tweets>\n" + "\n".join(tweet_lines) + "\n</Tweets>"
-
     window = (min(tweet_dates[0], value_dates[0]), max(tweet_dates[-1], value_dates[-1]))
     return AnalysisPrompt(
         instruction=instruction,
-        financial_block=financial_block,
-        tweet_block=tweet_block,
+        financial_block=_financial_block(values_by_date, value_dates),
+        tweet_block=_tweet_block(tweets_by_date, tweet_dates),
         target=target,
         window=window,
     )
@@ -209,6 +211,7 @@ class LlmClient:
         self._session = requests.Session()
         self._locks: dict[str, threading.Lock] = {}
         self._locks_guard = threading.Lock()
+        self._calls_guard = threading.Lock()
         self.network_calls = 0
 
     # -- cache ---------------------------------------------------------
@@ -226,6 +229,11 @@ class LlmClient:
         with self._locks_guard:
             return self._locks.setdefault(key, threading.Lock())
 
+    def _count_call(self) -> None:
+        # request_analyses calls complete from several threads
+        with self._calls_guard:
+            self.network_calls += 1
+
     def _persist_failure(self, key: str, raw: str) -> None:
         path = self._cache_path(key)
         if path is None:
@@ -239,7 +247,7 @@ class LlmClient:
     # -- transport -----------------------------------------------------
 
     def complete(self, prompt_text: str) -> str:
-        """One chat call; retries transport failures with backoff."""
+        """One chat call; retries transport and server failures with backoff."""
         headers = {"Content-Type": "application/json"}
         api_key = self.config.api_key or os.environ.get("NARRATIVE_LLM_API_KEY")
         if api_key:
@@ -249,23 +257,19 @@ class LlmClient:
             "temperature": self.config.temperature,
             "messages": [{"role": "user", "content": prompt_text}],
         }
-        delay = self.config.backoff
-        last: Exception | None = None
-        for _ in range(self.config.max_retries):
-            try:
-                self.network_calls += 1
-                resp = self._session.post(
-                    self.config.endpoint, json=body, headers=headers, timeout=self.config.timeout
-                )
-                if resp.status_code >= 500:
-                    raise LlmRequestError(f"server error {resp.status_code}")
-                resp.raise_for_status()
-                return resp.json()["choices"][0]["message"]["content"]
-            except (requests.RequestException, LlmRequestError, KeyError, IndexError) as exc:
-                last = exc
-                time.sleep(delay)
-                delay *= 2
-        raise LlmRequestError(f"chat endpoint failed after {self.config.max_retries} tries: {last}")
+        return post_with_retries(
+            self._session,
+            self.config.endpoint,
+            body,
+            headers,
+            timeout=self.config.timeout,
+            retries=self.config.max_retries,
+            backoff=self.config.backoff,
+            extract=lambda reply: reply["choices"][0]["message"]["content"],
+            error_cls=LlmRequestError,
+            service="chat endpoint",
+            on_attempt=self._count_call,
+        )
 
     # -- analysis protocol ----------------------------------------------
 
@@ -446,14 +450,11 @@ def build_weekly_prompt(
         for i, (example_in, example_out) in enumerate(examples, start=1):
             parts.append(f"Example {i} input:\n{example_in}\nExample {i} output:\n{example_out}")
 
-    fin_lines = [f"{d.isoformat()}: {_format_value(values_by_date[d])}" for d in value_dates]
-    parts.append("<Financial values>\n" + "\n".join(fin_lines) + "\n</Financial values>")
-    tweet_lines = []
-    for d in tweet_dates:
-        for rec in _cap_by_followers(list(tweets_by_date[d]), MAX_TWEETS_PER_DAY):
-            tweet_lines.append(f"{d.isoformat()}: {rec.text}")
-    parts.append("<Tweets>\n" + "\n".join(tweet_lines) + "\n</Tweets>")
-    parts.append("Prediction:")
+    parts += [
+        _financial_block(values_by_date, value_dates),
+        _tweet_block(tweets_by_date, tweet_dates),
+        "Prediction:",
+    ]
     return "\n\n".join(parts)
 
 

@@ -52,18 +52,6 @@ class SentimentLexicon:
             raise ValueError("normalization_alpha must be positive")
 
 
-@dataclass(frozen=True)
-class DailySentimentVector:
-    """Seven daily scores ending at end_date, oldest first."""
-
-    end_date: date
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.values) != 7:
-            raise ValueError("daily sentiment vector must hold exactly 7 scores")
-
-
 def tokenize(text: str) -> list[str]:
     return [t.lower() for t in TOKEN_RE.findall(text)]
 
@@ -121,18 +109,6 @@ def daily_sentiment_column(
     """day_score of every trading day, in date order; each tweet is scored once."""
     lexicon = lexicon or load_lexicon()
     return np.array([day_score(day, lexicon) for day in dataset.tweets], dtype=float)
-
-
-def sentiment_window(
-    dataset: AlignedDataset, end_date: date, lexicon: SentimentLexicon | None = None
-) -> DailySentimentVector:
-    """Daily scores for the 7 most recent trading days ending at end_date."""
-    idx = dataset.index_of(end_date)
-    if idx < 6:
-        raise ValueError(f"need 7 trading days of history before {end_date}, have {idx + 1}")
-    lexicon = lexicon or load_lexicon()
-    values = tuple(day_score(day, lexicon) for day in dataset.tweets[idx - 6:idx + 1])
-    return DailySentimentVector(end_date=end_date, values=values)
 
 
 def word_frequency_timeline(

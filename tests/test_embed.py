@@ -1,14 +1,15 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from econarrative import retry
 from econarrative.embed import (
     EmbeddingServiceError,
     ExternalEmbedder,
     HashingEmbedder,
     SEP_TOKEN,
     daily_embedding,
-    embed_text,
-    output_dimension,
 )
 from econarrative.ingest import TweetRecord
 from datetime import date
@@ -24,7 +25,7 @@ def _cosine(a, b):
 class TestHashingEmbedder:
     def test_empty_text_zero_vector(self):
         e = HashingEmbedder(dimension=16, seed=0)
-        assert np.array_equal(embed_text(e, ""), np.zeros(16))
+        assert np.array_equal(e.embed(""), np.zeros(16))
 
     def test_deterministic(self):
         e = HashingEmbedder(dimension=32, seed=3)
@@ -94,9 +95,10 @@ class TestDailyEmbedding:
         assert np.array_equal(joint, self.E.embed(f"rates up {SEP_TOKEN} stocks down"))
 
     def test_output_dimension_fixed(self):
-        assert output_dimension(self.E, "individual-mean") == 16
-        assert output_dimension(self.E, "individual-concat", k=10) == 160
-        assert output_dimension(self.E, "joint") == 16
+        for tweets in ([], ["one"], ["one", "two", "three"]):
+            assert daily_embedding(self.E, tweets, "individual-mean").shape == (16,)
+            assert daily_embedding(self.E, tweets, "individual-concat", k=10).shape == (160,)
+            assert daily_embedding(self.E, tweets, "joint").shape == (16,)
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -127,3 +129,13 @@ class TestExternalEmbedder:
         )
         with pytest.raises(EmbeddingServiceError, match="failed after 2"):
             e.embed("alpha")
+
+    def test_client_error_is_not_retried(self, stub_server, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(retry, "time", SimpleNamespace(sleep=sleeps.append))
+        stub_server.state.status = 401
+        e = ExternalEmbedder(endpoint=stub_server.url, dimension=4, backoff=0.01)
+        with pytest.raises(EmbeddingServiceError, match="client error 401"):
+            e.embed("alpha")
+        assert stub_server.calls == 1
+        assert sleeps == []

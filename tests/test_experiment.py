@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from econarrative import ingest, sentiment, synthgen
+from econarrative import experiment, ingest, sentiment, synthgen
 from econarrative.embed import HashingEmbedder, daily_embedding
 from econarrative.experiment import (
     ExperimentError,
@@ -77,6 +77,17 @@ class TestLeakageAudit:
         report = run_experiment(_planted_config(RANDOM_TEXTS))
         assert report.train_range[1] < report.test_range[0]
 
+    def test_one_day_lookahead_fails_the_audit(self, monkeypatch):
+        # a window cut one day late reads the day after the row's date
+        real_windows = experiment._windows
+
+        def one_day_ahead(column, steps, rows):
+            return real_windows(column, steps, rows + 1)
+
+        monkeypatch.setattr(experiment, "_windows", one_day_ahead)
+        report = run_experiment(_planted_config(NARRATIVES))
+        assert report.leakage_audit["max_feature_date_ok"] is False
+
 
 class TestStages:
     def test_missing_file_names_ingest_stage(self, tmp_path):
@@ -97,6 +108,18 @@ class TestStages:
         config["task"] = {"kind": "next-value", "horizon": 1}
         with pytest.raises(ExperimentError, match="classification"):
             run_experiment(config)
+
+    def test_duplicate_model_names_rejected_in_config_stage(self, tmp_path):
+        config = _planted_config(NARRATIVES)
+        # the missing file shows the check runs before any ingest
+        config["data"]["series"] = {"path": str(tmp_path / "missing.csv")}
+        config["models"] = [
+            {"type": "logistic", "inputs": "TF", "lam": 0.01},
+            {"type": "logistic", "inputs": "TF", "lam": 1.0},
+        ]
+        with pytest.raises(ExperimentError, match="duplicate model name 'logistic-TF'") as err:
+            run_experiment(config)
+        assert err.value.stage == "config"
 
     def test_unsupported_horizon_rejected_in_config_stage(self):
         config = _planted_config(NARRATIVES)
@@ -281,14 +304,14 @@ class TestFeatureColumns:
 
         monkeypatch.setattr(sentiment, "score", counting_score)
         features = {"text": "sentiment-window", "financial": "direction-window", "window": 7}
-        build_features(aligned, labels, features, "direction-change")
+        build_features(aligned, labels, features)
         assert len(calls) == sum(len(day) for day in aligned.tweets) > 0
 
     def test_windows_match_per_row_construction(self):
         aligned, labels = _aligned_and_labels()
         emb = {"dimension": 8, "seed": 2, "mode": "individual-mean"}
         features = {"text": "embedding", "financial": "value-window", "window": 7, "embedding": emb}
-        matrix = build_features(aligned, labels, features, "next-value")
+        matrix = build_features(aligned, labels, features)
         embedder = HashingEmbedder(dimension=8, seed=2)
         label_dates = set(labels.dates)
         expected = [
@@ -307,7 +330,7 @@ class TestFeatureColumns:
     def test_sentiment_window_width_follows_window(self):
         aligned, labels = _aligned_and_labels()
         features = {"text": "sentiment-window", "financial": "value-window", "window": 3}
-        matrix = build_features(aligned, labels, features, "next-value")
+        matrix = build_features(aligned, labels, features)
         column = sentiment.daily_sentiment_column(aligned)
         assert matrix.t_steps == 3
         assert matrix.X[:, matrix.t_columns].shape[1] == 3

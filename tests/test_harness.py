@@ -166,7 +166,7 @@ class TestMcNemar:
 
 class TestTaskSpec:
     def test_valid(self):
-        spec = TaskSpec(target="VIX", task="direction-change", horizon=7, model_kind="TF")
+        spec = TaskSpec(target="VIX", task="direction-change", horizon=7)
         assert not spec.is_regression
 
     def test_invalid_horizon(self):

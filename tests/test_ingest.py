@@ -13,10 +13,10 @@ from econarrative.ingest import (
     TweetRecord,
     align,
     blocking_split,
-    chrono_split,
     load_series,
     load_tweets,
     preprocess,
+    train_size,
 )
 
 
@@ -267,31 +267,37 @@ class TestBlockingSplit:
 
 
 class TestChronoSplit:
+    """train_size: the training part of a chronological split is the first
+    floor(fraction * n) of n date-ordered rows; the test part is the rest."""
+
     def _aligned(self, n):
         series = _series(*((date(2020, 1, 1) + (date(2020, 1, 2) - date(2020, 1, 1)) * i, float(i)) for i in range(n)))
         return align(TweetCorpus(records=(), date_range=None), series)
 
     def test_80_20(self):
-        train, test = chrono_split(self._aligned(100), 0.8)
-        assert len(train) == 80
-        assert len(test) == 20
+        assert train_size(100, 0.8) == 80
 
     def test_half(self):
-        train, test = chrono_split(self._aligned(10), 0.5)
-        assert len(train) == 5
-        assert max(train.dates) < min(test.dates)
+        dates = self._aligned(10).dates
+        n_train = train_size(len(dates), 0.5)
+        assert n_train == 5
+        assert max(dates[:n_train]) < min(dates[n_train:])
 
     def test_single_point_rejected(self):
-        with pytest.raises(IngestError):
-            chrono_split(self._aligned(1), 0.8)
+        with pytest.raises(ValueError, match="degenerate split: 0 of 1"):
+            train_size(1, 0.8)
+        with pytest.raises(ValueError, match="train_fraction must be in"):
+            train_size(10, 1.0)
 
-    @given(st.integers(min_value=3, max_value=60), st.floats(min_value=0.1, max_value=0.9))
+    @given(st.integers(min_value=1, max_value=60), st.floats(min_value=0.01, max_value=0.99))
     def test_never_leaks(self, n, fraction):
         import math
 
-        n_train = math.floor(fraction * n)
-        if n_train in (0, n):
+        dates = self._aligned(n).dates
+        if math.floor(fraction * n) in (0, n):
+            with pytest.raises(ValueError, match="degenerate split"):
+                train_size(n, fraction)
             return
-        train, test = chrono_split(self._aligned(n), fraction)
-        assert max(train.dates) < min(test.dates)
-        assert len(train) + len(test) == n
+        n_train = train_size(n, fraction)
+        assert 0 < n_train < n
+        assert max(dates[:n_train]) < min(dates[n_train:])

@@ -1,8 +1,12 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from datetime import date
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from econarrative import retry
 from econarrative.ingest import TweetRecord
 from econarrative.narrative import (
     AnalysisPrompt,
@@ -233,6 +237,54 @@ class TestClientCache:
         analyses = client.request_analyses(prompts)
         assert len(analyses) == 6
         assert stub_server.calls == 6
+        assert client.network_calls == 6
+
+    def test_network_calls_counted_under_contention(self):
+        reply = {"choices": [{"message": {"content": "ok"}}]}
+
+        class InstantSession:
+            def post(self, *args, **kwargs):
+                return SimpleNamespace(status_code=200, json=lambda: reply)
+
+        client = LlmClient(LlmClientConfig(endpoint="http://unused.invalid/", model="m"))
+        client._session = InstantSession()
+        threads, calls = 8, 200
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                futures = [
+                    pool.submit(lambda: [client.complete("x") for _ in range(calls)])
+                    for _ in range(threads)
+                ]
+                for future in futures:
+                    future.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert client.network_calls == threads * calls
+
+    def _recorded_sleeps(self, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(retry, "time", SimpleNamespace(sleep=sleeps.append))
+        return sleeps
+
+    def test_client_error_is_not_retried(self, stub_server, tmp_path, monkeypatch):
+        sleeps = self._recorded_sleeps(monkeypatch)
+        stub_server.state.status = 400
+        client = self._client(stub_server, tmp_path)
+        with pytest.raises(LlmRequestError, match="client error 400"):
+            client.complete("hello")
+        assert stub_server.calls == client.network_calls == 1
+        assert sleeps == []
+
+    def test_server_error_retried_without_a_final_sleep(self, stub_server, tmp_path, monkeypatch):
+        sleeps = self._recorded_sleeps(monkeypatch)
+        stub_server.state.status = 503
+        client = self._client(stub_server, tmp_path, max_retries=3)
+        with pytest.raises(LlmRequestError, match="failed after 3 tries: server error 503"):
+            client.complete("hello")
+        assert stub_server.calls == client.network_calls == 3
+        assert sleeps == [0.01, 0.02]
 
 
 class TestWeeklyPrediction:

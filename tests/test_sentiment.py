@@ -1,19 +1,19 @@
 import math
 from datetime import date
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from econarrative.experiment import _windows
 from econarrative.ingest import AlignedDataset, TweetCorpus, TweetRecord
 from econarrative.sentiment import (
-    DailySentimentVector,
     SentimentLexicon,
     daily_sentiment,
     daily_sentiment_column,
     load_lexicon,
     score,
     sentiment_histogram,
-    sentiment_window,
     word_frequency_timeline,
 )
 
@@ -119,30 +119,34 @@ class TestDailySentiment:
 
 
 class TestSentimentWindow:
+    """The sentiment-window feature: the 7 daily scores ending at a row's
+    day, cut from the daily score column as build_features cuts them."""
+
     def _week(self, texts_per_day):
         days = [(date(2021, 1, 4 + i), texts) for i, texts in enumerate(texts_per_day)]
         return _aligned(days)
 
+    def _window(self, dataset, end_date):
+        column = daily_sentiment_column(dataset)[:, None]
+        block, last_read = _windows(column, 7, np.array([dataset.index_of(end_date)]))
+        assert dataset.dates[last_read[0]] == end_date
+        return block[0].tolist()
+
     def test_all_quiet(self):
         dataset = self._week([[]] * 7)
-        vec = sentiment_window(dataset, date(2021, 1, 10))
-        assert vec.values == (0.0,) * 7
+        assert self._window(dataset, date(2021, 1, 10)) == [0.0] * 7
 
     def test_date_order_oldest_first(self):
-        texts = [["good"] * (i + 1) for i in range(7)]  # increasing positivity
+        texts = [["good"] * (i + 1) + ["bad"] for i in range(7)]  # increasing positivity
         dataset = self._week(texts)
-        vec = sentiment_window(dataset, date(2021, 1, 10))
-        assert list(vec.values) == sorted(vec.values)
-        assert vec.end_date == date(2021, 1, 10)
+        values = self._window(dataset, date(2021, 1, 10))
+        assert values == sorted(values)
+        assert values[0] < values[-1]
 
     def test_insufficient_history(self):
         dataset = self._week([[]] * 7)
         with pytest.raises(ValueError, match="7 trading days"):
-            sentiment_window(dataset, date(2021, 1, 9))
-
-    def test_vector_length_enforced(self):
-        with pytest.raises(ValueError):
-            DailySentimentVector(end_date=date(2021, 1, 4), values=(0.0,) * 6)
+            self._window(dataset, date(2021, 1, 9))
 
 
 def _corpus(records):

@@ -1,12 +1,12 @@
 import json
-from datetime import date
 
 import numpy as np
 import pytest
 
+from econarrative import experiment
 from econarrative.embed import HashingEmbedder
+from econarrative.experiment import ExperimentError, prepare
 from econarrative.models import (
-    combine_features,
     fit_linear,
     fit_logistic,
     fit_text_classifier,
@@ -14,7 +14,6 @@ from econarrative.models import (
     model_to_doc,
 )
 from econarrative.models.darnn import AttentionRnn
-from econarrative.narrative import LlmAnalysis
 
 
 class TestTextClassifier:
@@ -47,49 +46,66 @@ class TestTextClassifier:
             fit_text_classifier(["a", "b"], [1, 1], self.EMBEDDER)
 
 
+def _walk_config(features, models=()):
+    return {
+        "data": {
+            "series": {"random_walk": {"n": 120, "sigma": 0.01, "v0": 100.0, "seed": 2}},
+            "text": {"synthetic_narratives": {"seed": 4, "p": 1.0, "per_day": 2}},
+        },
+        "task": {"kind": "next-value", "horizon": 1},
+        "features": features,
+        "models": list(models),
+    }
+
+
+SENTIMENT_AND_VALUES = {"text": "sentiment-window", "financial": "value-window", "window": 7}
+
+
 class TestCombineFeatures:
+    """How the experiment joins the text (T) and financial (F) blocks: side
+    by side in one feature matrix, or as drivers and target history of the
+    attention RNN."""
+
     def test_concat_dimensions(self):
-        out = combine_features("concat", np.ones(7), np.zeros(7))
-        assert out.shape == (14,)
-        assert np.array_equal(out[:7], np.ones(7))
+        aligned, matrix = prepare(_walk_config(SENTIMENT_AND_VALUES))
+        assert matrix.X.shape == (len(matrix.dates), 14)
+        assert (matrix.t_columns, matrix.f_columns) == (slice(0, 7), slice(7, 14))
+        i = aligned.index_of(matrix.dates[0])
+        assert matrix.X[0, matrix.f_columns].tolist() == list(aligned.values[i - 6:i + 1])
 
     def test_zeroed_text_block_matches_financial_only(self):
         # a combined-input linear model scored with a zeroed text block
         # equals the same weights applied to the financial block alone
-        rng = np.random.default_rng(0)
-        T = rng.normal(size=(40, 5))
-        F = rng.normal(size=(40, 3))
-        X = combine_features("concat", T, F)
-        y = rng.normal(size=40)
+        _, matrix = prepare(_walk_config(SENTIMENT_AND_VALUES))
+        X = matrix.X
+        y = np.array(matrix.labels, dtype=float)
         model = fit_linear(X, y, reg="l2", lam=0.1)
-        zeroed = combine_features("concat", np.zeros_like(T), F)
-        financial_part = F @ model.weights[5:] + model.bias
+        zeroed = X.copy()
+        zeroed[:, matrix.t_columns] = 0.0
+        financial_part = X[:, matrix.f_columns] @ model.weights[matrix.f_columns] + model.bias
         assert np.allclose(model.predict(zeroed), financial_part)
 
-    def test_darnn_exogenous_shapes(self):
-        drivers, history = combine_features(
-            "darnn-exogenous", np.ones((7, 3)), np.arange(7.0)
-        )
-        assert drivers.shape == (1, 7, 3)
-        assert history.shape == (1, 7)
+    def test_darnn_exogenous_shapes(self, monkeypatch):
+        seen = {}
+        real_train = experiment.train_darnn
 
-    def test_darnn_exogenous_batched(self):
-        drivers, history = combine_features(
-            "darnn-exogenous", np.ones((4, 7, 3)), np.ones((4, 7))
-        )
-        assert drivers.shape == (4, 7, 3)
+        def recording_train(model, drivers, history, targets, **kwargs):
+            seen.update(drivers=drivers.shape, history=history.shape, targets=targets.shape)
+            return real_train(model, drivers, history, targets, **kwargs)
+
+        monkeypatch.setattr(experiment, "train_darnn", recording_train)
+        darnn = {"name": "darnn", "type": "darnn", "epochs": 1, "m": 4, "p": 4}
+        n_train = experiment.run_experiment(_walk_config(SENTIMENT_AND_VALUES, [darnn])).n_train
+        assert seen == {"drivers": (n_train, 7, 1), "history": (n_train, 7), "targets": (n_train,)}
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            combine_features("darnn-exogenous", np.ones((7, 3)), np.ones(6))
-        with pytest.raises(ValueError):
-            combine_features("concat", np.ones((3, 2)), np.ones((4, 2)))
-
-    def test_prompt_mode_delegates(self):
-        analysis = LlmAnalysis("summary here", "impact here", (date(2021, 1, 1), date(2021, 1, 31)))
-        out = combine_features("prompt", analysis, [1, 0], target="VIX", horizon=7)
-        assert out.startswith("[CLS] Summary of recent tweets: summary here")
-        assert "increase=1, decrease=0" in out
+        darnn = {"name": "darnn", "type": "darnn", "epochs": 1, "m": 4, "p": 4}
+        for features in (
+            {"text": "sentiment-window", "financial": "none", "window": 7},
+            {"text": "none", "financial": "value-window", "window": 7},
+        ):
+            with pytest.raises(ExperimentError, match="text drivers and a value-window history"):
+                experiment.run_experiment(_walk_config(features, [darnn]))
 
 
 class TestSerialization:

@@ -7,8 +7,8 @@ import numpy as np
 
 from econarrative.embed import HashingEmbedder
 from econarrative.harness import mcnemar
-from econarrative.models import combine_features, fit_text_classifier
-from econarrative.narrative import LlmAnalysis
+from econarrative.models import fit_text_classifier
+from econarrative.narrative import LlmAnalysis, build_integration_prompt
 
 BULLISH_THEMES = (
     "Tweets celebrate strong profits and growing optimism across sectors.",
@@ -38,9 +38,7 @@ def _prompts(n, rng):
         themes = BULLISH_THEMES if up else BEARISH_THEMES
         analysis = _analysis(themes[int(rng.integers(0, len(themes)))], day)
         directions = [int(rng.integers(0, 2)) for _ in range(7)]
-        prompts.append(
-            combine_features("prompt", analysis, directions, target="S&P 500", horizon=1)
-        )
+        prompts.append(build_integration_prompt(analysis, directions, target="S&P 500", horizon=1))
         labels.append(1 if up else 0)
         day += timedelta(days=1)
     return prompts, labels
