@@ -10,9 +10,10 @@ backend, which speaks a minimal JSON batch protocol.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -37,6 +38,11 @@ class HashingEmbedder:
     dimension: int
     seed: int = 0
     kind: str = "reference-hash"
+    # token -> (bucket, sign): a pure function of (token, seed), so threads
+    # sharing an embedder can only store the same value
+    _memo: dict[str, tuple[int, float]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.dimension <= 0:
@@ -52,10 +58,15 @@ class HashingEmbedder:
 
     def embed(self, text: str) -> np.ndarray:
         vec = np.zeros(self.dimension)
+        memo = self._memo
         for token in text.split():
-            bucket, sign = self._bucket(token.casefold())
+            hashed = memo.get(token)
+            if hashed is None:
+                hashed = memo[token] = self._bucket(token.casefold())
+            bucket, sign = hashed
             vec[bucket] += sign
-        norm = np.linalg.norm(vec)
+        # np.linalg.norm's own formula for a float vector, without its dispatch
+        norm = math.sqrt(vec.dot(vec))
         return vec / norm if norm > 0 else vec
 
 

@@ -386,6 +386,40 @@ def _model_name(model_cfg: dict) -> str:
 # -- runner ---------------------------------------------------------------
 
 
+# the keys each config section may hold ("" is the top level); the run reads
+# nothing else there, so any other key is a typo that would change nothing
+CONFIG_KEYS = {
+    "": {"seed", "data", "task", "features", "models", "eval"},
+    "task": {"target", "kind", "horizon"},
+    "eval": {"train_fraction"},
+    "features": {"window", "text", "financial", "embedding"},
+    "features.embedding": {"dimension", "seed", "mode", "k"},
+}
+
+
+def _check_config(config: dict) -> list[str]:
+    """Reject unknown keys and baselines without a kind; return the model names."""
+    for section, allowed in CONFIG_KEYS.items():
+        node = config
+        for part in section.split(".") if section else ():
+            node = node.get(part, {})
+        if not isinstance(node, dict):
+            raise ValueError(f"config section {section!r} must be an object")
+        unknown = sorted(set(node) - allowed)
+        if unknown:
+            where = f"section {section!r}" if section else "the top level"
+            raise ValueError(f"unknown config key {unknown[0]!r} in {where}")
+    models = config.get("models", [])
+    for model_cfg in models:
+        if model_cfg.get("type") == "baseline" and "kind" not in model_cfg:
+            raise ValueError("baseline model is missing the 'kind' key")
+    names = [_model_name(m) for m in models]
+    repeated = [name for i, name in enumerate(names) if name in names[:i]]
+    if repeated:
+        raise ValueError(f"duplicate model name {repeated[0]!r}: give each model its own 'name'")
+    return names
+
+
 def _task_of(config: dict) -> tuple[str, int]:
     task_cfg = config.get("task", {})
     return task_cfg.get("kind", "direction-change"), int(task_cfg.get("horizon", 1))
@@ -412,12 +446,9 @@ def run_experiment(config: dict, out_dir: str | Path | None = None) -> Experimen
     chash = config_hash(config)
     task_cfg = config.get("task", {})
     with _stage("config"):
+        names = _check_config(config)
         task, horizon = _task_of(config)
         TaskSpec(target=task_cfg.get("target", ""), task=task, horizon=horizon)
-        names = [_model_name(m) for m in config.get("models", [])]
-        repeated = [name for i, name in enumerate(names) if name in names[:i]]
-        if repeated:
-            raise ValueError(f"duplicate model name {repeated[0]!r}: give each model its own 'name'")
 
     aligned, matrix = prepare(config)
 

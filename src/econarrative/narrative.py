@@ -12,6 +12,7 @@ import hashlib
 import json
 import os
 import re
+import tempfile
 import threading
 from dataclasses import dataclass
 from datetime import date
@@ -203,6 +204,20 @@ def render_analysis(analysis: LlmAnalysis, target: str) -> str:
     )
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Write text to path through a temp file in the same directory and
+    os.replace, so a reader sees the old entry or the whole new one."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 class LlmClient:
     """Chat-completion client with retries and a content-addressed cache."""
 
@@ -238,11 +253,26 @@ class LlmClient:
         path = self._cache_path(key)
         if path is None:
             return
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.with_suffix(".failed.json").write_text(
+        _write_atomic(
+            path.with_suffix(".failed.json"),
             json.dumps({"prompt_hash": key, "raw_response": raw}, sort_keys=True, indent=2),
-            encoding="utf-8",
         )
+
+    @staticmethod
+    def _read_cached(path: Path, key: str) -> LlmAnalysis | None:
+        """The cached analysis, or None when the entry is absent or unreadable
+        (truncated JSON or a missing field), so that it is requested again."""
+        try:
+            doc = json.loads(path.read_text("utf-8"))
+            return LlmAnalysis(
+                tweet_analysis=doc["tweet_analysis"],
+                impact_analysis=doc["impact_analysis"],
+                window=(date.fromisoformat(doc["window"][0]), date.fromisoformat(doc["window"][1])),
+                cache_key=key,
+            )
+        # ValueError covers JSONDecodeError and a malformed window date
+        except (FileNotFoundError, ValueError, KeyError, IndexError, TypeError):
+            return None
 
     # -- transport -----------------------------------------------------
 
@@ -278,14 +308,10 @@ class LlmClient:
         key = self.cache_key(prompt.text)
         with self._key_lock(key):
             path = self._cache_path(key)
-            if path is not None and path.exists():
-                doc = json.loads(path.read_text("utf-8"))
-                return LlmAnalysis(
-                    tweet_analysis=doc["tweet_analysis"],
-                    impact_analysis=doc["impact_analysis"],
-                    window=(date.fromisoformat(doc["window"][0]), date.fromisoformat(doc["window"][1])),
-                    cache_key=key,
-                )
+            if path is not None:
+                cached = self._read_cached(path, key)
+                if cached is not None:
+                    return cached
             raw = self.complete(prompt.text)
             try:
                 parsed = parse_analysis(raw, window=prompt.window)
@@ -299,8 +325,8 @@ class LlmClient:
                 cache_key=key,
             )
             if path is not None:
-                path.parent.mkdir(parents=True, exist_ok=True)
-                path.write_text(
+                _write_atomic(
+                    path,
                     json.dumps(
                         {
                             "prompt_hash": key,
@@ -312,7 +338,6 @@ class LlmClient:
                         sort_keys=True,
                         indent=2,
                     ),
-                    encoding="utf-8",
                 )
             return analysis
 

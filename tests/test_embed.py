@@ -1,7 +1,10 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from econarrative import retry
 from econarrative.embed import (
@@ -62,6 +65,62 @@ class TestHashingEmbedder:
     def test_bad_dimension(self):
         with pytest.raises(ValueError):
             HashingEmbedder(dimension=0)
+
+
+def _embed_uncached(embedder, text):
+    """The embed loop before per-token memoisation: hash every token each call."""
+    vec = np.zeros(embedder.dimension)
+    for token in text.split():
+        bucket, sign = embedder._bucket(token.casefold())
+        vec[bucket] += sign
+    norm = np.linalg.norm(vec)
+    return vec / norm if norm > 0 else vec
+
+
+CASE_VARIANTS = (str, str.upper, str.lower, str.title, str.swapcase, str.casefold)
+
+
+class TestTokenMemo:
+    @given(
+        st.lists(st.tuples(st.text(min_size=1, max_size=4), st.sampled_from(CASE_VARIANTS))),
+        st.integers(min_value=1, max_value=64),
+        st.integers(min_value=0, max_value=3),
+    )
+    def test_memoised_embed_equals_uncached_loop(self, tokens, dimension, seed):
+        embedder = HashingEmbedder(dimension=dimension, seed=seed)
+        # every prefix re-embeds earlier tokens, so later calls read the memo;
+        # case variants of one token share a bucket through casefold
+        for end in range(len(tokens) + 1):
+            text = " ".join(case(token) for token, case in tokens[:end])
+            assert np.array_equal(embedder.embed(text), _embed_uncached(embedder, text))
+
+    def test_case_variants_share_a_bucket(self):
+        e = HashingEmbedder(dimension=64, seed=2)
+        assert np.array_equal(e.embed("Straße STRASSE"), _embed_uncached(e, "strasse strasse"))
+        assert e._memo["Straße"] == e._memo["STRASSE"] == e._bucket("strasse")
+
+    def test_memo_is_not_part_of_identity(self):
+        used, fresh = HashingEmbedder(dimension=8, seed=1), HashingEmbedder(dimension=8, seed=1)
+        used.embed("rates rise")
+        assert used._memo and not fresh._memo
+        assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+
+    def test_shared_embedder_under_threads(self):
+        # threads sharing one embedder only ever store the same (bucket, sign)
+        texts = [f"tok{i % 37} Tok{i % 11} TOK{i % 5} w{i}" for i in range(400)]
+        embedder = HashingEmbedder(dimension=32, seed=5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(lambda: [embedder.embed(t) for t in texts]) for _ in range(8)]
+                results = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        expected = [_embed_uncached(embedder, t) for t in texts]
+        for vectors in results:
+            assert all(np.array_equal(a, b) for a, b in zip(vectors, expected))
+        assert all(embedder._memo[t] == embedder._bucket(t.casefold()) for t in embedder._memo)
 
 
 class TestDailyEmbedding:

@@ -121,6 +121,43 @@ class TestStages:
             run_experiment(config)
         assert err.value.stage == "config"
 
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ("", "modles"),
+            ("task", "horizn"),
+            ("eval", "train_fracton"),
+            ("features", "windw"),  # ran silently with the default 7-day window
+            ("features.embedding", "dim"),
+        ],
+    )
+    def test_unknown_key_rejected_in_config_stage(self, tmp_path, section, key):
+        config = _planted_config(NARRATIVES)
+        # the missing file shows the check runs before any ingest
+        config["data"]["series"] = {"path": str(tmp_path / "missing.csv")}
+        node = config
+        for part in filter(None, section.split(".")):
+            node = node.setdefault(part, {})
+        node[key] = 3
+        where = f"section '{section}'" if section else "the top level"
+        with pytest.raises(ExperimentError, match=f"unknown config key '{key}' in {where}") as err:
+            run_experiment(config)
+        assert err.value.stage == "config"
+
+    def test_section_that_is_not_an_object_rejected(self):
+        config = _planted_config(NARRATIVES)
+        config["features"] = 7
+        with pytest.raises(ExperimentError, match="config section 'features' must be an object"):
+            run_experiment(config)
+
+    def test_baseline_without_kind_rejected_in_config_stage(self, tmp_path):
+        config = _planted_config(NARRATIVES)
+        config["data"]["series"] = {"path": str(tmp_path / "missing.csv")}
+        config["models"] = [{"type": "baseline"}]
+        with pytest.raises(ExperimentError, match="missing the 'kind' key") as err:
+            run_experiment(config)
+        assert err.value.stage == "config"
+
     def test_unsupported_horizon_rejected_in_config_stage(self):
         config = _planted_config(NARRATIVES)
         config["task"]["horizon"] = 3

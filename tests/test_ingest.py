@@ -1,5 +1,6 @@
+import re
 import sys
-from datetime import date
+from datetime import date, timedelta
 
 import pytest
 from hypothesis import given, strategies as st
@@ -124,11 +125,65 @@ class TestPreprocess:
         for cp in range(sys.maxunicode + 1):
             ch = chr(cp)
             folded = ch.casefold()
-            if ingest.WS_RE.fullmatch(ch):
+            if ch.isspace():
                 assert folded == ch, hex(cp)
             else:
-                assert ingest.WS_RE.search(folded) is None, hex(cp)
                 assert not any(c.isspace() for c in folded), hex(cp)
+
+
+def _clean_text_loop(text, rules):
+    """_clean_text before str.translate: emoji mapped one character at a
+    time, whitespace collapsed with a regex."""
+    aliases = ingest.load_emoji_aliases()
+    if rules.strip_urls:
+        text = ingest.URL_RE.sub(" ", text)
+    if rules.map_emoji:
+        text = "".join(f" {aliases[ch]} " if ch in aliases else ch for ch in text)
+    return re.sub(r"\s+", " ", text).strip()
+
+
+ALL_RULES = [
+    PreprocessRules(strip_urls=urls, map_emoji=emoji)
+    for urls in (True, False)
+    for emoji in (True, False)
+]
+WHITESPACE = [chr(cp) for cp in range(sys.maxunicode + 1) if re.fullmatch(r"\s", chr(cp))]
+
+
+class TestCleanText:
+    def test_regex_whitespace_is_str_isspace(self):
+        # " ".join(text.split()) collapses exactly what \s+ matched
+        assert WHITESPACE == [chr(cp) for cp in range(sys.maxunicode + 1) if chr(cp).isspace()]
+
+    def test_no_alias_key_is_ascii(self):
+        # _clean_text skips the emoji table for ASCII text
+        assert not any(ch.isascii() for ch in ingest.load_emoji_aliases())
+
+    @pytest.mark.parametrize("rules", ALL_RULES)
+    def test_every_alias_matches_loop(self, rules):
+        for ch in ingest.load_emoji_aliases():
+            for text in (ch, f"up{ch}", f" {ch}{ch} rally ", f"see http://x.co/{ch} now{ch}"):
+                assert ingest._clean_text(text, rules) == _clean_text_loop(text, rules), hex(ord(ch))
+
+    @pytest.mark.parametrize("rules", ALL_RULES)
+    def test_every_whitespace_matches_loop(self, rules):
+        for ws in WHITESPACE:
+            for text in (ws, f"{ws}a{ws}{ws}b{ws}", f"x\U0001f680{ws}www.a.b{ws}y"):
+                assert ingest._clean_text(text, rules) == _clean_text_loop(text, rules), hex(ord(ws))
+
+    @given(
+        st.lists(
+            st.sampled_from(
+                list(ingest.load_emoji_aliases())
+                + WHITESPACE[:8]
+                + ["\u3000", "\u2028", "http://", "https://t.co/", "WWW.", "rally", "Fed", "é"]
+            )
+            | st.text(max_size=3)
+        ).map("".join),
+        st.sampled_from(ALL_RULES),
+    )
+    def test_mixed_strings_match_loop(self, text, rules):
+        assert ingest._clean_text(text, rules) == _clean_text_loop(text, rules)
 
 
 class TestLoadSeries:
@@ -166,6 +221,34 @@ class TestLoadSeries:
 
 def _series(*pairs, name="TEST"):
     return FinancialSeries(name, points=tuple((d, float(v)) for d, v in pairs))
+
+
+class TestAlignProperties:
+    @given(
+        st.lists(st.integers(min_value=0, max_value=60), min_size=1, unique=True),
+        st.lists(st.integers(min_value=-10, max_value=70), min_size=1),
+    )
+    def test_tweets_land_on_first_trading_day_on_or_after(self, day_offsets, tweet_offsets):
+        origin = date(2021, 1, 4)
+        trading = sorted(origin + timedelta(days=o) for o in day_offsets)
+        series = _series(*((d, 1.0 + i) for i, d in enumerate(trading)))
+        corpus = _corpus(
+            *(
+                TweetRecord(str(i), origin + timedelta(days=o), f"tweet {i}", 2000)
+                for i, o in enumerate(tweet_offsets)
+            )
+        )
+        covered = [r for r in corpus.records if trading[0] <= r.date <= trading[-1]]
+        try:
+            dataset = align(corpus, series)
+        except IngestError:
+            assert covered == []  # only a corpus wholly outside the series fails
+            return
+        landed = {r.id: d for d, day in zip(dataset.dates, dataset.tweets) for r in day}
+        assert sorted(landed) == sorted(r.id for r in covered)  # none lost, none outside
+        for rec in covered:
+            assert landed[rec.id] == min(d for d in trading if d >= rec.date), rec
+        assert sum(len(day) for day in dataset.tweets) == len(covered)
 
 
 class TestAlign:

@@ -1,3 +1,4 @@
+import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from datetime import date
@@ -6,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from econarrative import retry
+from econarrative import narrative, retry
 from econarrative.ingest import TweetRecord
 from econarrative.narrative import (
     AnalysisPrompt,
@@ -187,6 +188,40 @@ class TestClientCache:
         assert stub_server.calls == 1
         assert first.tweet_analysis == second.tweet_analysis
         assert (tmp_path / "cache" / f"{first.cache_key}.json").exists()
+
+    @pytest.mark.parametrize(
+        "entry", ['{"prompt_hash": "abc", "window": ["2021-', '{"prompt_hash": "abc"}']
+    )
+    def test_unreadable_entry_is_a_miss(self, stub_server, tmp_path, entry):
+        # a truncated write or an entry missing a field is requested again
+        stub_server.state.set_chat_content(WELL_FORMED)
+        client = self._client(stub_server, tmp_path)
+        tweets, values = _month_inputs()
+        prompt = build_analysis_prompt(tweets, values, "S&P 500")
+        path = tmp_path / "cache" / f"{client.cache_key(prompt.text)}.json"
+        path.parent.mkdir(parents=True)
+        path.write_text(entry, encoding="utf-8")
+        analysis = client.request_analysis(prompt)
+        assert stub_server.calls == client.network_calls == 1
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        assert doc["tweet_analysis"] == analysis.tweet_analysis
+        assert client.request_analysis(prompt) == analysis
+        assert stub_server.calls == 1
+        assert sorted(p.name for p in path.parent.iterdir()) == [path.name]
+
+    def test_failed_write_leaves_no_entry(self, stub_server, tmp_path, monkeypatch):
+        stub_server.state.set_chat_content(WELL_FORMED)
+        client = self._client(stub_server, tmp_path)
+        tweets, values = _month_inputs()
+        prompt = build_analysis_prompt(tweets, values, "S&P 500")
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(narrative.os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            client.request_analysis(prompt)
+        assert list((tmp_path / "cache").iterdir()) == []
 
     def test_cache_key_depends_on_model_and_temperature(self, stub_server, tmp_path):
         a = self._client(stub_server, tmp_path)
