@@ -19,6 +19,7 @@ from . import __version__, ingest, sentiment, synthgen
 from .experiment import config_hash, prepare, run_experiment
 from .harness import REGRESSION_TASKS, TASKS, evaluate
 from .models import LINEAR_PENALTIES, model_from_doc, model_to_doc
+from .models.baselines import BASELINE_KINDS
 
 logger = logging.getLogger("econarrative")
 
@@ -343,9 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("baseline", help="run one rule baseline over a series")
-    p.add_argument("--kind", required=True,
-                   choices=["as-previous", "inverse-previous", "week-majority",
-                            "train-majority", "up", "down", "train-mean"])
+    p.add_argument("--kind", required=True, choices=BASELINE_KINDS)
     p.add_argument("--series", required=True)
     p.add_argument("--column", default="value")
     p.add_argument("--task", default="direction-change", choices=TASKS)

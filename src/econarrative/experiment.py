@@ -41,6 +41,7 @@ from .models import (
     financial_baseline,
     train_darnn,
 )
+from .models.baselines import _majority
 from .models.darnn import AttentionRnn
 
 
@@ -137,23 +138,19 @@ def _load_text(spec: dict | None, series: FinancialSeries, horizon: int) -> Twee
         opts = spec["random_texts"]
         cfg = synthgen.SynthConfig(seed=opts.get("seed", 0), per_day=opts.get("per_day", 3))
         return synthgen.gen_random_texts(cfg, series.dates)
-    if "synthetic_narratives" in spec:
-        opts = spec["synthetic_narratives"]
+    source = "synthetic_narratives" if "synthetic_narratives" in spec else "shuffled_narratives"
+    if source in spec:
+        opts = spec[source]
         cfg = synthgen.SynthConfig(
             seed=opts.get("seed", 0),
             alignment_p=opts.get("p", 1.0),
             per_day=opts.get("per_day", 3),
         )
-        return synthgen.gen_synthetic_narratives(series, horizon, cfg)
-    if "shuffled_narratives" in spec:
-        opts = spec["shuffled_narratives"]
-        cfg = synthgen.SynthConfig(
-            seed=opts.get("seed", 0),
-            alignment_p=opts.get("p", 1.0),
-            per_day=opts.get("per_day", 3),
-        )
-        base = synthgen.gen_synthetic_narratives(series, horizon, cfg)
-        return synthgen.shuffle_dates(base, seed=opts.get("shuffle_seed", opts.get("seed", 0) + 1))
+        corpus = synthgen.gen_synthetic_narratives(series, horizon, cfg)
+        if source == "shuffled_narratives":
+            shuffle_seed = opts.get("shuffle_seed", opts.get("seed", 0) + 1)
+            corpus = synthgen.shuffle_dates(corpus, seed=shuffle_seed)
+        return corpus
     raise ValueError("unknown text source spec")
 
 
@@ -271,8 +268,7 @@ def _baseline_model(
         train_mean = float(np.mean([float(v) for v in train_labels]))
         train_majority = None
     else:
-        ups = sum(1 for v in train_labels if v == "increase")
-        train_majority = "increase" if ups > len(train_labels) - ups else "decrease"
+        train_majority = _majority(train_labels)
         train_mean = None
     out = []
     for d in matrix.dates[n_train:]:
@@ -363,18 +359,6 @@ MODELS = {
 }
 
 
-def _fit_and_predict(
-    model_cfg: dict, matrix: FeatureMatrix, n_train: int, aligned: AlignedDataset, task: str
-) -> list:
-    kind = model_cfg.get("type")
-    if kind not in MODELS:
-        raise ValueError(f"unknown model type {kind!r}")
-    fits, fit_and_predict = MODELS[kind]
-    if fits not in (None, "regression" if task in REGRESSION_TASKS else "classification"):
-        raise ValueError(f"{kind} models only fit {fits} tasks")
-    return fit_and_predict(model_cfg, matrix, n_train, aligned, task)
-
-
 def _model_name(model_cfg: dict) -> str:
     if model_cfg.get("name"):
         return model_cfg["name"]
@@ -398,7 +382,8 @@ CONFIG_KEYS = {
 
 
 def _check_config(config: dict) -> list[str]:
-    """Reject unknown keys and baselines without a kind; return the model names."""
+    """Reject unknown keys, a bad task, unknown model types, models on the
+    wrong task kind and baselines without a kind; return the model names."""
     for section, allowed in CONFIG_KEYS.items():
         node = config
         for part in section.split(".") if section else ():
@@ -409,9 +394,17 @@ def _check_config(config: dict) -> list[str]:
         if unknown:
             where = f"section {section!r}" if section else "the top level"
             raise ValueError(f"unknown config key {unknown[0]!r} in {where}")
+    task, horizon = _task_of(config)
+    TaskSpec(target=config.get("task", {}).get("target", ""), task=task, horizon=horizon)
+    task_kind = "regression" if task in REGRESSION_TASKS else "classification"
     models = config.get("models", [])
     for model_cfg in models:
-        if model_cfg.get("type") == "baseline" and "kind" not in model_cfg:
+        kind = model_cfg.get("type")
+        if kind not in MODELS:
+            raise ValueError(f"unknown model type {kind!r}")
+        if MODELS[kind][0] not in (None, task_kind):
+            raise ValueError(f"{kind} models only fit {MODELS[kind][0]} tasks, not {task!r}")
+        if kind == "baseline" and "kind" not in model_cfg:
             raise ValueError("baseline model is missing the 'kind' key")
     names = [_model_name(m) for m in models]
     repeated = [name for i, name in enumerate(names) if name in names[:i]]
@@ -448,7 +441,6 @@ def run_experiment(config: dict, out_dir: str | Path | None = None) -> Experimen
     with _stage("config"):
         names = _check_config(config)
         task, horizon = _task_of(config)
-        TaskSpec(target=task_cfg.get("target", ""), task=task, horizon=horizon)
 
     aligned, matrix = prepare(config)
 
@@ -464,7 +456,7 @@ def run_experiment(config: dict, out_dir: str | Path | None = None) -> Experimen
 
     for name, model_cfg in zip(names, config.get("models", [])):
         with _stage(f"model:{name}"):
-            preds = _fit_and_predict(model_cfg, matrix, n_train, aligned, task)
+            preds = MODELS[model_cfg["type"]][1](model_cfg, matrix, n_train, aligned, task)
             report = evaluate(preds, test_labels, task)
         row = {"name": name, "type": model_cfg.get("type"), "inputs": model_cfg.get("inputs")}
         row.update(report.to_dict())

@@ -26,15 +26,71 @@ class DivergenceError(RuntimeError):
     pass
 
 
-def _softmax(z: np.ndarray, axis: int) -> np.ndarray:
-    shifted = z - z.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+def _lstm(W, b, h, s, x):
+    """One LSTM step over input x, gates stacked [i, f, o, g] in W and b.
+
+    Returns the new hidden and cell states and the step's cache for
+    _lstm_backward.
+    """
+    k = h.shape[1]
+    lstm_in = np.concatenate([h, x], axis=1)
+    pre = lstm_in @ W.T + b
+    gi = _sigmoid(pre[:, :k])
+    gf = _sigmoid(pre[:, k:2 * k])
+    go = _sigmoid(pre[:, 2 * k:3 * k])
+    gg = np.tanh(pre[:, 3 * k:])
+    s_new = gf * s + gi * gg
+    h_new = go * np.tanh(s_new)
+    return h_new, s_new, (lstm_in, s, s_new, gi, gf, go, gg)
 
 
-def _softmax_backward(p: np.ndarray, grad: np.ndarray, axis: int) -> np.ndarray:
-    inner = (grad * p).sum(axis=axis, keepdims=True)
-    return p * (grad - inner)
+def _lstm_backward(W, g_W, g_b, cell, g_h, g_s):
+    """Backward through one _lstm step, given the gradients of its new
+    hidden and cell states. Adds into g_W and g_b; returns the gradients
+    of [h; x] and of the previous cell state."""
+    lstm_in, s_prev, s_new, gi, gf, go, gg = cell
+    tc = np.tanh(s_new)
+    g_s_tot = g_s + g_h * go * (1.0 - tc * tc)
+    g_pre = np.concatenate(
+        [
+            g_s_tot * gg * gi * (1.0 - gi),
+            g_s_tot * s_prev * gf * (1.0 - gf),
+            g_h * tc * go * (1.0 - go),
+            g_s_tot * gi * (1.0 - gg * gg),
+        ],
+        axis=1,
+    )
+    g_W += g_pre.T @ lstm_in
+    g_b += g_pre.sum(axis=0)
+    return g_pre @ W, g_s_tot * gf
+
+
+def _attend(W, v, h, s, proj):
+    """Additive attention over K items: softmax(tanh([h; s] W^T + proj) v)
+    over axis 1, where proj (B, K, d) is the items' own projection.
+
+    Returns the (B, K) weights and the step's cache for _attend_backward.
+    """
+    z = np.concatenate([h, s], axis=1)
+    G = np.tanh((z @ W.T)[:, None, :] + proj)
+    E = G @ v
+    e = np.exp(E - E.max(axis=1, keepdims=True))
+    weights = e / e.sum(axis=1, keepdims=True)
+    return weights, (z, G, weights)
+
+
+def _attend_backward(W, v, g_W, g_v, att, g_weights):
+    """Backward through one _attend step, given the gradient of its
+    weights. Adds into g_W and g_v; returns the gradients of proj and of
+    [h; s]."""
+    z, G, weights = att
+    g_E = weights * (g_weights - (g_weights * weights).sum(axis=1, keepdims=True))
+    g_v += np.einsum("bk,bkd->d", g_E, G)
+    g_G = g_E[:, :, None] * v[None, None, :]
+    g_proj = g_G * (1.0 - G * G)
+    g_state = g_proj.sum(axis=1)
+    g_W += g_state.T @ z
+    return g_proj, g_state @ W
 
 
 @dataclass
@@ -131,27 +187,10 @@ class AttentionRnn:
         enc_steps = []
         alphas = np.zeros((B, T, n))
         for t in range(T):
-            z = np.concatenate([h, s], axis=1)                    # (B, 2m)
-            att_state = z @ P["att_in_W"].T                        # (B, T)
-            G = np.tanh(att_state[:, None, :] + att_in_proj)       # (B, n, T)
-            E = G @ P["att_in_v"]                                  # (B, n)
-            alpha = _softmax(E, axis=1)
-            x_t = X[:, t, :]
-            x_weighted = alpha * x_t
-            lstm_in = np.concatenate([h, x_weighted], axis=1)      # (B, m+n)
-            pre = lstm_in @ P["enc_W"].T + P["enc_b"]
-            gi = _sigmoid(pre[:, :m])
-            gf = _sigmoid(pre[:, m:2 * m])
-            go = _sigmoid(pre[:, 2 * m:3 * m])
-            gg = np.tanh(pre[:, 3 * m:])
-            s_new = gf * s + gi * gg
-            h_new = go * np.tanh(s_new)
-            enc_steps.append(
-                {"z": z, "G": G, "alpha": alpha, "x_t": x_t, "lstm_in": lstm_in,
-                 "gi": gi, "gf": gf, "go": go, "gg": gg, "s_prev": s, "s_new": s_new}
-            )
+            alpha, att = _attend(P["att_in_W"], P["att_in_v"], h, s, att_in_proj)
+            h, s, cell = _lstm(P["enc_W"], P["enc_b"], h, s, alpha * X[:, t, :])
+            enc_steps.append((att, cell))
             alphas[:, t, :] = alpha
-            h, s = h_new, s_new
             H[:, t, :] = h
 
         att_tm_proj = np.einsum("mj,btj->btm", P["att_tm_U"], H)   # (B, T, m)
@@ -162,28 +201,13 @@ class AttentionRnn:
         betas = np.zeros((B, T, T))
         context = np.zeros((B, m))
         for t in range(T):
-            zd = np.concatenate([dh, ds], axis=1)                  # (B, 2p)
-            att_state = zd @ P["att_tm_W"].T                       # (B, m)
-            G2 = np.tanh(att_state[:, None, :] + att_tm_proj)      # (B, T, m)
-            L = G2 @ P["att_tm_v"]                                 # (B, T)
-            beta = _softmax(L, axis=1)
+            beta, att = _attend(P["att_tm_W"], P["att_tm_v"], dh, ds, att_tm_proj)
             context = np.einsum("bt,btm->bm", beta, H)
             mix_in = np.concatenate([Y[:, t:t + 1], context], axis=1)  # (B, 1+m)
             y_mix = mix_in @ P["mix_w"] + P["mix_b"]               # (B,)
-            lstm_in = np.concatenate([dh, y_mix[:, None]], axis=1)  # (B, p+1)
-            pre = lstm_in @ P["dec_W"].T + P["dec_b"]
-            gi = _sigmoid(pre[:, :p])
-            gf = _sigmoid(pre[:, p:2 * p])
-            go = _sigmoid(pre[:, 2 * p:3 * p])
-            gg = np.tanh(pre[:, 3 * p:])
-            ds_new = gf * ds + gi * gg
-            dh_new = go * np.tanh(ds_new)
-            dec_steps.append(
-                {"zd": zd, "G2": G2, "beta": beta, "mix_in": mix_in, "lstm_in": lstm_in,
-                 "gi": gi, "gf": gf, "go": go, "gg": gg, "s_prev": ds, "s_new": ds_new}
-            )
+            dh, ds, cell = _lstm(P["dec_W"], P["dec_b"], dh, ds, y_mix[:, None])
+            dec_steps.append((att, mix_in, cell))
             betas[:, t, :] = beta
-            dh, ds = dh_new, ds_new
 
         final_in = np.concatenate([dh, context], axis=1)           # (B, p+m)
         q = final_in @ P["out_W"].T + P["out_b"]                   # (B, p)
@@ -192,8 +216,8 @@ class AttentionRnn:
         if not want_cache:
             return y_hat
         cache = {
-            "X": X, "Y": Y, "att_in_proj": att_in_proj, "enc_steps": enc_steps, "H": H,
-            "att_tm_proj": att_tm_proj, "dec_steps": dec_steps, "context": context,
+            "X": X, "att_in_proj": att_in_proj, "enc_steps": enc_steps, "H": H,
+            "att_tm_proj": att_tm_proj, "dec_steps": dec_steps,
             "final_in": final_in, "q": q, "alphas": alphas, "betas": betas,
         }
         return y_hat, cache
@@ -214,6 +238,11 @@ class AttentionRnn:
         """MSE on the batch and its gradient for every parameter tensor."""
         labels = np.asarray(labels, dtype=float)
         y_hat, cache = self.forward(X, Y, want_cache=True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # as in forward: divergence surfaces in train_darnn's finite checks
+            return self._backward(y_hat, labels, cache)
+
+    def _backward(self, y_hat, labels, cache):
         B = y_hat.shape[0]
         m, p, T = self.m, self.p, self.T
         P = self.params
@@ -223,12 +252,10 @@ class AttentionRnn:
         g_yhat = 2.0 * (y_hat - labels) / B                        # (B,)
 
         # output affine
-        q = cache["q"]
-        final_in = cache["final_in"]
         grads["out_c"] += g_yhat.sum()
-        grads["out_v"] += q.T @ g_yhat
+        grads["out_v"] += cache["q"].T @ g_yhat
         g_q = g_yhat[:, None] * P["out_v"][None, :]
-        grads["out_W"] += g_q.T @ final_in
+        grads["out_W"] += g_q.T @ cache["final_in"]
         grads["out_b"] += g_q.sum(axis=0)
         g_final = g_q @ P["out_W"]
         g_dh = g_final[:, :p]
@@ -240,51 +267,25 @@ class AttentionRnn:
         g_att_tm_proj = np.zeros_like(cache["att_tm_proj"])
 
         for t in range(T - 1, -1, -1):
-            st = cache["dec_steps"][t]
-            tc = np.tanh(st["s_new"])
-            g_go = g_dh * tc
-            g_s_tot = g_ds + g_dh * st["go"] * (1.0 - tc * tc)
-            g_gf = g_s_tot * st["s_prev"]
-            g_ds_prev = g_s_tot * st["gf"]
-            g_gi = g_s_tot * st["gg"]
-            g_gg = g_s_tot * st["gi"]
-            g_pre = np.concatenate(
-                [
-                    g_gi * st["gi"] * (1.0 - st["gi"]),
-                    g_gf * st["gf"] * (1.0 - st["gf"]),
-                    g_go * st["go"] * (1.0 - st["go"]),
-                    g_gg * (1.0 - st["gg"] * st["gg"]),
-                ],
-                axis=1,
+            att, mix_in, cell = cache["dec_steps"][t]
+            g_in, g_ds_prev = _lstm_backward(
+                P["dec_W"], grads["dec_W"], grads["dec_b"], cell, g_dh, g_ds
             )
-            grads["dec_W"] += g_pre.T @ st["lstm_in"]
-            grads["dec_b"] += g_pre.sum(axis=0)
-            g_lstm_in = g_pre @ P["dec_W"]
-            g_dh_prev = g_lstm_in[:, :p]
-            g_ymix = g_lstm_in[:, p]
-
-            grads["mix_w"] += st["mix_in"].T @ g_ymix
+            g_ymix = g_in[:, p]
+            grads["mix_w"] += mix_in.T @ g_ymix
             grads["mix_b"] += g_ymix.sum()
-            g_mix_in = g_ymix[:, None] * P["mix_w"][None, :]
-            g_context = g_mix_in[:, 1:]
+            g_context = g_ymix[:, None] * P["mix_w"][None, 1:]
             if t == T - 1:
                 g_context = g_context + g_context_out
 
-            beta = st["beta"]
             g_beta = np.einsum("bm,btm->bt", g_context, H)
-            g_H += beta[:, :, None] * g_context[:, None, :]
-            g_L = _softmax_backward(beta, g_beta, axis=1)
-            grads["att_tm_v"] += np.einsum("bt,btm->m", g_L, st["G2"])
-            g_G2 = g_L[:, :, None] * P["att_tm_v"][None, None, :]
-            g_pre_att = g_G2 * (1.0 - st["G2"] * st["G2"])
-            g_att_state = g_pre_att.sum(axis=1)                    # (B, m)
-            g_att_tm_proj += g_pre_att
-            grads["att_tm_W"] += g_att_state.T @ st["zd"]
-            g_zd = g_att_state @ P["att_tm_W"]
-            g_dh_prev = g_dh_prev + g_zd[:, :p]
-            g_ds_prev = g_ds_prev + g_zd[:, p:]
-
-            g_dh, g_ds = g_dh_prev, g_ds_prev
+            g_H += cache["betas"][:, t, :, None] * g_context[:, None, :]
+            g_proj, g_z = _attend_backward(
+                P["att_tm_W"], P["att_tm_v"], grads["att_tm_W"], grads["att_tm_v"], att, g_beta
+            )
+            g_att_tm_proj += g_proj
+            g_dh = g_in[:, :p] + g_z[:, :p]
+            g_ds = g_ds_prev + g_z[:, p:]
 
         # shared temporal projection: att_tm_proj = H @ att_tm_U.T
         grads["att_tm_U"] += np.einsum("btm,btj->mj", g_att_tm_proj, H)
@@ -295,44 +296,17 @@ class AttentionRnn:
         g_h = np.zeros((B, m))
         g_s = np.zeros((B, m))
         for t in range(T - 1, -1, -1):
-            st = cache["enc_steps"][t]
-            g_h = g_h + g_H[:, t, :]
-            tc = np.tanh(st["s_new"])
-            g_go = g_h * tc
-            g_s_tot = g_s + g_h * st["go"] * (1.0 - tc * tc)
-            g_gf = g_s_tot * st["s_prev"]
-            g_s_prev = g_s_tot * st["gf"]
-            g_gi = g_s_tot * st["gg"]
-            g_gg = g_s_tot * st["gi"]
-            g_pre = np.concatenate(
-                [
-                    g_gi * st["gi"] * (1.0 - st["gi"]),
-                    g_gf * st["gf"] * (1.0 - st["gf"]),
-                    g_go * st["go"] * (1.0 - st["go"]),
-                    g_gg * (1.0 - st["gg"] * st["gg"]),
-                ],
-                axis=1,
+            att, cell = cache["enc_steps"][t]
+            g_in, g_s_prev = _lstm_backward(
+                P["enc_W"], grads["enc_W"], grads["enc_b"], cell, g_h + g_H[:, t, :], g_s
             )
-            grads["enc_W"] += g_pre.T @ st["lstm_in"]
-            grads["enc_b"] += g_pre.sum(axis=0)
-            g_lstm_in = g_pre @ P["enc_W"]
-            g_h_prev = g_lstm_in[:, :m]
-            g_xw = g_lstm_in[:, m:]
-
-            alpha = st["alpha"]
-            g_alpha = g_xw * st["x_t"]
-            g_E = _softmax_backward(alpha, g_alpha, axis=1)
-            grads["att_in_v"] += np.einsum("bn,bnt->t", g_E, st["G"])
-            g_G = g_E[:, :, None] * P["att_in_v"][None, None, :]
-            g_pre_att = g_G * (1.0 - st["G"] * st["G"])
-            g_att_state = g_pre_att.sum(axis=1)                    # (B, T)
-            g_att_in_proj += g_pre_att
-            grads["att_in_W"] += g_att_state.T @ st["z"]
-            g_z = g_att_state @ P["att_in_W"]
-            g_h_prev = g_h_prev + g_z[:, :m]
-            g_s_prev = g_s_prev + g_z[:, m:]
-
-            g_h, g_s = g_h_prev, g_s_prev
+            g_proj, g_z = _attend_backward(
+                P["att_in_W"], P["att_in_v"], grads["att_in_W"], grads["att_in_v"], att,
+                g_in[:, m:] * X[:, t, :],
+            )
+            g_att_in_proj += g_proj
+            g_h = g_in[:, :m] + g_z[:, :m]
+            g_s = g_s_prev + g_z[:, m:]
 
         # shared driver projection: att_in_proj[b,k,t] = sum_s att_in_U[t,s] X[b,s,k]
         grads["att_in_U"] += np.einsum("bkt,bsk->ts", g_att_in_proj, X)
@@ -390,13 +364,14 @@ def gradient_check(model: AttentionRnn, drivers, target_history, labels, step: f
     magnitude in that tensor, floored at 1e-6. The floor reflects the
     oracle's resolution: a central difference on a float64 loss carries
     ~1e-11 absolute noise, so tensors whose whole gradient sits below
-    1e-6 can only be verified absolutely, not relatively.
+    1e-6 can only be verified absolutely, not relatively. A non-finite
+    gradient on either side makes the result NaN, which fails any bound.
     """
     X = np.asarray(drivers, dtype=float)
     Y = np.asarray(target_history, dtype=float)
     labels = np.asarray(labels, dtype=float)
     _, grads = model.loss_and_grads(X, Y, labels)
-    worst = 0.0
+    errors = []
     probe = model.copy()
     for key in sorted(probe.params):
         tensor = probe.params[key]
@@ -412,5 +387,5 @@ def gradient_check(model: AttentionRnn, drivers, target_history, labels, step: f
             flat[idx] = original
             numeric[idx] = (up - down) / (2.0 * step)
         scale = max(np.abs(analytic).max(), np.abs(numeric).max(), 1e-6)
-        worst = max(worst, float(np.abs(analytic - numeric).max()) / scale)
-    return worst
+        errors.append(float(np.abs(analytic - numeric).max()) / scale)
+    return float(np.max(errors))  # np.max propagates NaN where max() would drop it

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .logistic import ConvergenceError
+
 CD_TOL = 1e-8
 CD_MAX_SWEEPS = 100_000
 
@@ -125,5 +127,8 @@ def _fit_coordinate_descent(X, y, lam) -> LinearModel:
         max_delta = max(max_delta, abs(new_b - b))
         b = new_b
         if max_delta < CD_TOL:
-            break
-    return LinearModel(weights=w, bias=b, regularization="l1", lam=lam)
+            return LinearModel(weights=w, bias=b, regularization="l1", lam=lam)
+    raise ConvergenceError(
+        f"coordinate descent did not converge in {CD_MAX_SWEEPS} sweeps; "
+        f"last max change {max_delta:.3g}, tolerance {CD_TOL}"
+    )

@@ -19,8 +19,23 @@ class TestGradientCheck:
         worst = 0.0
         for seed in range(5):
             model, X, Y, labels = _instance(seed)
-            worst = max(worst, gradient_check(model, X, Y, labels))
+            worst = np.maximum(worst, gradient_check(model, X, Y, labels))
         assert worst < 1e-4
+
+    @pytest.mark.parametrize("key, entries", [("enc_W", (0, 0)), ("att_in_W", ...)])
+    def test_nan_gradient_fails_the_check(self, monkeypatch, key, entries):
+        # one NaN entry, or a whole NaN tensor, must not hide behind the
+        # other tensors' small errors
+        model, X, Y, labels = _instance(0)
+        honest = AttentionRnn.loss_and_grads
+
+        def planted(self, *args):
+            loss, grads = honest(self, *args)
+            grads[key][entries] = np.nan
+            return loss, grads
+
+        monkeypatch.setattr(AttentionRnn, "loss_and_grads", planted)
+        assert not gradient_check(model, X, Y, labels) < 1e-4
 
     def test_well_conditioned_point_checks_every_path(self):
         # widen the weights so both attention stages carry real gradient

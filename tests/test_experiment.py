@@ -97,17 +97,22 @@ class TestStages:
             run_experiment(config)
         assert err.value.stage == "ingest"
 
-    def test_bad_model_type_names_model_stage(self):
+    def test_bad_model_type_names_config_stage(self, tmp_path):
         config = _planted_config(NARRATIVES)
+        # the missing file shows the check runs before any ingest
+        config["data"]["series"] = {"path": str(tmp_path / "missing.csv")}
         config["models"] = [{"name": "zzz", "type": "mystery"}]
-        with pytest.raises(ExperimentError, match="stage 'model:zzz'"):
+        with pytest.raises(ExperimentError, match="unknown model type 'mystery'") as err:
             run_experiment(config)
+        assert err.value.stage == "config"
 
-    def test_classification_model_on_regression_task(self):
+    def test_classification_model_on_regression_task(self, tmp_path):
         config = _planted_config(NARRATIVES)
+        config["data"]["series"] = {"path": str(tmp_path / "missing.csv")}
         config["task"] = {"kind": "next-value", "horizon": 1}
-        with pytest.raises(ExperimentError, match="classification"):
+        with pytest.raises(ExperimentError, match="classification") as err:
             run_experiment(config)
+        assert err.value.stage == "config"
 
     def test_duplicate_model_names_rejected_in_config_stage(self, tmp_path):
         config = _planted_config(NARRATIVES)

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from econarrative.models import fit_linear, linear_objective
+from econarrative.models import linear
 from econarrative.models.linear import SingularSystemError
+from econarrative.models.logistic import ConvergenceError
 
 
 def ridge_gd_oracle(X, y, lam, iters=200_000, lr=None):
@@ -119,6 +121,17 @@ class TestLassoCrossCheck:
         ols = fit_linear(X, y)
         assert np.allclose(cd.weights, ols.weights, atol=1e-6)
         assert cd.bias == pytest.approx(ols.bias, abs=1e-6)
+
+    def test_sweep_limit_raises_instead_of_returning(self, monkeypatch):
+        # correlated columns need many sweeps; one is not enough
+        rng = np.random.default_rng(9)
+        base = rng.normal(size=(30, 1))
+        X = np.hstack([base, base + 0.1 * rng.normal(size=(30, 1))])
+        y = X @ np.array([2.0, -1.0]) + 0.01 * rng.normal(size=30)
+        assert fit_linear(X, y, reg="l1", lam=0.1).weights.shape == (2,)
+        monkeypatch.setattr(linear, "CD_MAX_SWEEPS", 1)
+        with pytest.raises(ConvergenceError, match=r"1 sweeps; last max change \d"):
+            fit_linear(X, y, reg="l1", lam=0.1)
 
 
 def test_predict_shape():
