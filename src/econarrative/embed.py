@@ -10,10 +10,10 @@ backend, which speaks a minimal JSON batch protocol.
 from __future__ import annotations
 
 import hashlib
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -25,6 +25,10 @@ from .retry import post_with_retries
 SEP_TOKEN = "⟂SEP⟂"  # reserved joiner for joint-mode encoding
 
 AGGREGATION_MODES = ("individual-mean", "individual-concat", "joint")
+
+# texts HashingEmbedder.embed_batch counts at a time: a block's per-token
+# arrays stay small, and its few numpy calls cost little per text
+TEXTS_PER_BLOCK = 1024
 
 
 class EmbeddingServiceError(RuntimeError):
@@ -57,17 +61,36 @@ class HashingEmbedder:
         return bucket, sign
 
     def embed(self, text: str) -> np.ndarray:
-        vec = np.zeros(self.dimension)
+        return self.embed_batch([text])[0]
+
+    def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
+        """One L2-normalised row per text, shape (len(texts), dimension)."""
+        vecs = np.zeros((len(texts), self.dimension))
+        for start in range(0, len(texts), TEXTS_PER_BLOCK):
+            stop = start + TEXTS_PER_BLOCK
+            self._add_token_signs(texts[start:stop], vecs[start:stop])
+        # the entries are small integers, so the sums and squared norms are
+        # exact in any order and every row equals a token-by-token count
+        norms = np.sqrt(np.einsum("ij,ij->i", vecs, vecs))[:, None]
+        return np.divide(vecs, norms, out=vecs, where=norms > 0)
+
+    def _add_token_signs(self, texts: Sequence[str], out: np.ndarray) -> None:
+        """Add each token's ±1 into its bucket of its text's row of `out`."""
         memo = self._memo
-        for token in text.split():
-            hashed = memo.get(token)
-            if hashed is None:
-                hashed = memo[token] = self._bucket(token.casefold())
-            bucket, sign = hashed
-            vec[bucket] += sign
-        # np.linalg.norm's own formula for a float vector, without its dispatch
-        norm = math.sqrt(vec.dot(vec))
-        return vec / norm if norm > 0 else vec
+        words = [text.split() for text in texts]
+        tokens = list(chain.from_iterable(words))
+        distinct = list(set(tokens))
+        for token in distinct:
+            if token not in memo:
+                memo[token] = self._bucket(token.casefold())
+        # each token as the index of its distinct token, so the per-token work runs in C
+        index = dict(zip(distinct, range(len(distinct))))
+        ids = np.fromiter(map(index.__getitem__, tokens), np.intp, count=len(tokens))
+        buckets = np.array([memo[token][0] for token in distinct], dtype=np.intp)
+        signs = np.array([memo[token][1] for token in distinct], dtype=float)
+        cells = np.repeat(np.arange(0, out.size, self.dimension), [len(w) for w in words])
+        cells += buckets[ids]
+        out += np.bincount(cells, weights=signs[ids], minlength=out.size).reshape(out.shape)
 
 
 class ExternalEmbedder:
@@ -116,14 +139,19 @@ class ExternalEmbedder:
     def embed(self, text: str) -> np.ndarray:
         return self.embed_batch([text])[0]
 
-    def embed_batch(self, texts: Sequence[str]) -> list[np.ndarray]:
+    def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
+        """One row per text, shape (len(texts), dimension), in order; the
+        texts go out in requests of `batch_size`, `max_parallel` at a time."""
         chunks = [list(texts[i:i + self.batch_size]) for i in range(0, len(texts), self.batch_size)]
         if not chunks:
-            return []
+            return np.zeros((0, self.dimension))
         with ThreadPoolExecutor(max_workers=self.max_parallel) as pool:
             results = list(pool.map(self._post, chunks))
         out: list[np.ndarray] = []
-        for vectors in results:
+        for chunk, vectors in zip(chunks, results):
+            # a short or long reply would shift every later vector onto the wrong text
+            if len(vectors) != len(chunk):
+                raise EmbeddingServiceError(f"expected {len(chunk)} vectors, got {len(vectors)}")
             for vec in vectors:
                 arr = np.asarray(vec, dtype=float)
                 if arr.shape != (self.dimension,):
@@ -131,38 +159,57 @@ class ExternalEmbedder:
                         f"expected dimension {self.dimension}, got {arr.shape}"
                     )
                 out.append(arr)
-        return out
+        return np.array(out)
 
 
-def _as_text_and_followers(tweet) -> tuple[str, int]:
-    if isinstance(tweet, TweetRecord):
-        return tweet.text, tweet.followers
-    return str(tweet), 0
+def _minus_followers(tweet) -> int:
+    return -tweet.followers if isinstance(tweet, TweetRecord) else 0
 
 
-def daily_embedding(embedder, tweets: Sequence, mode: str, k: int = 10) -> np.ndarray:
-    """Aggregate one day's tweets into a fixed-dimension vector.
+def daily_embeddings(embedder, days: Sequence[Sequence], mode: str, k: int = 10) -> np.ndarray:
+    """Aggregate each day's tweets into one fixed-width row, shape (len(days), width).
 
-    individual-mean   mean of per-tweet vectors (dim d)
+    individual-mean   mean of per-tweet vectors (width d)
     individual-concat top-k tweets by follower count, concatenated with
-                      zero-vector padding (dim k*d)
-    joint             single encoding of all tweets joined by SEP_TOKEN
+                      zero-vector padding (width k*d)
+    joint             single encoding of all tweets joined by SEP_TOKEN (width d)
+
+    A tweet is a TweetRecord or a plain string (0 followers). All the
+    texts the mode needs go to the embedder in one embed_batch call.
     """
     if mode not in AGGREGATION_MODES:
         raise ValueError(f"unknown aggregation mode {mode!r}")
-    d = embedder.dimension
-    pairs = [_as_text_and_followers(t) for t in tweets]
-    if mode == "individual-mean":
-        if not pairs:
-            return np.zeros(d)
-        vectors = [embedder.embed(text) for text, _ in pairs]
-        return np.mean(vectors, axis=0)
     if mode == "individual-concat":
         if k <= 0:
             raise ValueError("concat mode needs a positive per-day tweet count k")
-        ranked = sorted(range(len(pairs)), key=lambda i: (-pairs[i][1], i))[:k]
-        slots = [embedder.embed(pairs[i][0]) for i in ranked]
-        slots += [np.zeros(d)] * (k - len(slots))
-        return np.concatenate(slots)
-    joined = f" {SEP_TOKEN} ".join(text for text, _ in pairs)
-    return embedder.embed(joined)
+        # a stable sort, so equal follower counts keep their order
+        days = [sorted(tweets, key=_minus_followers)[:k] for tweets in days]
+    texts = [[t.text if isinstance(t, TweetRecord) else str(t) for t in tweets] for tweets in days]
+    if mode == "joint":
+        return embedder.embed_batch([f" {SEP_TOKEN} ".join(day) for day in texts])
+    # the days in order of tweet count, so the days with n tweets are one
+    # (days, n, d) block of the batch's rows
+    counts = np.array([len(day) for day in texts], dtype=np.intp)
+    order = np.argsort(counts, kind="stable")
+    vectors = embedder.embed_batch([text for i in order.tolist() for text in texts[i]])
+    d = embedder.dimension
+    width = k * d if mode == "individual-concat" else d
+    out = np.zeros((len(days), k, d) if mode == "individual-concat" else (len(days), d))
+    row = 0
+    for n, first, m in zip(*np.unique(counts[order], return_index=True, return_counts=True)):
+        if n == 0:
+            continue
+        block, picked = vectors[row:row + m * n].reshape(m, n, d), order[first:first + m]
+        if mode == "individual-concat":
+            out[picked, :n] = block
+        else:
+            # np.mean over the block sums each day's rows in the same order
+            # as np.mean over that day alone
+            out[picked] = block.mean(axis=1)
+        row += m * n
+    return out.reshape(len(days), width)
+
+
+def daily_embedding(embedder, tweets: Sequence, mode: str, k: int = 10) -> np.ndarray:
+    """One day's row of daily_embeddings."""
+    return daily_embeddings(embedder, [tweets], mode, k)[0]

@@ -23,7 +23,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import ingest, sentiment, synthgen
-from .embed import HashingEmbedder, daily_embedding
+from .embed import HashingEmbedder, daily_embeddings
 from .harness import (
     LabelSeries,
     REGRESSION_TASKS,
@@ -174,8 +174,8 @@ def _text_column(aligned: AlignedDataset, kind: str, emb_cfg: dict, read: np.nda
         raise ValueError(f"unknown text feature kind {kind!r}")
     embedder = HashingEmbedder(dimension=emb_cfg.get("dimension", 16), seed=emb_cfg.get("seed", 0))
     mode, k = emb_cfg.get("mode", "individual-mean"), emb_cfg.get("k", 10)
-    vectors = [daily_embedding(embedder, aligned.tweets[i], mode=mode, k=k) for i in read]
-    column = np.zeros((len(aligned), len(vectors[0])))
+    vectors = daily_embeddings(embedder, [aligned.tweets[i] for i in read], mode=mode, k=k)
+    column = np.zeros((len(aligned), vectors.shape[1]))
     column[read] = vectors
     return column
 

@@ -7,6 +7,7 @@ deterministic; the resulting datasets are immutable snapshots.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import json
 import math
@@ -151,9 +152,24 @@ def load_emoji_aliases() -> dict[str, str]:
 
 
 @lru_cache(maxsize=1)
-def _emoji_table() -> dict[int, str]:
-    """load_emoji_aliases as a str.translate table; every key is non-ASCII."""
-    return {ord(ch): f" {alias} " for ch, alias in load_emoji_aliases().items()}
+def _emoji_table() -> dict[str, str]:
+    """Each aliased character -> its alias between spaces; no key is ASCII."""
+    return {ch: f" {alias} " for ch, alias in load_emoji_aliases().items()}
+
+
+@lru_cache(maxsize=1)
+def _emoji_re() -> re.Pattern:
+    """One character class of every aliased character. re.sub passes over
+    unmapped characters in C; str.translate with a dict table would raise
+    and clear a KeyError for each of them."""
+    return re.compile("[" + "".join(map(re.escape, _emoji_table())) + "]")
+
+
+def _emoji_alias(match: re.Match) -> str:
+    return _emoji_table()[match[0]]
+
+
+REQUIRED_FIELDS = ("id", "date", "text", "followers")
 
 
 def load_tweets(path: str | Path, min_followers: int = 0) -> TweetCorpus:
@@ -175,14 +191,23 @@ def load_tweets(path: str | Path, min_followers: int = 0) -> TweetCorpus:
             except json.JSONDecodeError as exc:
                 raise IngestError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
             try:
-                rec_id = str(obj["id"])
-                rec_date = date.fromisoformat(str(obj["date"]))
-                text = str(obj["text"])
-                followers = int(obj["followers"])
+                fields = obj["id"], obj["date"], obj["text"], obj["followers"]
             except KeyError as exc:
                 raise IngestError(f"line {lineno}: missing field {exc}") from exc
-            except ValueError as exc:
+            except TypeError as exc:  # valid JSON, but not an object
+                raise IngestError(
+                    f"line {lineno}: expected a JSON object, got {type(obj).__name__}"
+                ) from exc
+            if None in fields:
+                name = REQUIRED_FIELDS[fields.index(None)]
+                raise IngestError(f"line {lineno}: field {name!r} is null")
+            raw_id, raw_date, raw_text, raw_followers = fields
+            try:
+                rec_date = date.fromisoformat(str(raw_date))
+                followers = int(raw_followers)
+            except (TypeError, ValueError) as exc:
                 raise IngestError(f"line {lineno}: {exc}") from exc
+            rec_id, text = str(raw_id), str(raw_text)
             if followers < 0:
                 raise IngestError(f"line {lineno}: negative follower count")
             if rec_id in seen_ids:
@@ -210,10 +235,11 @@ def load_tweets(path: str | Path, min_followers: int = 0) -> TweetCorpus:
 
 
 def _clean_text(text: str, rules: PreprocessRules) -> str:
-    if rules.strip_urls:
+    # URL_RE can only match where "://" or a case-insensitive "www." occurs
+    if rules.strip_urls and ("://" in text or "www." in text.lower()):
         text = URL_RE.sub(" ", text)
     if rules.map_emoji and not text.isascii():
-        text = text.translate(_emoji_table())
+        text = _emoji_re().sub(_emoji_alias, text)
     # str.split() splits on exactly the code points regex \s matches
     return " ".join(text.split())
 
@@ -339,14 +365,8 @@ def align(corpus: TweetCorpus, series: FinancialSeries) -> AlignedDataset:
 
 def _next_trading_day(trading_dates: Sequence[date], d: date) -> date | None:
     """First trading date >= d, via bisection; None when past the end."""
-    lo, hi = 0, len(trading_dates)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if trading_dates[mid] < d:
-            lo = mid + 1
-        else:
-            hi = mid
-    return trading_dates[lo] if lo < len(trading_dates) else None
+    i = bisect.bisect_left(trading_dates, d)
+    return trading_dates[i] if i < len(trading_dates) else None
 
 
 def blocking_split(series: FinancialSeries, boundaries: Sequence[date]) -> list[Block]:

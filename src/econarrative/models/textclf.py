@@ -1,6 +1,6 @@
 """Binary classifier over embedded prompt texts.
 
-Embeds each prompt with the supplied embedder and fits a logistic head.
+Embeds the prompts in one batch with the supplied embedder and fits a logistic head.
 The same embedder instance must be used at train and inference time.
 """
 
@@ -20,7 +20,7 @@ class TextClassifier:
     head: LogisticModel
 
     def _matrix(self, prompts: Sequence[str]) -> np.ndarray:
-        return np.vstack([self.embedder.embed(p) for p in prompts])
+        return self.embedder.embed_batch(prompts)
 
     def predict_proba(self, prompts: Sequence[str]) -> np.ndarray:
         return self.head.predict_proba(self._matrix(prompts))
@@ -34,6 +34,6 @@ def fit_text_classifier(
 ) -> TextClassifier:
     if len(prompts) == 0:
         raise ValueError("no prompts to fit on")
-    X = np.vstack([embedder.embed(p) for p in prompts])
+    X = embedder.embed_batch(prompts)
     head = fit_logistic(X, np.asarray(labels, dtype=float), lam=lam)
     return TextClassifier(embedder=embedder, head=head)

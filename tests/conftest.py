@@ -55,7 +55,10 @@ class StubServer:
     def __init__(self):
         self.state = _StubState()
         self.server = ThreadingHTTPServer(("127.0.0.1", 0), _make_handler(self.state))
-        self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
+        # shutdown() waits out one poll, so a short poll keeps teardown fast
+        self.thread = threading.Thread(
+            target=self.server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
         self.thread.start()
 
     @property

@@ -1,3 +1,4 @@
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
@@ -6,13 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from econarrative import retry
+from econarrative import embed, retry
 from econarrative.embed import (
+    AGGREGATION_MODES,
     EmbeddingServiceError,
     ExternalEmbedder,
     HashingEmbedder,
     SEP_TOKEN,
     daily_embedding,
+    daily_embeddings,
 )
 from econarrative.ingest import TweetRecord
 from datetime import date
@@ -78,6 +81,8 @@ def _embed_uncached(embedder, text):
 
 
 CASE_VARIANTS = (str, str.upper, str.lower, str.title, str.swapcase, str.casefold)
+WORDS = st.sampled_from(["rates", "Rates", "up", "UP", "Straße", "strasse", "a", "é", SEP_TOKEN])
+TEXTS = st.lists(WORDS, max_size=6).map(" ".join)
 
 
 class TestTokenMemo:
@@ -93,6 +98,22 @@ class TestTokenMemo:
         for end in range(len(tokens) + 1):
             text = " ".join(case(token) for token, case in tokens[:end])
             assert np.array_equal(embedder.embed(text), _embed_uncached(embedder, text))
+
+    @given(st.lists(TEXTS, max_size=8), st.integers(min_value=1, max_value=64), st.integers(0, 3))
+    def test_batch_rows_equal_uncached_loop(self, texts, dimension, seed):
+        embedder = HashingEmbedder(dimension=dimension, seed=seed)
+        batch = embedder.embed_batch(texts)
+        assert batch.shape == (len(texts), dimension) and batch.dtype == np.float64
+        for text, row in zip(texts, batch):
+            assert np.array_equal(row, _embed_uncached(embedder, text))
+
+    @pytest.mark.parametrize("block", [1, 3, 4])
+    def test_blocks_of_texts_give_the_same_rows(self, monkeypatch, block):
+        texts = [f"tok{i % 5} w{i} Tok{i % 3}" for i in range(10)] + ["", " \t "]
+        monkeypatch.setattr(embed, "TEXTS_PER_BLOCK", block)
+        embedder = HashingEmbedder(dimension=8, seed=1)
+        for text, row in zip(texts, embedder.embed_batch(texts)):
+            assert np.array_equal(row, _embed_uncached(embedder, text))
 
     def test_case_variants_share_a_bucket(self):
         e = HashingEmbedder(dimension=64, seed=2)
@@ -121,6 +142,81 @@ class TestTokenMemo:
         for vectors in results:
             assert all(np.array_equal(a, b) for a, b in zip(vectors, expected))
         assert all(embedder._memo[t] == embedder._bucket(t.casefold()) for t in embedder._memo)
+
+
+def _daily_embedding_loop(embed, d, tweets, mode, k=10):
+    """daily_embedding before batching: one day at a time, one embed call
+    per text and np.mean over the day's vectors."""
+    pairs = [(t.text, t.followers) if isinstance(t, TweetRecord) else (str(t), 0) for t in tweets]
+    if mode == "individual-mean":
+        if not pairs:
+            return np.zeros(d)
+        return np.mean([embed(text) for text, _ in pairs], axis=0)
+    if mode == "individual-concat":
+        ranked = sorted(range(len(pairs)), key=lambda i: (-pairs[i][1], i))[:k]
+        slots = [embed(pairs[i][0]) for i in ranked]
+        slots += [np.zeros(d)] * (k - len(slots))
+        return np.concatenate(slots)
+    return embed(f" {SEP_TOKEN} ".join(text for text, _ in pairs))
+
+
+class _TableEmbedder:
+    """A fixed random vector per text: unlike hashed vectors, whose entries
+    are multiples of one norm, these make every summation order show."""
+
+    def __init__(self, texts, dimension, seed):
+        rng = np.random.default_rng(seed)
+        self.dimension = dimension
+        self.vectors = {text: rng.standard_normal(dimension) / 3 for text in texts}
+
+    def embed_batch(self, texts):
+        return np.array([self.vectors[t] for t in texts]).reshape(len(texts), self.dimension)
+
+
+def _assert_rows_match_loop(embedder, embed, days, mode, k):
+    rows = daily_embeddings(embedder, days, mode, k)
+    assert rows.shape[0] == len(days)
+    for tweets, row in zip(days, rows):
+        assert np.array_equal(row, _daily_embedding_loop(embed, embedder.dimension, tweets, mode, k))
+
+
+class TestDailyEmbeddings:
+    @given(
+        st.lists(st.lists(st.tuples(TEXTS, st.sampled_from([0, 10, 500])), max_size=12), max_size=6),
+        st.sampled_from([1, 2, 3, 16]),
+        st.sampled_from(AGGREGATION_MODES),
+        st.integers(min_value=1, max_value=4),
+    )
+    def test_rows_equal_per_day_loop(self, days, dimension, mode, k):
+        records = [
+            [TweetRecord(str(i), date(2021, 1, 4), text, followers) for i, (text, followers) in enumerate(day)]
+            for day in days
+        ]
+        embedder = HashingEmbedder(dimension=dimension, seed=1)
+        _assert_rows_match_loop(embedder, lambda text: _embed_uncached(embedder, text), records, mode, k)
+
+    @pytest.mark.parametrize("dimension", [1, 2, 32])
+    def test_mean_matches_np_mean_on_long_days(self, dimension):
+        # np.mean sums a one-wide day pairwise from 8 rows on, a wider one row
+        # by row; day sizes straddle its 8- and 128-row steps
+        sizes = (0, 1, 7, 8, 9, 16, 17, 127, 128, 129, 300, 9, 1, 0)
+        days = [[f"day {i} tweet {j}" for j in range(n)] for i, n in enumerate(sizes)]
+        embedder = _TableEmbedder([t for day in days for t in day], dimension, seed=dimension)
+        _assert_rows_match_loop(embedder, embedder.vectors.__getitem__, days, "individual-mean", 10)
+
+    def test_external_embedder_posts_batches_in_tweet_order(self, stub_server):
+        # each vector holds its text's position, so a reordering shows
+        stub_server.state.set_raw(
+            lambda payload: {"vectors": [[float(t.split()[1])] * 4 for t in payload["texts"]]}
+        )
+        e = ExternalEmbedder(endpoint=stub_server.url, dimension=4, batch_size=4, backoff=0.01)
+        days = [[f"tweet {5 * day + i}" for i in range(5)] for day in range(3)]
+        concat = daily_embeddings(e, days, "individual-concat", k=5)
+        assert stub_server.calls == math.ceil(15 / 4)
+        assert np.array_equal(concat.reshape(3, 5, 4)[..., 0], np.arange(15.0).reshape(3, 5))
+        mean = daily_embeddings(e, days, "individual-mean")
+        assert stub_server.calls == 2 * math.ceil(15 / 4)
+        assert np.array_equal(mean, np.repeat([[2.0], [7.0], [12.0]], 4, axis=1))
 
 
 class TestDailyEmbedding:
@@ -175,6 +271,12 @@ class TestExternalEmbedder:
         vectors = e.embed_batch(["alpha", "beta", "gamma"])
         assert len(vectors) == 3
         assert all(v.shape == (8,) for v in vectors)
+
+    def test_reply_with_too_few_vectors(self, stub_server):
+        stub_server.state.set_raw(lambda payload: {"vectors": [[0.0] * 4]})
+        e = ExternalEmbedder(endpoint=stub_server.url, dimension=4, backoff=0.01)
+        with pytest.raises(EmbeddingServiceError, match="expected 2 vectors, got 1"):
+            e.embed_batch(["alpha", "beta"])
 
     def test_dimension_mismatch(self, stub_server):
         stub_server.state.set_embedding(dimension=4)

@@ -97,6 +97,14 @@ class TestStages:
             run_experiment(config)
         assert err.value.stage == "ingest"
 
+    def test_malformed_tweet_line_names_ingest_stage(self, tmp_path):
+        tweets = tmp_path / "tweets.jsonl"
+        tweets.write_text('{"id": "1", "date": "2021-01-04", "text": "up", "followers": null}\n')
+        config = _planted_config({"path": str(tweets)})
+        with pytest.raises(ExperimentError, match="stage 'ingest': line 1: field 'followers'") as err:
+            run_experiment(config)
+        assert err.value.stage == "ingest"
+
     def test_bad_model_type_names_config_stage(self, tmp_path):
         config = _planted_config(NARRATIVES)
         # the missing file shows the check runs before any ingest

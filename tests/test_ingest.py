@@ -1,3 +1,4 @@
+import json
 import re
 import sys
 from datetime import date, timedelta
@@ -47,6 +48,24 @@ class TestLoadTweets:
         path = write_jsonl([_record(1, "2021-09-01"), _record(2, "2021-13-01")])
         with pytest.raises(IngestError, match="line 2"):
             load_tweets(path)
+
+    @pytest.mark.parametrize("line", ["[1, 2]", '"x"', "5", "null"])
+    def test_json_value_that_is_not_an_object_names_line(self, tmp_path, line):
+        path = tmp_path / "tweets.jsonl"
+        path.write_text(json.dumps(_record(1, "2021-09-01")) + "\n" + line + "\n", encoding="utf-8")
+        with pytest.raises(IngestError, match="line 2: expected a JSON object"):
+            load_tweets(path)
+
+    @pytest.mark.parametrize("field", ingest.REQUIRED_FIELDS)
+    def test_null_field_names_line_and_field(self, write_jsonl, field):
+        bad = {**_record(2, "2021-09-02"), field: None}
+        with pytest.raises(IngestError, match=f"line 2: field '{field}' is null"):
+            load_tweets(write_jsonl([_record(1, "2021-09-01"), bad]))
+
+    def test_follower_count_of_wrong_type_names_line(self, write_jsonl):
+        bad = {**_record(2, "2021-09-02"), "followers": [5]}
+        with pytest.raises(IngestError, match="line 2: int"):
+            load_tweets(write_jsonl([_record(1, "2021-09-01"), bad]))
 
     def test_duplicate_id_rejected(self, write_jsonl):
         path = write_jsonl([_record(7, "2021-09-01"), _record(7, "2021-09-02")])
@@ -154,6 +173,21 @@ class TestCleanText:
     def test_regex_whitespace_is_str_isspace(self):
         # " ".join(text.split()) collapses exactly what \s+ matched
         assert WHITESPACE == [chr(cp) for cp in range(sys.maxunicode + 1) if chr(cp).isspace()]
+
+    @given(
+        st.lists(
+            st.sampled_from(
+                ["w", "W", "ww", "www.", "wWw.", "ſ", "K", "\u212a", ":", "/", "://", ".", "http",
+                 "HTTPS", "httpſ", "a", " ", "\u3000"]
+            )
+        ).map("".join)
+    )
+    def test_url_precheck_skips_only_texts_without_a_match(self, text):
+        # _clean_text runs URL_RE only on texts holding "://" or a
+        # case-insensitive "www."; re.IGNORECASE also folds ſ into s and the
+        # Kelvin sign into k, so the alphabet carries both
+        rules = PreprocessRules(strip_urls=True, map_emoji=False)
+        assert ingest._clean_text(text, rules) == " ".join(ingest.URL_RE.sub(" ", text).split())
 
     def test_no_alias_key_is_ascii(self):
         # _clean_text skips the emoji table for ASCII text

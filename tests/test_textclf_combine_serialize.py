@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from econarrative import experiment
-from econarrative.embed import HashingEmbedder
+from econarrative.embed import ExternalEmbedder, HashingEmbedder
 from econarrative.experiment import ExperimentError, prepare
 from econarrative.models import (
     fit_linear,
@@ -40,6 +40,18 @@ class TestTextClassifier:
         a = fit_text_classifier(prompts, labels, HashingEmbedder(dimension=32, seed=7))
         b = fit_text_classifier(prompts, labels, HashingEmbedder(dimension=32, seed=7))
         assert np.array_equal(a.head.weights, b.head.weights)
+
+    def test_external_embedder_gets_one_request_per_call(self, stub_server):
+        stub_server.state.set_raw(
+            lambda payload: {"vectors": [[1.0 if "surge" in t else -1.0, 0.5] for t in payload["texts"]]}
+        )
+        embedder = ExternalEmbedder(endpoint=stub_server.url, dimension=2, backoff=0.01)
+        prompts = [f"markets {'surge' if i % 2 else 'plunge'} on day {i}" for i in range(20)]
+        labels = [i % 2 for i in range(20)]
+        clf = fit_text_classifier(prompts, labels, embedder)
+        assert stub_server.calls == 1
+        assert clf.predict(prompts).tolist() == labels
+        assert stub_server.calls == 2
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
