@@ -18,7 +18,8 @@ from pathlib import Path
 from . import __version__, ingest, sentiment, synthgen
 from .experiment import config_hash, prepare, run_experiment
 from .harness import REGRESSION_TASKS, TASKS, evaluate
-from .models import LINEAR_PENALTIES, model_from_doc, model_to_doc
+from .models import (LINEAR_PENALTIES, LinearModel, LogisticModel, Standardized, fit_columns,
+                     model_from_doc, model_to_doc)
 from .models.baselines import BASELINE_KINDS
 
 logger = logging.getLogger("econarrative")
@@ -111,22 +112,12 @@ def _load_features_csv(path: str):
 
 
 def _cmd_train(args) -> int:
-    import numpy as np
-
-    from .models import fit_linear, fit_logistic
-
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     dates, X, labels = _load_features_csv(args.features)
-    if args.model == "logistic":
-        y = np.array([1.0 if v == "increase" else 0.0 for v in labels])
-        model = fit_logistic(X, y, lam=args.lam)
-        kind = "classification"
-    else:
-        y = np.array([float(v) for v in labels])
-        model = fit_linear(X, y, reg=LINEAR_PENALTIES[args.model], lam=args.lam)
-        kind = "regression"
-    _write_json(out / "model.json", model_to_doc(model, task=kind))
+    model_cfg = {"type": args.model} if args.lam is None else {"type": args.model, "lam": args.lam}
+    task = "classification" if args.model == "logistic" else "regression"
+    _write_json(out / "model.json", model_to_doc(fit_columns(model_cfg, X, labels), task=task))
     logger.info("trained %s on %d rows", args.model, len(dates))
     return 0
 
@@ -134,17 +125,16 @@ def _cmd_train(args) -> int:
 def _cmd_predict(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    doc = json.loads(Path(args.model).read_text("utf-8"))
-    model = model_from_doc(doc)
+    model = model_from_doc(json.loads(Path(args.model).read_text("utf-8")))
+    if isinstance(model, (LinearModel, LogisticModel)):  # schema 1: `train` fitted the raw columns
+        model = Standardized(model)
+    if not isinstance(model, Standardized):
+        raise ValueError(f"predict applies logistic and linear models, not {type(model).__name__}")
     dates, X, _ = _load_features_csv(args.features)
-    if doc.get("architecture") == "logistic":
-        predictions = ["increase" if v else "decrease" for v in model.predict(X)]
-    else:
-        predictions = [repr(float(v)) for v in model.predict(X)]
     with (out / "predictions.csv").open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["date", "prediction"])
-        writer.writerows(zip(dates, predictions))
+        writer.writerows(zip(dates, model.predict(X)))
     return 0
 
 
@@ -294,18 +284,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    verbose = argparse.ArgumentParser(add_help=False)
+    verbose.add_argument("-v", "--verbose", action="count", default=0)
 
-    p = sub.add_parser("ingest", help="load and preprocess tweets and/or a series")
+    p = sub.add_parser("ingest", help="load and preprocess tweets and/or a series", parents=[verbose])
     p.add_argument("--tweets")
     p.add_argument("--series")
     p.add_argument("--column", default="value")
     p.add_argument("--name")
     p.add_argument("--min-followers", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("-v", "--verbose", action="count", default=0)
     p.set_defaults(func=_cmd_ingest)
 
-    p = sub.add_parser("features", help="emit a per-date feature matrix")
+    p = sub.add_parser("features", help="emit a per-date feature matrix", parents=[verbose])
     p.add_argument("--tweets")
     p.add_argument("--series", required=True)
     p.add_argument("--column", default="value")
@@ -318,32 +309,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=int, default=1)
     p.add_argument("--min-followers", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("-v", "--verbose", action="count", default=0)
     p.set_defaults(func=_cmd_features)
 
-    p = sub.add_parser("train", help="fit a model on a feature CSV")
+    p = sub.add_parser("train", help="fit a model on a feature CSV", parents=[verbose])
     p.add_argument("--features", required=True)
     p.add_argument("--model", default="logistic", choices=["logistic", *LINEAR_PENALTIES])
-    p.add_argument("--lam", type=float, default=0.01)
+    p.add_argument("--lam", type=float, help="penalty weight (default: the experiment's)")
     p.add_argument("--out", required=True)
-    p.add_argument("-v", "--verbose", action="count", default=0)
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("predict", help="apply a saved model to features")
+    p = sub.add_parser("predict", help="apply a saved model to features", parents=[verbose])
     p.add_argument("--model", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("-v", "--verbose", action="count", default=0)
     p.set_defaults(func=_cmd_predict)
 
-    p = sub.add_parser("evaluate", help="score a predictions CSV against labels")
+    p = sub.add_parser("evaluate", help="score a predictions CSV against labels", parents=[verbose])
     p.add_argument("--predictions", required=True, help="CSV with prediction,label columns")
     p.add_argument("--task", default="direction-change", choices=TASKS)
     p.add_argument("--out")
-    p.add_argument("-v", "--verbose", action="count", default=0)
     p.set_defaults(func=_cmd_evaluate)
 
-    p = sub.add_parser("baseline", help="run one rule baseline over a series")
+    p = sub.add_parser("baseline", help="run one rule baseline over a series", parents=[verbose])
     p.add_argument("--kind", required=True, choices=BASELINE_KINDS)
     p.add_argument("--series", required=True)
     p.add_argument("--column", default="value")
@@ -351,10 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=int, default=1)
     p.add_argument("--train-fraction", type=float, default=0.8)
     p.add_argument("--out", required=True)
-    p.add_argument("-v", "--verbose", action="count", default=0)
     p.set_defaults(func=_cmd_baseline)
 
-    p = sub.add_parser("synth", help="generate synthetic corpora or series")
+    p = sub.add_parser("synth", help="generate synthetic corpora or series", parents=[verbose])
     p.add_argument("--kind", required=True, choices=["random-texts", "narratives", "shuffled", "walk"])
     p.add_argument("--series")
     p.add_argument("--column", default="value")
@@ -367,26 +353,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, default=0.01)
     p.add_argument("--v0", type=float, default=100.0)
     p.add_argument("--out", required=True)
-    p.add_argument("-v", "--verbose", action="count", default=0)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("analyze", help="corpus analyses (word frequency, sentiment histogram)")
     what = p.add_subparsers(dest="what", required=True)
-    freq = what.add_parser("freq", help="term frequency timeline")
+    freq = what.add_parser("freq", help="term frequency timeline", parents=[verbose])
     freq.add_argument("--tweets", required=True)
     freq.add_argument("--term", required=True)
     freq.add_argument("--by", default="month", choices=["month", "day"])
     freq.add_argument("--out", required=True)
-    freq.add_argument("-v", "--verbose", action="count", default=0)
     freq.set_defaults(func=_cmd_analyze)
-    hist = what.add_parser("sent-hist", help="sentiment score histogram")
+    hist = what.add_parser("sent-hist", help="sentiment score histogram", parents=[verbose])
     hist.add_argument("--tweets", required=True)
     hist.add_argument("--bin", type=float, default=0.5)
     hist.add_argument("--out", required=True)
-    hist.add_argument("-v", "--verbose", action="count", default=0)
     hist.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("llm-analyze", help="request a cached narrative analysis")
+    p = sub.add_parser("llm-analyze", help="request a cached narrative analysis", parents=[verbose])
     p.add_argument("--tweets", required=True)
     p.add_argument("--series", required=True)
     p.add_argument("--column", default="value")
@@ -395,14 +378,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default="gpt-3.5-turbo")
     p.add_argument("--cache-dir")
     p.add_argument("--out", required=True)
-    p.add_argument("-v", "--verbose", action="count", default=0)
     p.set_defaults(func=_cmd_llm_analyze)
 
-    p = sub.add_parser("experiment", help="run experiment config(s) end to end")
+    p = sub.add_parser("experiment", help="run experiment config(s) end to end", parents=[verbose])
     p.add_argument("--config", action="append", required=True)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True)
-    p.add_argument("-v", "--verbose", action="count", default=0)
     p.set_defaults(func=_cmd_experiment)
 
     return parser

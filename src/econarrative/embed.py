@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 import requests
 
-from .ingest import TweetRecord
+from .ingest import TweetRecord, rank_by_followers
 from .retry import post_with_retries
 
 SEP_TOKEN = "⟂SEP⟂"  # reserved joiner for joint-mode encoding
@@ -149,21 +149,22 @@ class ExternalEmbedder:
             results = list(pool.map(self._post, chunks))
         out: list[np.ndarray] = []
         for chunk, vectors in zip(chunks, results):
+            try:
+                arr = np.asarray(vectors, dtype=float)
+            except (TypeError, ValueError) as exc:  # not numbers, or rows of unequal length
+                raise EmbeddingServiceError(f"reply vectors are not a numeric matrix: {exc}") from exc
             # a short or long reply would shift every later vector onto the wrong text
-            if len(vectors) != len(chunk):
-                raise EmbeddingServiceError(f"expected {len(chunk)} vectors, got {len(vectors)}")
-            for vec in vectors:
-                arr = np.asarray(vec, dtype=float)
-                if arr.shape != (self.dimension,):
-                    raise EmbeddingServiceError(
-                        f"expected dimension {self.dimension}, got {arr.shape}"
-                    )
-                out.append(arr)
-        return np.array(out)
-
-
-def _minus_followers(tweet) -> int:
-    return -tweet.followers if isinstance(tweet, TweetRecord) else 0
+            if arr.ndim == 0 or len(arr) != len(chunk):
+                got = len(arr) if arr.ndim else "a single number"
+                raise EmbeddingServiceError(f"expected {len(chunk)} vectors, got {got}")
+            if arr.shape != (len(chunk), self.dimension):
+                raise EmbeddingServiceError(
+                    f"expected dimension {self.dimension}, got vectors of shape {arr.shape[1:]}"
+                )
+            if not np.isfinite(arr).all():
+                raise EmbeddingServiceError("reply vectors hold non-finite entries")
+            out.append(arr)
+        return np.concatenate(out)
 
 
 def daily_embeddings(embedder, days: Sequence[Sequence], mode: str, k: int = 10) -> np.ndarray:
@@ -182,8 +183,7 @@ def daily_embeddings(embedder, days: Sequence[Sequence], mode: str, k: int = 10)
     if mode == "individual-concat":
         if k <= 0:
             raise ValueError("concat mode needs a positive per-day tweet count k")
-        # a stable sort, so equal follower counts keep their order
-        days = [sorted(tweets, key=_minus_followers)[:k] for tweets in days]
+        days = [[tweets[i] for i in rank_by_followers(tweets)[:k]] for tweets in days]
     texts = [[t.text if isinstance(t, TweetRecord) else str(t) for t in tweets] for tweets in days]
     if mode == "joint":
         return embedder.embed_batch([f" {SEP_TOKEN} ".join(day) for day in texts])

@@ -36,9 +36,8 @@ from .ingest import AlignedDataset, FinancialSeries, TweetCorpus
 from .models import (
     LINEAR_PENALTIES,
     BaselineContext,
-    fit_linear,
-    fit_logistic,
     financial_baseline,
+    fit_columns,
     train_darnn,
 )
 from .models.baselines import _majority
@@ -248,13 +247,6 @@ def _input_columns(matrix: FeatureMatrix, inputs: str) -> np.ndarray:
     raise ValueError(f"model inputs must be F, T or TF, got {inputs!r}")
 
 
-def _standardize(train: np.ndarray, test: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mean = train.mean(axis=0)
-    std = train.std(axis=0)
-    std = np.where(std > 0, std, 1.0)
-    return (train - mean) / std, (test - mean) / std
-
-
 # -- model stage ----------------------------------------------------------
 
 
@@ -289,25 +281,9 @@ def _baseline_model(
     return out
 
 
-def _standardized_inputs(model_cfg: dict, matrix: FeatureMatrix, n_train: int):
+def _column_model(model_cfg: dict, matrix: FeatureMatrix, n_train: int, *_) -> list:
     X = _input_columns(matrix, model_cfg.get("inputs", "TF"))
-    return _standardize(X[:n_train], X[n_train:])
-
-
-def _logistic_model(model_cfg: dict, matrix: FeatureMatrix, n_train: int, *_) -> list:
-    X_train, X_test = _standardized_inputs(model_cfg, matrix, n_train)
-    y = np.array([1.0 if v == "increase" else 0.0 for v in matrix.labels[:n_train]])
-    model = fit_logistic(X_train, y, lam=model_cfg.get("lam", 0.01))
-    return ["increase" if v else "decrease" for v in model.predict(X_test)]
-
-
-def _linear_model(model_cfg: dict, matrix: FeatureMatrix, n_train: int, *_) -> list:
-    kind = model_cfg["type"]
-    X_train, X_test = _standardized_inputs(model_cfg, matrix, n_train)
-    y = np.array([float(v) for v in matrix.labels[:n_train]])
-    lam = model_cfg.get("lam", 0.0 if kind == "linear" else 1.0)
-    model = fit_linear(X_train, y, reg=LINEAR_PENALTIES[kind], lam=lam)
-    return [float(v) for v in model.predict(X_test)]
+    return fit_columns(model_cfg, X[:n_train], matrix.labels[:n_train]).predict(X[n_train:])
 
 
 def _darnn_model(model_cfg: dict, matrix: FeatureMatrix, n_train: int, *_) -> list:
@@ -353,8 +329,8 @@ def _darnn_model(model_cfg: dict, matrix: FeatureMatrix, n_train: int, *_) -> li
 # predictions for the rows after the first n_train)
 MODELS = {
     "baseline": (None, _baseline_model),
-    "logistic": ("classification", _logistic_model),
-    **{kind: ("regression", _linear_model) for kind in LINEAR_PENALTIES},
+    "logistic": ("classification", _column_model),
+    **{kind: ("regression", _column_model) for kind in LINEAR_PENALTIES},
     "darnn": ("regression", _darnn_model),
 }
 

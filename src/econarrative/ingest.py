@@ -40,6 +40,13 @@ class TweetRecord:
     user_id: str = ""
 
 
+def rank_by_followers(tweets: Sequence) -> list[int]:
+    """Positions of a day's tweets, most followers first; equal counts keep
+    posting order. A plain string counts as a tweet with 0 followers."""
+    followers = [t.followers if isinstance(t, TweetRecord) else 0 for t in tweets]
+    return sorted(range(len(followers)), key=followers.__getitem__, reverse=True)
+
+
 @dataclass(frozen=True)
 class TweetCorpus:
     records: tuple[TweetRecord, ...]
@@ -201,13 +208,19 @@ def load_tweets(path: str | Path, min_followers: int = 0) -> TweetCorpus:
             if None in fields:
                 name = REQUIRED_FIELDS[fields.index(None)]
                 raise IngestError(f"line {lineno}: field {name!r} is null")
-            raw_id, raw_date, raw_text, raw_followers = fields
+            raw_id, raw_date, text, followers = fields
+            # exact types: int() and str() would load 1500.9, true, 5 and ["a"] as something else
+            if type(followers) is not int:
+                kind = type(followers).__name__
+                raise IngestError(f"line {lineno}: integer expected in 'followers', got {kind}")
+            if type(text) is not str:
+                kind = type(text).__name__
+                raise IngestError(f"line {lineno}: string expected in 'text', got {kind}")
             try:
                 rec_date = date.fromisoformat(str(raw_date))
-                followers = int(raw_followers)
-            except (TypeError, ValueError) as exc:
+            except ValueError as exc:
                 raise IngestError(f"line {lineno}: {exc}") from exc
-            rec_id, text = str(raw_id), str(raw_text)
+            rec_id = str(raw_id)
             if followers < 0:
                 raise IngestError(f"line {lineno}: negative follower count")
             if rec_id in seen_ids:

@@ -1,4 +1,5 @@
 from .baselines import BaselineContext, financial_baseline
+from .columns import Standardized, fit_columns
 from .darnn import AttentionRnn, gradient_check, train_darnn
 from .linear import LINEAR_PENALTIES, LinearModel, fit_linear, linear_objective
 from .logistic import LogisticModel, fit_logistic, logistic_objective
@@ -11,8 +12,10 @@ __all__ = [
     "LINEAR_PENALTIES",
     "LinearModel",
     "LogisticModel",
+    "Standardized",
     "TextClassifier",
     "financial_baseline",
+    "fit_columns",
     "fit_linear",
     "fit_logistic",
     "fit_text_classifier",

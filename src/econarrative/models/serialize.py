@@ -11,12 +11,13 @@ import base64
 import numpy as np
 
 from ..embed import HashingEmbedder
+from .columns import Standardized
 from .darnn import AttentionRnn
 from .linear import LinearModel
 from .logistic import LogisticModel
 from .textclf import TextClassifier
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _encode(arr: np.ndarray) -> dict:
@@ -31,6 +32,10 @@ def _decode(doc: dict) -> np.ndarray:
 
 def model_to_doc(model, kind: str = "F", task: str | None = None, horizon: int | None = None) -> dict:
     """Serialize a trained predictor with its role metadata."""
+    if isinstance(model, Standardized):
+        doc = model_to_doc(model.model, kind, task, horizon)
+        doc["transform"] = {"mean": _encode(model.mean), "scale": _encode(model.scale)}
+        return doc
     doc = {
         "schema": SCHEMA_VERSION,
         "kind": kind,
@@ -71,23 +76,24 @@ def model_to_doc(model, kind: str = "F", task: str | None = None, horizon: int |
 
 
 def model_from_doc(doc: dict):
-    if doc.get("schema") != SCHEMA_VERSION:
+    """Rebuild what model_to_doc wrote. Schema 2 added the `transform` of a
+    standardised column model; a doc without one, as every schema 1 doc,
+    reads as the bare model it holds."""
+    if doc.get("schema") not in (1, SCHEMA_VERSION):
         raise ValueError(f"unsupported schema version {doc.get('schema')!r}")
     arch = doc.get("architecture")
     params = doc.get("parameters", {})
-    if arch == "linear":
-        return LinearModel(
-            weights=_decode(params["weights"]),
-            bias=float(_decode(params["bias"])),
-            regularization=doc["config"]["regularization"],
-            lam=doc["config"]["lam"],
-        )
-    if arch == "logistic":
-        return LogisticModel(
-            weights=_decode(params["weights"]),
-            bias=float(_decode(params["bias"])),
-            threshold=doc["config"].get("threshold", 0.5),
-        )
+    if arch in ("linear", "logistic"):
+        weights, bias = _decode(params["weights"]), float(_decode(params["bias"]))
+        if arch == "linear":
+            config = doc["config"]
+            model = LinearModel(weights, bias, config["regularization"], config["lam"])
+        else:
+            model = LogisticModel(weights, bias, doc["config"].get("threshold", 0.5))
+        transform = doc.get("transform")
+        if transform is None:
+            return model
+        return Standardized(model, _decode(transform["mean"]), _decode(transform["scale"]))
     if arch == "attention-rnn":
         shapes = doc["shapes"]
         model = AttentionRnn.init(

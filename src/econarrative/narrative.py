@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 import requests
 
-from .ingest import TweetRecord
+from .ingest import TweetRecord, rank_by_followers
 from .retry import post_with_retries
 
 MAX_TWEETS_PER_DAY = 10
@@ -105,12 +105,6 @@ class LlmClientConfig:
             raise ValueError("max_parallel must be >= 1")
 
 
-def _cap_by_followers(tweets: Sequence[TweetRecord], cap: int) -> list[TweetRecord]:
-    ranked = sorted(range(len(tweets)), key=lambda i: (-tweets[i].followers, i))
-    keep = sorted(ranked[:cap])
-    return [tweets[i] for i in keep]
-
-
 def _financial_block(values_by_date: Mapping[date, float], dates: Sequence[date]) -> str:
     lines = [f"{d.isoformat()}: {float(values_by_date[d])!r}" for d in dates]
     return "<Financial values>\n" + "\n".join(lines) + "\n</Financial values>"
@@ -118,11 +112,11 @@ def _financial_block(values_by_date: Mapping[date, float], dates: Sequence[date]
 
 def _tweet_block(tweets_by_date: Mapping[date, Sequence[TweetRecord]], dates: Sequence[date]) -> str:
     """Each day's tweets, capped at MAX_TWEETS_PER_DAY by follower count."""
-    lines = [
-        f"{d.isoformat()}: {rec.text}"
-        for d in dates
-        for rec in _cap_by_followers(list(tweets_by_date[d]), MAX_TWEETS_PER_DAY)
-    ]
+    lines = []
+    for d in dates:
+        tweets = tweets_by_date[d]
+        keep = sorted(rank_by_followers(tweets)[:MAX_TWEETS_PER_DAY])  # back in posting order
+        lines += [f"{d.isoformat()}: {tweets[i].text}" for i in keep]
     return "<Tweets>\n" + "\n".join(lines) + "\n</Tweets>"
 
 

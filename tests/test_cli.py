@@ -1,9 +1,16 @@
+import csv
 import json
 from datetime import date
+from pathlib import Path
 
 import pytest
 
+from econarrative import ingest, synthgen
 from econarrative.cli import build_parser, main
+from econarrative.experiment import run_experiment
+from econarrative.models import AttentionRnn, model_to_doc
+
+GOLDENS = Path(__file__).parent / "goldens"
 
 SUBCOMMANDS = [
     "ingest", "features", "train", "predict", "evaluate",
@@ -38,6 +45,27 @@ class TestParser:
 
     def test_unknown_flag_is_usage_error(self):
         assert main(["synth", "--kind", "walk", "--out", "x", "--bogus"]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["ingest", "--out", "o"],
+        ["features", "--series", "s", "--out", "o"],
+        ["train", "--features", "f", "--out", "o"],
+        ["predict", "--model", "m", "--features", "f", "--out", "o"],
+        ["evaluate", "--predictions", "p"],
+        ["baseline", "--kind", "up", "--series", "s", "--out", "o"],
+        ["synth", "--kind", "walk", "--out", "o"],
+        ["analyze", "freq", "--tweets", "t", "--term", "x", "--out", "o"],
+        ["analyze", "sent-hist", "--tweets", "t", "--out", "o"],
+        ["llm-analyze", "--tweets", "t", "--series", "s", "--target", "VIX",
+         "--endpoint", "e", "--out", "o"],
+        ["experiment", "--config", "c", "--out", "o"],
+    ])
+    def test_every_subcommand_takes_verbosity(self, argv):
+        parser = build_parser()
+        assert parser.parse_args(argv).verbose == 0
+        assert parser.parse_args(argv + ["-v"]).verbose == 1
+        assert parser.parse_args(argv + ["-vv"]).verbose == 2
+        assert parser.parse_args(argv + ["--verbose", "--verbose"]).verbose == 2
 
     def test_all_subcommands_registered(self):
         parser = build_parser()
@@ -165,6 +193,115 @@ class TestPipelineCommands:
         body = (out / "sentiment_histogram.csv").read_text().splitlines()
         assert body[0] == "bin_low,bin_high,count"
         assert sum(int(line.rsplit(",", 1)[1]) for line in body[1:]) == 1
+
+
+def _planted_inputs(tmp_path):
+    """A 300-point walk and its planted narratives (seed 3), as files."""
+    series = synthgen.gen_random_walk(n=300, sigma=0.01, v0=100.0, seed=3)
+    cfg = synthgen.SynthConfig(seed=3, alignment_p=1.0, per_day=3)
+    ingest.write_series_csv(series, tmp_path / "series.csv")
+    ingest.write_tweets_jsonl(
+        synthgen.gen_synthetic_narratives(series, 1, cfg), tmp_path / "tweets.jsonl"
+    )
+    return tmp_path / "series.csv", tmp_path / "tweets.jsonl"
+
+
+def _csv_rows(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.reader(fh))[1:]
+
+
+class TestOneFitPath:
+    """`features` -> `train` -> `predict` is the experiment's own fit."""
+
+    @pytest.mark.parametrize("kind, task, lam", [
+        ("logistic", "direction-change", None),
+        ("logistic", "direction-change", 0.1),
+        ("linear", "pct-change", None),
+        ("linear", "pct-change", 0.5),
+        ("ridge", "pct-change", None),
+        ("ridge", "pct-change", 3.0),
+        ("lasso", "pct-change", None),
+        ("lasso", "pct-change", 0.05),
+    ])
+    def test_cli_predicts_the_experiments_rows(self, tmp_path, kind, task, lam):
+        series, tweets = _planted_inputs(tmp_path)
+        model = {"name": "m", "type": kind, "inputs": "TF"}
+        lam_args = []
+        if lam is not None:
+            model["lam"] = lam
+            lam_args = ["--lam", repr(lam)]
+        report = run_experiment({
+            "data": {"series": {"path": str(series)}, "text": {"path": str(tweets)}},
+            "task": {"kind": task, "horizon": 1},
+            "features": {"text": "sentiment-window", "financial": "value-window", "window": 7},
+            "models": [model],
+        }, out_dir=tmp_path / "experiment")
+        expected = [[d, p] for d, _, p, _ in _csv_rows(tmp_path / "experiment" / "predictions.csv")]
+
+        assert main(["features", "--tweets", str(tweets), "--series", str(series),
+                     "--task", task, "--out", str(tmp_path)]) == 0
+        header, *rows = (tmp_path / "features.csv").read_text("utf-8").splitlines(keepends=True)
+        (tmp_path / "train.csv").write_text(header + "".join(rows[:report.n_train]), "utf-8")
+        (tmp_path / "test.csv").write_text(header + "".join(rows[report.n_train:]), "utf-8")
+        assert main(["train", "--features", str(tmp_path / "train.csv"), "--model", kind,
+                     *lam_args, "--out", str(tmp_path / "model")]) == 0
+        assert main(["predict", "--model", str(tmp_path / "model" / "model.json"),
+                     "--features", str(tmp_path / "test.csv"), "--out", str(tmp_path / "cli")]) == 0
+
+        assert len(expected) == report.n_test > 50
+        assert _csv_rows(tmp_path / "cli" / "predictions.csv") == expected
+
+    def test_default_features_fit_a_logistic_model(self, tmp_path):
+        series, tweets = _planted_inputs(tmp_path)
+        assert main(["features", "--tweets", str(tweets), "--series", str(series),
+                     "--out", str(tmp_path)]) == 0
+        assert main(["train", "--features", str(tmp_path / "features.csv"),
+                     "--out", str(tmp_path / "model")]) == 0
+        doc = json.loads((tmp_path / "model" / "model.json").read_text())
+        assert (doc["architecture"], doc["schema"]) == ("logistic", 2)
+
+    def test_predict_rejects_features_of_another_width(self, tmp_path, capsys):
+        series = _write_walk_csv(tmp_path / "series.csv")
+        for window in (3, 1):
+            assert main(["features", "--series", str(series), "--kind", "none", "--task",
+                         "pct-change", "--window", str(window),
+                         "--out", str(tmp_path / f"w{window}")]) == 0
+        assert main(["train", "--features", str(tmp_path / "w3" / "features.csv"),
+                     "--model", "ridge", "--out", str(tmp_path / "model")]) == 0
+        code = main(["predict", "--model", str(tmp_path / "model" / "model.json"),
+                     "--features", str(tmp_path / "w1" / "features.csv"),
+                     "--out", str(tmp_path / "preds")])
+        assert code == 2
+        assert "model was fitted on 3 columns, got 1" in capsys.readouterr().err
+
+    def test_predict_rejects_a_model_that_is_not_a_column_model(self, tmp_path, capsys):
+        series = _write_walk_csv(tmp_path / "series.csv")
+        assert main(["features", "--series", str(series), "--kind", "none",
+                     "--out", str(tmp_path)]) == 0
+        doc = model_to_doc(AttentionRnn.init(T=7, n=1, m=4, p=4, seed=0))
+        (tmp_path / "model.json").write_text(json.dumps(doc))
+        assert main(["predict", "--model", str(tmp_path / "model.json"),
+                     "--features", str(tmp_path / "features.csv"),
+                     "--out", str(tmp_path / "preds")]) == 2
+        assert "not AttentionRnn" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, feature_args", [
+        ("logistic", ["--financial", "direction-window"]),
+        ("ridge", ["--financial", "value-window", "--task", "pct-change"]),
+    ])
+    def test_schema_one_model_predicts_as_before(self, tmp_path, kind, feature_args):
+        # the goldens are a model.json and predictions.csv written by `train` and
+        # `predict` before schema 2, on these features
+        series = _write_walk_csv(tmp_path / "series.csv")
+        assert main(["features", "--series", str(series), "--kind", "none", *feature_args,
+                     "--out", str(tmp_path)]) == 0
+        assert main(["predict", "--model", str(GOLDENS / f"schema1_{kind}_model.json"),
+                     "--features", str(tmp_path / "features.csv"),
+                     "--out", str(tmp_path / "preds")]) == 0
+        assert (tmp_path / "preds" / "predictions.csv").read_bytes() == (
+            GOLDENS / f"schema1_{kind}_predictions.csv"
+        ).read_bytes()
 
 
 class TestExperimentCommand:

@@ -278,6 +278,22 @@ class TestExternalEmbedder:
         with pytest.raises(EmbeddingServiceError, match="expected 2 vectors, got 1"):
             e.embed_batch(["alpha", "beta"])
 
+    @pytest.mark.parametrize("vectors, message", [
+        (5, "expected 2 vectors, got a single number"),
+        ("ab", "not a numeric matrix"),
+        (["ab"], "not a numeric matrix"),
+        ([[1, "x"]], "not a numeric matrix"),
+        ([[1.0, 2.0], [1.0]], "not a numeric matrix"),
+        ([1.0, 2.0], "expected dimension 2"),
+        ([[1.0, 2.0], [float("nan"), 2.0]], "non-finite"),
+    ])
+    def test_malformed_reply_is_a_service_error(self, stub_server, vectors, message):
+        stub_server.state.set_raw(lambda payload: {"vectors": vectors})
+        e = ExternalEmbedder(endpoint=stub_server.url, dimension=2, backoff=0.01)
+        with pytest.raises(EmbeddingServiceError, match=message):
+            e.embed_batch(["alpha", "beta"])
+        assert stub_server.calls == 1
+
     def test_dimension_mismatch(self, stub_server):
         stub_server.state.set_embedding(dimension=4)
         e = ExternalEmbedder(endpoint=stub_server.url, dimension=8, backoff=0.01)

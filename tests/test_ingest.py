@@ -67,6 +67,23 @@ class TestLoadTweets:
         with pytest.raises(IngestError, match="line 2: int"):
             load_tweets(write_jsonl([_record(1, "2021-09-01"), bad]))
 
+    @pytest.mark.parametrize("field, value, kind", [
+        ("followers", 1500.9, "integer"),
+        ("followers", True, "integer"),
+        ("followers", "1500", "integer"),
+        ("text", 5, "string"),
+        ("text", ["a"], "string"),
+    ])
+    def test_field_of_wrong_type_names_line_and_field(self, write_jsonl, field, value, kind):
+        bad = {**_record(2, "2021-09-02"), field: value}
+        expected = f"line 2: {kind} expected in '{field}', got {type(value).__name__}"
+        with pytest.raises(IngestError, match=re.escape(expected)):
+            load_tweets(write_jsonl([_record(1, "2021-09-01"), bad]))
+
+    def test_numeric_id_is_read_as_text(self, write_jsonl):
+        corpus = load_tweets(write_jsonl([{**_record(1, "2021-09-01"), "id": 123456789}]))
+        assert corpus.records[0].id == "123456789"
+
     def test_duplicate_id_rejected(self, write_jsonl):
         path = write_jsonl([_record(7, "2021-09-01"), _record(7, "2021-09-02")])
         with pytest.raises(IngestError, match="duplicate tweet id"):
@@ -89,6 +106,13 @@ def _corpus(*records):
         records=tuple(records),
         date_range=(records[0].date, records[-1].date) if records else None,
     )
+
+
+def test_rank_by_followers_keeps_posting_order_on_ties():
+    day = [TweetRecord(str(i), date(2021, 9, 1), f"t{i}", followers=f)
+           for i, f in enumerate([5, 9, 5, 9, 1])]
+    assert ingest.rank_by_followers(day) == [1, 3, 0, 2, 4]
+    assert ingest.rank_by_followers(day[:2] + ["plain text"]) == [1, 0, 2]
 
 
 class TestPreprocess:
