@@ -229,7 +229,7 @@ def _cmd_llm_analyze(args) -> int:
     corpus = ingest.preprocess(ingest.load_tweets(args.tweets))
     series = ingest.load_series(args.series, column=args.column, name=args.target)
     aligned = ingest.align(corpus, series)
-    tweets_by_date = {d: list(aligned.tweets_on(d)) for d in aligned.dates}
+    tweets_by_date = dict(zip(aligned.dates, map(list, aligned.tweets)))
     values_by_date = {d: aligned.value_on(d) for d in aligned.dates}
     prompt = build_analysis_prompt(tweets_by_date, values_by_date, target=args.target)
     client = LlmClient(

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 import requests
 
-from .ingest import TweetRecord, rank_by_followers
+from .ingest import TweetRecord, rank_counts
 from .retry import post_with_retries
 
 SEP_TOKEN = "⟂SEP⟂"  # reserved joiner for joint-mode encoding
@@ -167,7 +167,10 @@ class ExternalEmbedder:
         return np.concatenate(out)
 
 
-def daily_embeddings(embedder, days: Sequence[Sequence], mode: str, k: int = 10) -> np.ndarray:
+def daily_embeddings(
+    embedder, days: Sequence[Sequence], mode: str, k: int = 10,
+    followers: Sequence[Sequence[int]] | None = None,
+) -> np.ndarray:
     """Aggregate each day's tweets into one fixed-width row, shape (len(days), width).
 
     individual-mean   mean of per-tweet vectors (width d)
@@ -175,16 +178,20 @@ def daily_embeddings(embedder, days: Sequence[Sequence], mode: str, k: int = 10)
                       zero-vector padding (width k*d)
     joint             single encoding of all tweets joined by SEP_TOKEN (width d)
 
-    A tweet is a TweetRecord or a plain string (0 followers). All the
-    texts the mode needs go to the embedder in one embed_batch call.
+    A tweet is a TweetRecord or a plain string (0 followers); or, when
+    `followers` gives each day's follower counts, the days hold texts. All
+    the texts the mode needs go to the embedder in one embed_batch call.
     """
     if mode not in AGGREGATION_MODES:
         raise ValueError(f"unknown aggregation mode {mode!r}")
+    if followers is None:
+        followers = [[t.followers if isinstance(t, TweetRecord) else 0 for t in day] for day in days]
+        days = [[t.text if isinstance(t, TweetRecord) else str(t) for t in day] for day in days]
+    texts = days
     if mode == "individual-concat":
         if k <= 0:
             raise ValueError("concat mode needs a positive per-day tweet count k")
-        days = [[tweets[i] for i in rank_by_followers(tweets)[:k]] for tweets in days]
-    texts = [[t.text if isinstance(t, TweetRecord) else str(t) for t in tweets] for tweets in days]
+        texts = [[day[i] for i in rank_counts(counts)[:k]] for day, counts in zip(days, followers)]
     if mode == "joint":
         return embedder.embed_batch([f" {SEP_TOKEN} ".join(day) for day in texts])
     # the days in order of tweet count, so the days with n tweets are one

@@ -129,7 +129,7 @@ def _load_series(spec: dict) -> FinancialSeries:
 
 def _load_text(spec: dict | None, series: FinancialSeries, horizon: int) -> TweetCorpus:
     if spec is None:
-        return TweetCorpus(records=(), date_range=None, provenance={"source": "none"})
+        return TweetCorpus(provenance={"source": "none"})
     if "path" in spec:
         corpus = ingest.load_tweets(spec["path"], min_followers=spec.get("min_followers", 0))
         return ingest.preprocess(corpus)
@@ -173,7 +173,9 @@ def _text_column(aligned: AlignedDataset, kind: str, emb_cfg: dict, read: np.nda
         raise ValueError(f"unknown text feature kind {kind!r}")
     embedder = HashingEmbedder(dimension=emb_cfg.get("dimension", 16), seed=emb_cfg.get("seed", 0))
     mode, k = emb_cfg.get("mode", "individual-mean"), emb_cfg.get("k", 10)
-    vectors = daily_embeddings(embedder, [aligned.tweets[i] for i in read], mode=mode, k=k)
+    texts, followers = aligned.per_day("texts"), aligned.per_day("followers")
+    vectors = daily_embeddings(embedder, [texts[i] for i in read], mode=mode, k=k,
+                               followers=[followers[i] for i in read])
     column = np.zeros((len(aligned), vectors.shape[1]))
     column[read] = vectors
     return column

@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 from datetime import date, timedelta
 from functools import lru_cache
 from importlib import resources
+from operator import itemgetter
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 
 class IngestError(ValueError):
@@ -30,8 +31,9 @@ URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
 POSITIVE_INDICATORS = {"SP500", "S&P 500", "VIX"}
 
 
-@dataclass(frozen=True)
-class TweetRecord:
+class TweetRecord(NamedTuple):
+    """One tweet: a row of a TweetCorpus."""
+
     id: str
     date: date
     text: str
@@ -43,18 +45,49 @@ class TweetRecord:
 def rank_by_followers(tweets: Sequence) -> list[int]:
     """Positions of a day's tweets, most followers first; equal counts keep
     posting order. A plain string counts as a tweet with 0 followers."""
-    followers = [t.followers if isinstance(t, TweetRecord) else 0 for t in tweets]
+    return rank_counts([t.followers if isinstance(t, TweetRecord) else 0 for t in tweets])
+
+
+def rank_counts(followers: Sequence[int]) -> list[int]:
+    """Positions of a day's follower counts, largest first, ties in posting order."""
     return sorted(range(len(followers)), key=followers.__getitem__, reverse=True)
 
 
 @dataclass(frozen=True)
 class TweetCorpus:
-    records: tuple[TweetRecord, ...]
-    date_range: tuple[date, date] | None
+    """Tweets as parallel columns in date order, equal dates in input order;
+    row i of every column is one tweet (TweetRecord's fields, plural)."""
+
+    ids: tuple[str, ...] = ()
+    dates: tuple[date, ...] = ()
+    texts: tuple[str, ...] = ()
+    followers: tuple[int, ...] = ()
+    topics: tuple[str | None, ...] = ()
+    user_ids: tuple[str, ...] = ()
     provenance: Mapping[str, object] = field(default_factory=dict)
 
+    @classmethod
+    def from_records(cls, records: Iterable[tuple], provenance: Mapping | None = None) -> TweetCorpus:
+        """A corpus of TweetRecords or plain tuples of their fields, in any order."""
+        rows = sorted(records, key=itemgetter(1))  # by date
+        return cls(*map(tuple, zip(*rows)), provenance=dict(provenance or {}))
+
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.ids)
+
+    @property
+    def columns(self) -> tuple[tuple, ...]:
+        return self.ids, self.dates, self.texts, self.followers, self.topics, self.user_ids
+
+    @property
+    def date_range(self) -> tuple[date, date] | None:
+        return (self.dates[0], self.dates[-1]) if self.dates else None
+
+    def rows(self, cut: slice = slice(None)) -> tuple[TweetRecord, ...]:
+        """The tweets of rows `cut` as records."""
+        return tuple(map(TweetRecord, *(column[cut] for column in self.columns)))
+
+    records = property(rows)
 
 
 @dataclass(frozen=True)
@@ -97,19 +130,21 @@ class AlignedDataset:
     """Trading dates with their indicator value and attached tweets.
 
     Tweets posted on non-trading days are attached to the next trading
-    day (the first session on which the information is tradable).
+    day (the first session on which the information is tradable). Day i's
+    tweets are rows offsets[i]:offsets[i + 1] of `corpus`, as in CSR.
     """
 
     dates: tuple[date, ...]
     values: tuple[float, ...]
-    tweets: tuple[tuple[TweetRecord, ...], ...]
+    corpus: TweetCorpus
+    offsets: tuple[int, ...]
     indicator: str
     lag_rule: str = "next-trading-day"
     _index: dict[date, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not (len(self.dates) == len(self.values) == len(self.tweets)):
-            raise IngestError("dates, values and tweet lists must be parallel")
+        if not (len(self.dates) == len(self.values) == len(self.offsets) - 1):
+            raise IngestError("dates, values and day offsets must be parallel")
         # first occurrence wins, as with tuple.index
         index = {d: i for i, d in reversed(tuple(enumerate(self.dates)))}
         object.__setattr__(self, "_index", index)
@@ -123,8 +158,18 @@ class AlignedDataset:
         except KeyError:
             raise KeyError(f"date {d} not in dataset") from None
 
+    def per_day(self, column: str) -> tuple[tuple, ...]:
+        """A corpus column (or `records`), cut into trading days."""
+        values, bounds = getattr(self.corpus, column), self.offsets
+        return tuple(values[a:b] for a, b in zip(bounds, bounds[1:]))
+
+    @property
+    def tweets(self) -> tuple[tuple[TweetRecord, ...], ...]:
+        return self.per_day("records")
+
     def tweets_on(self, d: date) -> tuple[TweetRecord, ...]:
-        return self.tweets[self.index_of(d)]
+        i = self.index_of(d)
+        return self.corpus.rows(slice(*self.offsets[i:i + 2]))
 
     def value_on(self, d: date) -> float:
         return self.values[self.index_of(d)]
@@ -164,39 +209,58 @@ def _emoji_table() -> dict[str, str]:
     return {ch: f" {alias} " for ch, alias in load_emoji_aliases().items()}
 
 
-@lru_cache(maxsize=1)
-def _emoji_re() -> re.Pattern:
-    """One character class of every aliased character. re.sub passes over
-    unmapped characters in C; str.translate with a dict table would raise
-    and clear a KeyError for each of them."""
-    return re.compile("[" + "".join(map(re.escape, _emoji_table())) + "]")
+# No alias key is ASCII, so emoji mapping visits only these characters: one
+# range check per character in C. A class of just the aliased characters,
+# most of them beyond the BMP, is tried member by member on every character.
+NON_ASCII_RE = re.compile(r"[^\x00-\x7f]")
 
 
 def _emoji_alias(match: re.Match) -> str:
-    return _emoji_table()[match[0]]
+    return _emoji_table().get(match[0], match[0])
 
 
 REQUIRED_FIELDS = ("id", "date", "text", "followers")
+# exact JSON types: int() and str() would load 1500.9, true, 20150105 and ["a"] as
+# something else; `id` and `user_id` keep their str() coercion
+FIELD_TYPES = {"followers": int, "text": str, "date": str, "topic": str}
+
+
+def _wrong_type(lineno: int, obj: dict) -> IngestError:
+    """The error for the first field of `obj` of the wrong type; a null topic is allowed."""
+    for name, kind in FIELD_TYPES.items():
+        value = obj.get(name)
+        if type(value) is not kind and not (name == "topic" and value is None):
+            expected = "integer" if kind is int else "string"
+            got = type(value).__name__
+            return IngestError(f"line {lineno}: {expected} expected in {name!r}, got {got}")
 
 
 def load_tweets(path: str | Path, min_followers: int = 0) -> TweetCorpus:
     """Read a JSONL tweet dump, dropping authors below the follower floor.
 
-    Every malformed line is reported with its 1-based line number.
+    Every malformed line is reported with its 1-based line number. Lines
+    are parsed one at a time, so only one line's objects live at once.
     """
     path = Path(path)
     if not path.exists():
         raise IngestError(f"tweet file not found: {path}")
-    records: list[TweetRecord] = []
+    rows: list[tuple] = []  # TweetRecord's fields
     seen_ids: set[str] = set()
+    parsed: dict[str, date] = {}  # each distinct date string is parsed once
+    decode = json.JSONDecoder().raw_decode  # json.loads less its two whitespace regex scans
     with path.open(encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
+            body = line.strip(" \t\n\r")  # the whitespace json.loads skips around a value
+            if not body or body.isspace():
                 continue
             try:
-                obj = json.loads(line)
+                obj, end = decode(body)
+                if end < len(body):
+                    raise json.JSONDecodeError("Extra data", body, end)
             except json.JSONDecodeError as exc:
-                raise IngestError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+                bom = line[0] == "\ufeff"  # json.loads's message for a leading byte order mark
+                msg = "Unexpected UTF-8 BOM (decode using utf-8-sig)" if bom else exc.msg
+                raise IngestError(f"line {lineno}: invalid JSON ({msg})") from exc
             try:
                 fields = obj["id"], obj["date"], obj["text"], obj["followers"]
             except KeyError as exc:
@@ -205,21 +269,20 @@ def load_tweets(path: str | Path, min_followers: int = 0) -> TweetCorpus:
                 raise IngestError(
                     f"line {lineno}: expected a JSON object, got {type(obj).__name__}"
                 ) from exc
-            if None in fields:
-                name = REQUIRED_FIELDS[fields.index(None)]
+            topic, user_id = obj.get("topic"), obj.get("user_id", "")
+            if None in fields or user_id is None:
+                name = (*REQUIRED_FIELDS, "user_id")[(*fields, user_id).index(None)]
                 raise IngestError(f"line {lineno}: field {name!r} is null")
             raw_id, raw_date, text, followers = fields
-            # exact types: int() and str() would load 1500.9, true, 5 and ["a"] as something else
-            if type(followers) is not int:
-                kind = type(followers).__name__
-                raise IngestError(f"line {lineno}: integer expected in 'followers', got {kind}")
-            if type(text) is not str:
-                kind = type(text).__name__
-                raise IngestError(f"line {lineno}: string expected in 'text', got {kind}")
-            try:
-                rec_date = date.fromisoformat(str(raw_date))
-            except ValueError as exc:
-                raise IngestError(f"line {lineno}: {exc}") from exc
+            if (type(followers) is not int or type(text) is not str or type(raw_date) is not str
+                    or (topic is not None and type(topic) is not str)):
+                raise _wrong_type(lineno, obj)
+            rec_date = parsed.get(raw_date)
+            if rec_date is None:
+                try:
+                    rec_date = parsed[raw_date] = date.fromisoformat(raw_date)
+                except ValueError as exc:
+                    raise IngestError(f"line {lineno}: {exc}") from exc
             rec_id = str(raw_id)
             if followers < 0:
                 raise IngestError(f"line {lineno}: negative follower count")
@@ -228,23 +291,9 @@ def load_tweets(path: str | Path, min_followers: int = 0) -> TweetCorpus:
             seen_ids.add(rec_id)
             if followers < min_followers:
                 continue
-            records.append(
-                TweetRecord(
-                    id=rec_id,
-                    date=rec_date,
-                    text=text,
-                    followers=followers,
-                    topic=obj.get("topic"),
-                    user_id=str(obj.get("user_id", "")),
-                )
-            )
-    records.sort(key=lambda r: r.date)
-    date_range = (records[0].date, records[-1].date) if records else None
-    return TweetCorpus(
-        records=tuple(records),
-        date_range=date_range,
-        provenance={"source": str(path), "min_followers": min_followers, "preprocessing": ()},
-    )
+            rows.append((rec_id, rec_date, text, followers, topic, str(user_id)))
+    provenance = {"source": str(path), "min_followers": min_followers, "preprocessing": ()}
+    return TweetCorpus.from_records(rows, provenance)
 
 
 def _clean_text(text: str, rules: PreprocessRules) -> str:
@@ -252,7 +301,7 @@ def _clean_text(text: str, rules: PreprocessRules) -> str:
     if rules.strip_urls and ("://" in text or "www." in text.lower()):
         text = URL_RE.sub(" ", text)
     if rules.map_emoji and not text.isascii():
-        text = _emoji_re().sub(_emoji_alias, text)
+        text = NON_ASCII_RE.sub(_emoji_alias, text)
     # str.split() splits on exactly the code points regex \s matches
     return " ".join(text.split())
 
@@ -260,48 +309,31 @@ def _clean_text(text: str, rules: PreprocessRules) -> str:
 def preprocess(corpus: TweetCorpus, rules: PreprocessRules | None = None) -> TweetCorpus:
     """Strip links, map emoji to text aliases, collapse per-day duplicates.
 
-    Idempotent: running it twice yields the same corpus.
+    Idempotent: running it twice yields the same corpus. A text cleaning
+    leaves as it was keeps its string object.
     """
     rules = rules or PreprocessRules()
-    kept: list[TweetRecord] = []
+    kept: list[int] = []
+    texts: list[str] = []
     seen: set[tuple[date, str]] = set()
-    for rec in corpus.records:
-        text = _clean_text(rec.text, rules)
+    for row, (day, raw) in enumerate(zip(corpus.dates, corpus.texts)):
+        text = _clean_text(raw, rules)
         if rules.drop_empty and not text:
             continue
         if rules.dedupe:
             # casefold neither makes nor changes whitespace, so the cleaned
             # text's collapsed spacing carries over to the key
-            key = (rec.date, text.casefold())
+            key = (day, text.casefold())
             if key in seen:
                 continue
             seen.add(key)
-        if text != rec.text:
-            # the constructor directly: dataclasses.replace takes about twice as long
-            rec = TweetRecord(
-                id=rec.id,
-                date=rec.date,
-                text=text,
-                followers=rec.followers,
-                topic=rec.topic,
-                user_id=rec.user_id,
-            )
-        kept.append(rec)
-    kept.sort(key=lambda r: r.date)
-    date_range = (kept[0].date, kept[-1].date) if kept else None
-    applied = tuple(
-        name
-        for name, on in (
-            ("strip_urls", rules.strip_urls),
-            ("map_emoji", rules.map_emoji),
-            ("dedupe", rules.dedupe),
-            ("drop_empty", rules.drop_empty),
-        )
-        if on
-    )
-    provenance = dict(corpus.provenance)
-    provenance["preprocessing"] = applied
-    return TweetCorpus(records=tuple(kept), date_range=date_range, provenance=provenance)
+        kept.append(row)
+        texts.append(raw if text == raw else text)
+    columns = [tuple(map(column.__getitem__, kept)) for column in corpus.columns]
+    columns[2] = tuple(texts)
+    applied = tuple(name for name in ("strip_urls", "map_emoji", "dedupe", "drop_empty")
+                    if getattr(rules, name))
+    return TweetCorpus(*columns, provenance={**corpus.provenance, "preprocessing": applied})
 
 
 MISSING_CELLS = {"", "na", "n/a", "nan", "null", "."}
@@ -326,7 +358,11 @@ def load_series(path: str | Path, column: str = "value", name: str | None = None
             if raw.lower() in MISSING_CELLS:
                 skipped += 1
                 continue
-            d = date.fromisoformat(row["date"].strip())
+            cell = row["date"] or ""  # None in a short row
+            try:
+                d = date.fromisoformat(cell.strip())
+            except ValueError as exc:
+                raise IngestError(f"line {reader.line_num}: bad date {cell!r} ({exc})") from exc
             try:
                 v = float(raw)
             except ValueError as exc:
@@ -361,17 +397,17 @@ def align(corpus: TweetCorpus, series: FinancialSeries) -> AlignedDataset:
     last = last or s_end
     trading = [(d, v) for d, v in series.points if first <= d <= last]
     trading_dates = [d for d, _ in trading]
-    buckets: dict[date, list[TweetRecord]] = {d: [] for d in trading_dates}
-    for rec in corpus.records:
-        if rec.date < s_start or rec.date > s_end:
-            continue  # outside the series' coverage entirely
-        target = _next_trading_day(trading_dates, rec.date)
-        if target is not None:
-            buckets[target].append(rec)
+    # the corpus is in date order, so each day's tweets are one run of rows:
+    # those after the previous trading day up to this one, and for the first
+    # day those from the series' start on
+    start = bisect.bisect_left(corpus.dates, s_start)
+    ends = [bisect.bisect_right(corpus.dates, d) - start for d in trading_dates]
+    cut = slice(start, start + ends[-1])
     return AlignedDataset(
         dates=tuple(trading_dates),
         values=tuple(v for _, v in trading),
-        tweets=tuple(tuple(buckets[d]) for d in trading_dates),
+        corpus=TweetCorpus(*(column[cut] for column in corpus.columns), provenance=corpus.provenance),
+        offsets=(0, *ends),
         indicator=series.name,
     )
 

@@ -43,7 +43,8 @@ def post_with_retries(
                 raise requests.HTTPError(f"server error {resp.status_code}")
             if resp.status_code < 400:
                 return extract(resp.json())
-        except (requests.RequestException, KeyError, IndexError, ValueError) as exc:
+        # TypeError: JSON that is not the object `extract` reads, such as [1, 2]
+        except (requests.RequestException, KeyError, IndexError, TypeError, ValueError) as exc:
             last = exc
             continue
         raise error_cls(f"{service} rejected the request: client error {resp.status_code}")

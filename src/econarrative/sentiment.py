@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .ingest import AlignedDataset, TweetCorpus, TweetRecord
+from .ingest import AlignedDataset, TweetCorpus
 
 TOKEN_RE = re.compile(r"[\w']+")
 
@@ -90,17 +90,17 @@ def score(text: str, lexicon: SentimentLexicon | None = None) -> float:
     return total / math.sqrt(total * total + lexicon.normalization_alpha)
 
 
-def day_score(tweets: Sequence[TweetRecord], lexicon: SentimentLexicon) -> float:
-    """Mean per-tweet compound score of one day's tweets; 0.0 when empty."""
-    if not tweets:
+def day_score(texts: Sequence[str], lexicon: SentimentLexicon) -> float:
+    """Mean per-tweet compound score of one day's tweet texts; 0.0 when empty."""
+    if not texts:
         return 0.0
-    scores = [score(t.text, lexicon) for t in tweets]
+    scores = [score(text, lexicon) for text in texts]
     return sum(scores) / len(scores)
 
 
 def daily_sentiment(dataset: AlignedDataset, d: date, lexicon: SentimentLexicon | None = None) -> float:
     """Mean per-tweet compound score for one trading day; 0.0 when empty."""
-    return day_score(dataset.tweets_on(d), lexicon or load_lexicon())
+    return day_score([t.text for t in dataset.tweets_on(d)], lexicon or load_lexicon())
 
 
 def daily_sentiment_column(
@@ -108,7 +108,7 @@ def daily_sentiment_column(
 ) -> np.ndarray:
     """day_score of every trading day, in date order; each tweet is scored once."""
     lexicon = lexicon or load_lexicon()
-    return np.array([day_score(day, lexicon) for day in dataset.tweets], dtype=float)
+    return np.array([day_score(texts, lexicon) for texts in dataset.per_day("texts")], dtype=float)
 
 
 def word_frequency_timeline(
@@ -121,9 +121,9 @@ def word_frequency_timeline(
         raise ValueError("granularity must be 'month' or 'day'")
     term = term.lower()
     counts: dict[str, int] = {}
-    for rec in corpus.records:
-        period = rec.date.isoformat() if granularity == "day" else rec.date.strftime("%Y-%m")
-        hits = sum(1 for t in tokenize(rec.text) if t == term)
+    for day, text in zip(corpus.dates, corpus.texts):
+        period = day.isoformat() if granularity == "day" else day.strftime("%Y-%m")
+        hits = sum(1 for t in tokenize(text) if t == term)
         counts[period] = counts.get(period, 0) + hits
     if corpus.date_range is None:
         return []
@@ -158,8 +158,8 @@ def sentiment_histogram(
     edges = [-1.0 + i * bin_width for i in range(n_bins)] + [1.0]
     hist = {(edges[i], min(edges[i + 1], 1.0)): 0 for i in range(n_bins)}
     keys = list(hist.keys())
-    for rec in corpus.records:
-        s = score(rec.text, lexicon)
+    for text in corpus.texts:
+        s = score(text, lexicon)
         idx = min(int((s + 1.0) / bin_width), n_bins - 1)
         hist[keys[idx]] += 1
     return hist

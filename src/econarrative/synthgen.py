@@ -74,12 +74,6 @@ def load_wordlist(path: str | None = None) -> tuple[str, ...]:
     return words
 
 
-def _corpus(records: list[TweetRecord], provenance: dict) -> TweetCorpus:
-    records.sort(key=lambda r: r.date)
-    date_range = (records[0].date, records[-1].date) if records else None
-    return TweetCorpus(records=tuple(records), date_range=date_range, provenance=provenance)
-
-
 def gen_random_texts(cfg: SynthConfig, dates: Sequence[date]) -> TweetCorpus:
     """Uniform word-salad sentences for every date; no planted signal."""
     words = cfg.words()
@@ -99,7 +93,7 @@ def gen_random_texts(cfg: SynthConfig, dates: Sequence[date]) -> TweetCorpus:
                     user_id="synthetic",
                 )
             )
-    return _corpus(records, {"source": "gen_random_texts", "seed": cfg.seed})
+    return TweetCorpus.from_records(records, {"source": "gen_random_texts", "seed": cfg.seed})
 
 
 def shuffle_dates(corpus: TweetCorpus, seed: int) -> TweetCorpus:
@@ -108,26 +102,13 @@ def shuffle_dates(corpus: TweetCorpus, seed: int) -> TweetCorpus:
     The multiset of texts and the multiset of dates are both preserved;
     only the pairing between them is destroyed.
     """
-    distinct = {r.date for r in corpus.records}
-    if len(distinct) < 2:
+    if len(set(corpus.dates)) < 2:
         raise ValueError("need at least 2 distinct dates to shuffle")
-    rng = np.random.default_rng(seed)
-    dates = [r.date for r in corpus.records]
-    order = rng.permutation(len(dates))
-    records = [
-        TweetRecord(
-            id=rec.id,
-            date=dates[order[i]],
-            text=rec.text,
-            followers=rec.followers,
-            topic=rec.topic,
-            user_id=rec.user_id,
-        )
-        for i, rec in enumerate(corpus.records)
-    ]
+    order = np.random.default_rng(seed).permutation(len(corpus))
+    records = [rec._replace(date=corpus.dates[j]) for rec, j in zip(corpus.records, order)]
     provenance = dict(corpus.provenance)
     provenance["shuffled_seed"] = seed
-    return _corpus(records, provenance)
+    return TweetCorpus.from_records(records, provenance)
 
 
 def gen_synthetic_narratives(series: FinancialSeries, horizon: int, cfg: SynthConfig) -> TweetCorpus:
@@ -154,7 +135,7 @@ def gen_synthetic_narratives(series: FinancialSeries, horizon: int, cfg: SynthCo
                     user_id="synthetic",
                 )
             )
-    return _corpus(
+    return TweetCorpus.from_records(
         records,
         {"source": "gen_synthetic_narratives", "seed": cfg.seed, "alignment_p": cfg.alignment_p},
     )

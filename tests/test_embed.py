@@ -294,6 +294,16 @@ class TestExternalEmbedder:
             e.embed_batch(["alpha", "beta"])
         assert stub_server.calls == 1
 
+    def test_reply_that_is_not_an_object_is_retried(self, stub_server, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(retry, "time", SimpleNamespace(sleep=sleeps.append))
+        stub_server.state.set_raw(lambda payload: [1, 2])
+        e = ExternalEmbedder(endpoint=stub_server.url, dimension=2, max_retries=3, backoff=0.01)
+        with pytest.raises(EmbeddingServiceError, match="failed after 3 tries"):
+            e.embed_batch(["alpha", "beta"])
+        assert stub_server.calls == 3
+        assert sleeps == [0.01, 0.02]
+
     def test_dimension_mismatch(self, stub_server):
         stub_server.state.set_embedding(dimension=4)
         e = ExternalEmbedder(endpoint=stub_server.url, dimension=8, backoff=0.01)

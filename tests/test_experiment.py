@@ -105,6 +105,15 @@ class TestStages:
             run_experiment(config)
         assert err.value.stage == "ingest"
 
+    def test_bad_series_date_names_ingest_stage(self, tmp_path):
+        series = tmp_path / "series.csv"
+        series.write_text("date,value\n2015-01-05,1.0\n2015-13-06,2.0\n", encoding="utf-8")
+        config = _planted_config(NARRATIVES)
+        config["data"]["series"] = {"path": str(series)}
+        with pytest.raises(ExperimentError, match="stage 'ingest': line 3: bad date '2015-13-06'") as err:
+            run_experiment(config)
+        assert err.value.stage == "ingest"
+
     def test_bad_model_type_names_config_stage(self, tmp_path):
         config = _planted_config(NARRATIVES)
         # the missing file shows the check runs before any ingest

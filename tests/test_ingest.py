@@ -73,12 +73,44 @@ class TestLoadTweets:
         ("followers", "1500", "integer"),
         ("text", 5, "string"),
         ("text", ["a"], "string"),
+        ("date", 20150105, "string"),  # not read as 2015-01-05
+        ("topic", [1, 2], "string"),
     ])
     def test_field_of_wrong_type_names_line_and_field(self, write_jsonl, field, value, kind):
         bad = {**_record(2, "2021-09-02"), field: value}
         expected = f"line 2: {kind} expected in '{field}', got {type(value).__name__}"
         with pytest.raises(IngestError, match=re.escape(expected)):
             load_tweets(write_jsonl([_record(1, "2021-09-01"), bad]))
+
+    def test_null_user_id_names_line_and_field(self, write_jsonl):
+        bad = {**_record(2, "2021-09-02"), "user_id": None}  # not read as "None"
+        with pytest.raises(IngestError, match="line 2: field 'user_id' is null"):
+            load_tweets(write_jsonl([_record(1, "2021-09-01"), bad]))
+
+    def test_numeric_user_id_and_null_topic_load(self, write_jsonl):
+        corpus = load_tweets(write_jsonl([{**_record(1, "2021-09-01"), "user_id": 42,
+                                           "topic": None}]))
+        assert (corpus.user_ids, corpus.topics) == (("42",), (None,))
+
+    @pytest.mark.parametrize("line, message", [
+        ('{"id": "2"} x', "Extra data"),
+        ('{"id": "2",', "Expecting property name enclosed in double quotes"),
+        ("\ufeff{}", "Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+        ("\u3000{}", "Expecting value"),
+    ])
+    def test_invalid_json_message_is_json_loads_message(self, tmp_path, line, message):
+        path = tmp_path / "tweets.jsonl"
+        path.write_text(json.dumps(_record(1, "2021-09-01")) + "\n" + line + "\n", encoding="utf-8")
+        with pytest.raises(json.JSONDecodeError, match=re.escape(message)):
+            json.loads(line)
+        with pytest.raises(IngestError, match=re.escape(f"line 2: invalid JSON ({message})")):
+            load_tweets(path)
+
+    def test_whitespace_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "tweets.jsonl"
+        lines = ["", " \t", "\u3000\x0c", "  " + json.dumps(_record(1, "2021-09-01")) + " \r"]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert load_tweets(path).ids == ("1",)
 
     def test_numeric_id_is_read_as_text(self, write_jsonl):
         corpus = load_tweets(write_jsonl([{**_record(1, "2021-09-01"), "id": 123456789}]))
@@ -101,11 +133,7 @@ class TestLoadTweets:
 
 
 def _corpus(*records):
-    records = sorted(records, key=lambda r: r.date)
-    return TweetCorpus(
-        records=tuple(records),
-        date_range=(records[0].date, records[-1].date) if records else None,
-    )
+    return TweetCorpus.from_records(records)
 
 
 def test_rank_by_followers_keeps_posting_order_on_ties():
@@ -159,9 +187,10 @@ class TestPreprocess:
 
 
     def test_unchanged_record_is_reused(self):
-        rec = TweetRecord("1", date(2021, 1, 4), "clean text already", 2000)
-        out = preprocess(_corpus(rec))
-        assert out.records[0] is rec
+        # the columns hold no record objects: an unchanged text keeps its string
+        corpus = _corpus(TweetRecord("1", date(2021, 1, 4), "clean text already", 2000))
+        out = preprocess(corpus)
+        assert out.texts[0] is corpus.texts[0]
 
     def test_casefold_neither_makes_nor_changes_whitespace(self):
         # the dedupe key skips a second whitespace pass on this property
@@ -267,6 +296,12 @@ class TestLoadSeries:
         with pytest.raises(IngestError, match="'value'"):
             load_series(path)
 
+    @pytest.mark.parametrize("cell", ["2015-13-06", "Jan 5 2015", ""])
+    def test_bad_date_names_line_and_cell(self, write_csv, cell):
+        path = write_csv(["2015-01-05,1.0", f"{cell},2.0"])
+        with pytest.raises(IngestError, match=re.escape(f"line 3: bad date {cell!r}")):
+            load_series(path)
+
     def test_non_numeric_value(self, write_csv):
         path = write_csv(["2021-01-04,abc"])
         with pytest.raises(IngestError, match="non-numeric"):
@@ -339,14 +374,14 @@ class TestAlign:
         assert all_ids == ["2"]
 
     def test_no_tweets_full_value_coverage(self):
-        dataset = align(TweetCorpus(records=(), date_range=None), _series(*self.CAL))
+        dataset = align(TweetCorpus(), _series(*self.CAL))
         assert len(dataset) == 3
         assert all(day == () for day in dataset.tweets)
 
     def test_values_preserved_bit_exactly(self):
         values = (10.123456789012345, 11.000000000000002, 0.1 + 0.2)
         series = _series(*zip([d for d, _ in self.CAL], values))
-        dataset = align(TweetCorpus(records=(), date_range=None), series)
+        dataset = align(TweetCorpus(), series)
         assert dataset.values == values
 
     def test_index_of_agrees_with_tuple_index(self):
@@ -413,7 +448,7 @@ class TestChronoSplit:
 
     def _aligned(self, n):
         series = _series(*((date(2020, 1, 1) + (date(2020, 1, 2) - date(2020, 1, 1)) * i, float(i)) for i in range(n)))
-        return align(TweetCorpus(records=(), date_range=None), series)
+        return align(TweetCorpus(), series)
 
     def test_80_20(self):
         assert train_size(100, 0.8) == 80

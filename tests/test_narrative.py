@@ -312,6 +312,15 @@ class TestClientCache:
         assert stub_server.calls == client.network_calls == 1
         assert sleeps == []
 
+    def test_reply_that_is_not_an_object_is_retried(self, stub_server, tmp_path, monkeypatch):
+        sleeps = self._recorded_sleeps(monkeypatch)
+        stub_server.state.set_raw(lambda payload: [1, 2])
+        client = self._client(stub_server, tmp_path, max_retries=3)
+        with pytest.raises(LlmRequestError, match="failed after 3 tries"):
+            client.complete("hello")
+        assert stub_server.calls == client.network_calls == 3
+        assert sleeps == [0.01, 0.02]
+
     def test_server_error_retried_without_a_final_sleep(self, stub_server, tmp_path, monkeypatch):
         sleeps = self._recorded_sleeps(monkeypatch)
         stub_server.state.status = 503

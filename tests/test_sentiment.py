@@ -1,3 +1,4 @@
+import itertools
 import math
 from datetime import date
 
@@ -73,11 +74,14 @@ class TestScore:
 def _aligned(day_texts):
     """day_texts: list of (date, [texts])."""
     dates = tuple(d for d, _ in day_texts)
-    tweets = tuple(
-        tuple(TweetRecord(f"{i}-{j}", d, t, 1000) for j, t in enumerate(texts))
+    corpus = TweetCorpus.from_records(
+        TweetRecord(f"{i}-{j}", d, t, 1000)
         for i, (d, texts) in enumerate(day_texts)
+        for j, t in enumerate(texts)
     )
-    return AlignedDataset(dates=dates, values=tuple(1.0 for _ in dates), tweets=tweets, indicator="T")
+    offsets = tuple(itertools.accumulate((len(texts) for _, texts in day_texts), initial=0))
+    return AlignedDataset(dates=dates, values=tuple(1.0 for _ in dates), corpus=corpus,
+                          offsets=offsets, indicator="T")
 
 
 class TestDailySentiment:
@@ -150,11 +154,7 @@ class TestSentimentWindow:
 
 
 def _corpus(records):
-    records = sorted(records, key=lambda r: r.date)
-    return TweetCorpus(
-        records=tuple(records),
-        date_range=(records[0].date, records[-1].date) if records else None,
-    )
+    return TweetCorpus.from_records(records)
 
 
 class TestWordFrequency:
