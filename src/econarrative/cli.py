@@ -230,7 +230,7 @@ def _cmd_llm_analyze(args) -> int:
     series = ingest.load_series(args.series, column=args.column, name=args.target)
     aligned = ingest.align(corpus, series)
     tweets_by_date = dict(zip(aligned.dates, map(list, aligned.tweets)))
-    values_by_date = {d: aligned.value_on(d) for d in aligned.dates}
+    values_by_date = dict(zip(aligned.dates, aligned.values))
     prompt = build_analysis_prompt(tweets_by_date, values_by_date, target=args.target)
     client = LlmClient(
         LlmClientConfig(
@@ -257,6 +257,10 @@ def _cmd_llm_analyze(args) -> int:
 def _cmd_experiment(args) -> int:
     configs = [Path(p) for p in args.config]
     out_root = Path(args.out)
+    stems = [p.stem for p in configs]
+    shared = [stem for i, stem in enumerate(stems) if stem in stems[:i]]
+    if shared:
+        raise UsageError(f"configs named {shared[0]!r} would both write {out_root / shared[0]}")
 
     def run_one(path: Path) -> str:
         config = json.loads(path.read_text("utf-8"))

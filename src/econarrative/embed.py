@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 import requests
 
-from .ingest import TweetRecord, rank_counts
+from .ingest import rank_counts
 from .retry import post_with_retries
 
 SEP_TOKEN = "⟂SEP⟂"  # reserved joiner for joint-mode encoding
@@ -167,26 +167,20 @@ class ExternalEmbedder:
         return np.concatenate(out)
 
 
-def daily_embeddings(
-    embedder, days: Sequence[Sequence], mode: str, k: int = 10,
-    followers: Sequence[Sequence[int]] | None = None,
-) -> np.ndarray:
-    """Aggregate each day's tweets into one fixed-width row, shape (len(days), width).
+def daily_embeddings(embedder, days: Sequence[Sequence[str]], mode: str, k: int,
+                     followers: Sequence[Sequence[int]]) -> np.ndarray:
+    """Aggregate each day's texts into one fixed-width row, shape (len(days), width).
 
     individual-mean   mean of per-tweet vectors (width d)
     individual-concat top-k tweets by follower count, concatenated with
                       zero-vector padding (width k*d)
     joint             single encoding of all tweets joined by SEP_TOKEN (width d)
 
-    A tweet is a TweetRecord or a plain string (0 followers); or, when
-    `followers` gives each day's follower counts, the days hold texts. All
+    `followers` holds each day's follower counts, parallel to its texts. All
     the texts the mode needs go to the embedder in one embed_batch call.
     """
     if mode not in AGGREGATION_MODES:
         raise ValueError(f"unknown aggregation mode {mode!r}")
-    if followers is None:
-        followers = [[t.followers if isinstance(t, TweetRecord) else 0 for t in day] for day in days]
-        days = [[t.text if isinstance(t, TweetRecord) else str(t) for t in day] for day in days]
     texts = days
     if mode == "individual-concat":
         if k <= 0:
@@ -217,6 +211,9 @@ def daily_embeddings(
     return out.reshape(len(days), width)
 
 
-def daily_embedding(embedder, tweets: Sequence, mode: str, k: int = 10) -> np.ndarray:
-    """One day's row of daily_embeddings."""
-    return daily_embeddings(embedder, [tweets], mode, k)[0]
+def daily_embedding(
+    embedder, texts: Sequence[str], mode: str, k: int = 10, followers: Sequence[int] | None = None
+) -> np.ndarray:
+    """One day's row of daily_embeddings; without `followers`, every count is 0."""
+    counts = [0] * len(texts) if followers is None else followers
+    return daily_embeddings(embedder, [texts], mode, k, [counts])[0]

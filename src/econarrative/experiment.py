@@ -174,8 +174,8 @@ def _text_column(aligned: AlignedDataset, kind: str, emb_cfg: dict, read: np.nda
     embedder = HashingEmbedder(dimension=emb_cfg.get("dimension", 16), seed=emb_cfg.get("seed", 0))
     mode, k = emb_cfg.get("mode", "individual-mean"), emb_cfg.get("k", 10)
     texts, followers = aligned.per_day("texts"), aligned.per_day("followers")
-    vectors = daily_embeddings(embedder, [texts[i] for i in read], mode=mode, k=k,
-                               followers=[followers[i] for i in read])
+    vectors = daily_embeddings(embedder, [texts[i] for i in read], mode, k,
+                               [followers[i] for i in read])
     column = np.zeros((len(aligned), vectors.shape[1]))
     column[read] = vectors
     return column
@@ -211,13 +211,13 @@ def build_features(aligned: AlignedDataset, labels: LabelSeries, features_cfg: d
     if window < 1:
         raise ValueError("feature window must be >= 1")
 
+    # day i's label is labels.values[i]: the labels cover the first days
+    if labels.dates != aligned.dates[:len(labels.dates)]:
+        raise ValueError("labels must cover the aligned days from the first one on")
     # a direction window of `window` moves and the week-majority
     # baselines' 7 moves each need the value before their first day
     start = max(window, 7)
-    label_by_date = dict(zip(labels.dates, labels.values))
-    rows = np.array(
-        [i for i in range(start, len(aligned)) if aligned.dates[i] in label_by_date], dtype=np.intp
-    )
+    rows = np.arange(start, len(labels.dates), dtype=np.intp)
     if len(rows) < 2:
         raise ValueError("not enough usable dates to build features")
 
@@ -226,11 +226,10 @@ def build_features(aligned: AlignedDataset, labels: LabelSeries, features_cfg: d
     t_block, t_last = _windows(text, t_steps, rows)
     f_block, f_last = _windows(_financial_column(aligned, fin_kind), window, rows)
     t_width, f_width = t_block.shape[1], f_block.shape[1]
-    row_dates = tuple(aligned.dates[i] for i in rows)
     return FeatureMatrix(
-        dates=row_dates,
+        dates=aligned.dates[start:len(labels.dates)],
         X=np.concatenate([t_block, f_block], axis=1),
-        labels=tuple(label_by_date[d] for d in row_dates),
+        labels=labels.values[start:],
         feature_max_dates=tuple(aligned.dates[i] for i in np.maximum(t_last, f_last)),
         t_columns=slice(0, t_width),
         f_columns=slice(t_width, t_width + f_width),
@@ -328,12 +327,13 @@ def _darnn_model(model_cfg: dict, matrix: FeatureMatrix, n_train: int, *_) -> li
 
 # model type -> (task kind it fits, None for either; fit-and-predict function,
 # called as fn(model_cfg, matrix, n_train, aligned, task) and returning the
-# predictions for the rows after the first n_train)
+# predictions for the rows after the first n_train; the keys it reads besides
+# `type` and `name`)
 MODELS = {
-    "baseline": (None, _baseline_model),
-    "logistic": ("classification", _column_model),
-    **{kind: ("regression", _column_model) for kind in LINEAR_PENALTIES},
-    "darnn": ("regression", _darnn_model),
+    "baseline": (None, _baseline_model, {"kind"}),
+    "logistic": ("classification", _column_model, {"inputs", "lam"}),
+    **{kind: ("regression", _column_model, {"inputs", "lam"}) for kind in LINEAR_PENALTIES},
+    "darnn": ("regression", _darnn_model, {"inputs", "m", "p", "seed", "epochs", "lr", "batch_size"}),
 }
 
 
@@ -349,14 +349,31 @@ def _model_name(model_cfg: dict) -> str:
 
 
 # the keys each config section may hold ("" is the top level); the run reads
-# nothing else there, so any other key is a typo that would change nothing
+# nothing else there, so any other key is a typo that would change nothing.
+# A data spec holds those of the first source it names, in the order
+# _load_series and _load_text look for them.
 CONFIG_KEYS = {
     "": {"seed", "data", "task", "features", "models", "eval"},
+    "data": {"series", "text"},
+    "data.series": {"path": {"path", "column", "name"}, "random_walk": {"random_walk"}},
+    "data.series.random_walk": {"n", "sigma", "v0", "seed", "name"},
+    "data.text": {"path": {"path", "min_followers"}, "random_texts": {"random_texts"},
+                  "synthetic_narratives": {"synthetic_narratives"},
+                  "shuffled_narratives": {"shuffled_narratives"}},
+    "data.text.random_texts": {"seed", "per_day"},
+    "data.text.synthetic_narratives": {"seed", "p", "per_day"},
+    "data.text.shuffled_narratives": {"seed", "p", "per_day", "shuffle_seed"},
     "task": {"target", "kind", "horizon"},
     "eval": {"train_fraction"},
     "features": {"window", "text", "financial", "embedding"},
     "features.embedding": {"dimension", "seed", "mode", "k"},
 }
+
+
+def _reject_unknown_keys(node: dict, allowed: set, where: str) -> None:
+    unknown = sorted(set(node) - allowed)
+    if unknown:
+        raise ValueError(f"unknown config key {unknown[0]!r} in {where}")
 
 
 def _check_config(config: dict) -> list[str]:
@@ -365,13 +382,14 @@ def _check_config(config: dict) -> list[str]:
     for section, allowed in CONFIG_KEYS.items():
         node = config
         for part in section.split(".") if section else ():
-            node = node.get(part, {})
+            node = node.get(part, {}) if isinstance(node, dict) else {}
+        if node is None and section == "data.text":  # a run without text
+            continue
         if not isinstance(node, dict):
             raise ValueError(f"config section {section!r} must be an object")
-        unknown = sorted(set(node) - allowed)
-        if unknown:
-            where = f"section {section!r}" if section else "the top level"
-            raise ValueError(f"unknown config key {unknown[0]!r} in {where}")
+        if isinstance(allowed, dict):  # a data spec
+            allowed = next((keys for source, keys in allowed.items() if source in node), set())
+        _reject_unknown_keys(node, allowed, f"section {section!r}" if section else "the top level")
     task, horizon = _task_of(config)
     TaskSpec(target=config.get("task", {}).get("target", ""), task=task, horizon=horizon)
     task_kind = "regression" if task in REGRESSION_TASKS else "classification"
@@ -384,6 +402,8 @@ def _check_config(config: dict) -> list[str]:
             raise ValueError(f"{kind} models only fit {MODELS[kind][0]} tasks, not {task!r}")
         if kind == "baseline" and "kind" not in model_cfg:
             raise ValueError("baseline model is missing the 'kind' key")
+        _reject_unknown_keys(model_cfg, {"type", "name", *MODELS[kind][2]},
+                             f"model {_model_name(model_cfg)!r}")
     names = [_model_name(m) for m in models]
     repeated = [name for i, name in enumerate(names) if name in names[:i]]
     if repeated:
@@ -405,10 +425,7 @@ def prepare(config: dict) -> tuple[AlignedDataset, FeatureMatrix]:
         aligned = ingest.align(corpus, series)
 
     with _stage("features"):
-        aligned_series = FinancialSeries(
-            name=series.name, points=tuple(zip(aligned.dates, aligned.values))
-        )
-        labels = make_labels(aligned_series, task, horizon)
+        labels = make_labels(aligned, task, horizon)
         matrix = build_features(aligned, labels, config.get("features", {}))
     return aligned, matrix
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from datetime import date
 from typing import Sequence
 
-from .ingest import FinancialSeries
+from .ingest import AlignedDataset, FinancialSeries
 
 TASKS = ("next-value", "pct-change", "direction-change")
 REGRESSION_TASKS = ("next-value", "pct-change")
@@ -53,10 +53,11 @@ def direction_of(previous: float, current: float) -> str:
     return "increase" if current > previous else "decrease"
 
 
-def make_labels(series: FinancialSeries, task: str, horizon: int) -> LabelSeries:
+def make_labels(series: FinancialSeries | AlignedDataset, task: str, horizon: int) -> LabelSeries:
     """Label each date t from the values at t+h and t+h-1.
 
-    Dates whose horizon falls past the end of the series are omitted.
+    Reads only the `dates` and `values` columns. Dates whose horizon falls
+    past the end of the series are omitted.
     """
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}")

@@ -42,12 +42,6 @@ class TweetRecord(NamedTuple):
     user_id: str = ""
 
 
-def rank_by_followers(tweets: Sequence) -> list[int]:
-    """Positions of a day's tweets, most followers first; equal counts keep
-    posting order. A plain string counts as a tweet with 0 followers."""
-    return rank_counts([t.followers if isinstance(t, TweetRecord) else 0 for t in tweets])
-
-
 def rank_counts(followers: Sequence[int]) -> list[int]:
     """Positions of a day's follower counts, largest first, ties in posting order."""
     return sorted(range(len(followers)), key=followers.__getitem__, reverse=True)
@@ -92,37 +86,36 @@ class TweetCorpus:
 
 @dataclass(frozen=True)
 class FinancialSeries:
+    """An indicator as parallel columns: strictly increasing dates and their values."""
+
     name: str
-    points: tuple[tuple[date, float], ...]
-    frequency: str = "trading-daily"
+    dates: tuple[date, ...]
+    values: tuple[float, ...]
     skipped_rows: int = 0
 
     def __post_init__(self) -> None:
-        last = None
-        for d, v in self.points:
-            if last is not None and d <= last:
+        if len(self.dates) != len(self.values):
+            raise IngestError("series dates and values must be parallel")
+        for i, (d, v) in enumerate(zip(self.dates, self.values)):
+            if i and d <= self.dates[i - 1]:
                 raise IngestError(f"series dates not strictly increasing at {d}")
-            last = d
             if not math.isfinite(v):
                 raise IngestError(f"non-finite value at {d}")
             if self.name in POSITIVE_INDICATORS and v <= 0:
                 raise IngestError(f"{self.name} must be strictly positive, got {v} at {d}")
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.dates)
 
     @property
-    def dates(self) -> list[date]:
-        return [d for d, _ in self.points]
-
-    @property
-    def values(self) -> list[float]:
-        return [v for _, v in self.points]
+    def points(self) -> tuple[tuple[date, float], ...]:
+        """The series as (date, value) pairs."""
+        return tuple(zip(self.dates, self.values))
 
     def range(self) -> tuple[date, date]:
-        if not self.points:
+        if not self.dates:
             raise IngestError("empty series has no range")
-        return self.points[0][0], self.points[-1][0]
+        return self.dates[0], self.dates[-1]
 
 
 @dataclass(frozen=True)
@@ -139,24 +132,20 @@ class AlignedDataset:
     corpus: TweetCorpus
     offsets: tuple[int, ...]
     indicator: str
-    lag_rule: str = "next-trading-day"
-    _index: dict[date, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (len(self.dates) == len(self.values) == len(self.offsets) - 1):
             raise IngestError("dates, values and day offsets must be parallel")
-        # first occurrence wins, as with tuple.index
-        index = {d: i for i, d in reversed(tuple(enumerate(self.dates)))}
-        object.__setattr__(self, "_index", index)
 
     def __len__(self) -> int:
         return len(self.dates)
 
     def index_of(self, d: date) -> int:
-        try:
-            return self._index[d]
-        except KeyError:
-            raise KeyError(f"date {d} not in dataset") from None
+        """The position of trading day `d`; the dates strictly increase."""
+        i = bisect.bisect_left(self.dates, d)
+        if i == len(self.dates) or self.dates[i] != d:
+            raise KeyError(f"date {d} not in dataset")
+        return i
 
     def per_day(self, column: str) -> tuple[tuple, ...]:
         """A corpus column (or `records`), cut into trading days."""
@@ -170,9 +159,6 @@ class AlignedDataset:
     def tweets_on(self, d: date) -> tuple[TweetRecord, ...]:
         i = self.index_of(d)
         return self.corpus.rows(slice(*self.offsets[i:i + 2]))
-
-    def value_on(self, d: date) -> float:
-        return self.values[self.index_of(d)]
 
 
 @dataclass(frozen=True)
@@ -344,7 +330,8 @@ def load_series(path: str | Path, column: str = "value", name: str | None = None
     path = Path(path)
     if not path.exists():
         raise IngestError(f"series file not found: {path}")
-    points: list[tuple[date, float]] = []
+    dates: list[date] = []
+    values: list[float] = []
     skipped = 0
     with path.open(encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
@@ -354,23 +341,25 @@ def load_series(path: str | Path, column: str = "value", name: str | None = None
         if column not in header:
             raise IngestError(f"missing {column!r} column in {path.name}")
         for row in reader:
-            raw = (row[column] or "").strip()
-            if raw.lower() in MISSING_CELLS:
-                skipped += 1
-                continue
+            where = f"line {reader.line_num}"
             cell = row["date"] or ""  # None in a short row
             try:
                 d = date.fromisoformat(cell.strip())
             except ValueError as exc:
-                raise IngestError(f"line {reader.line_num}: bad date {cell!r} ({exc})") from exc
+                raise IngestError(f"{where}: bad date {cell!r} ({exc})") from exc
+            raw = (row[column] or "").strip()
+            if raw.lower() in MISSING_CELLS:
+                skipped += 1
+                continue
             try:
                 v = float(raw)
             except ValueError as exc:
-                raise IngestError(f"non-numeric value {raw!r} at {d}") from exc
-            if points and d <= points[-1][0]:
-                raise IngestError(f"series dates not strictly increasing at {d}")
-            points.append((d, v))
-    return FinancialSeries(name=name or column, points=tuple(points), skipped_rows=skipped)
+                raise IngestError(f"{where}: non-numeric value {raw!r} at {d}") from exc
+            if dates and d <= dates[-1]:
+                raise IngestError(f"{where}: series dates not strictly increasing at {d}")
+            dates.append(d)
+            values.append(v)
+    return FinancialSeries(name or column, tuple(dates), tuple(values), skipped_rows=skipped)
 
 
 def align(corpus: TweetCorpus, series: FinancialSeries) -> AlignedDataset:
@@ -379,7 +368,7 @@ def align(corpus: TweetCorpus, series: FinancialSeries) -> AlignedDataset:
     The overlap's endpoints snap forward to trading days, so tweets on
     a non-trading day at either edge keep their next-session target.
     """
-    if not series.points:
+    if not series.dates:
         raise IngestError("cannot align against an empty series")
     s_start, s_end = series.range()
     if corpus.date_range is None:
@@ -389,14 +378,9 @@ def align(corpus: TweetCorpus, series: FinancialSeries) -> AlignedDataset:
         lo, hi = max(s_start, c_start), min(s_end, c_end)
         if lo > hi:
             raise IngestError("tweet corpus and series date ranges do not overlap")
-    all_dates = [d for d, _ in series.points]
-    first = _next_trading_day(all_dates, lo)
-    last = _next_trading_day(all_dates, hi)
-    if first is None:
-        raise IngestError("tweet corpus and series date ranges do not overlap")
-    last = last or s_end
-    trading = [(d, v) for d, v in series.points if first <= d <= last]
-    trading_dates = [d for d, _ in trading]
+    # the first trading days on or after lo and hi, or the series' end
+    days = slice(bisect.bisect_left(series.dates, lo), bisect.bisect_left(series.dates, hi) + 1)
+    trading_dates = series.dates[days]
     # the corpus is in date order, so each day's tweets are one run of rows:
     # those after the previous trading day up to this one, and for the first
     # day those from the series' start on
@@ -404,18 +388,12 @@ def align(corpus: TweetCorpus, series: FinancialSeries) -> AlignedDataset:
     ends = [bisect.bisect_right(corpus.dates, d) - start for d in trading_dates]
     cut = slice(start, start + ends[-1])
     return AlignedDataset(
-        dates=tuple(trading_dates),
-        values=tuple(v for _, v in trading),
+        dates=trading_dates,
+        values=series.values[days],
         corpus=TweetCorpus(*(column[cut] for column in corpus.columns), provenance=corpus.provenance),
         offsets=(0, *ends),
         indicator=series.name,
     )
-
-
-def _next_trading_day(trading_dates: Sequence[date], d: date) -> date | None:
-    """First trading date >= d, via bisection; None when past the end."""
-    i = bisect.bisect_left(trading_dates, d)
-    return trading_dates[i] if i < len(trading_dates) else None
 
 
 def blocking_split(series: FinancialSeries, boundaries: Sequence[date]) -> list[Block]:
@@ -424,7 +402,7 @@ def blocking_split(series: FinancialSeries, boundaries: Sequence[date]) -> list[
     Each boundary starts a new block; block k covers [b_k, b_{k+1}).
     Concatenating the blocks in order reproduces the series exactly.
     """
-    if not series.points:
+    if not series.dates:
         raise IngestError("cannot split an empty series")
     bounds = list(boundaries)
     if bounds != sorted(bounds) or len(set(bounds)) != len(bounds):
@@ -477,5 +455,5 @@ def write_series_csv(series: FinancialSeries, path: str | Path) -> None:
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["date", "value"])
-        for d, v in series.points:
+        for d, v in zip(series.dates, series.values):
             writer.writerow([d.isoformat(), repr(v)])

@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 import requests
 
-from .ingest import TweetRecord, rank_by_followers
+from .ingest import TweetRecord, rank_counts
 from .retry import post_with_retries
 
 MAX_TWEETS_PER_DAY = 10
@@ -115,7 +115,8 @@ def _tweet_block(tweets_by_date: Mapping[date, Sequence[TweetRecord]], dates: Se
     lines = []
     for d in dates:
         tweets = tweets_by_date[d]
-        keep = sorted(rank_by_followers(tweets)[:MAX_TWEETS_PER_DAY])  # back in posting order
+        ranked = rank_counts([t.followers for t in tweets])
+        keep = sorted(ranked[:MAX_TWEETS_PER_DAY])  # back in posting order
         lines += [f"{d.isoformat()}: {tweets[i].text}" for i in keep]
     return "<Tweets>\n" + "\n".join(lines) + "\n</Tweets>"
 

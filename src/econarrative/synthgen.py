@@ -162,4 +162,4 @@ def gen_random_walk(
         if d.weekday() < 5:
             dates.append(d)
         d += timedelta(days=1)
-    return FinancialSeries(name=name, points=tuple(zip(dates, values)))
+    return FinancialSeries(name, tuple(dates), tuple(values))

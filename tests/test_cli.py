@@ -341,6 +341,16 @@ class TestExperimentCommand:
         assert (out / "exp_1" / "report.json").exists()
         assert (out / "exp_2" / "report.json").exists()
 
+    def test_configs_with_one_stem_are_a_usage_error(self, tmp_path, capsys):
+        args = []
+        for folder in (tmp_path / "a", tmp_path / "b"):  # a/exp_7.json and b/exp_7.json
+            folder.mkdir()
+            args += ["--config", str(self._config(folder))]
+        out = tmp_path / "out"
+        assert main(["experiment", *args, "--jobs", "2", "--out", str(out)]) == 1
+        assert "'exp_7'" in capsys.readouterr().err
+        assert not (out / "exp_7").exists()  # rejected before any run
+
     def test_missing_config_is_runtime_error(self, tmp_path):
         code = main(["experiment", "--config", str(tmp_path / "none.json"),
                      "--out", str(tmp_path / "o")])

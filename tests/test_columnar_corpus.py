@@ -135,9 +135,9 @@ def dumps(draw):
 
 def _series(first, days):
     """Weekday closes from ORIGIN + first over `days` calendar days."""
-    points = [(ORIGIN + timedelta(days=o), 100.0 + o) for o in range(first, first + days)
-              if (ORIGIN + timedelta(days=o)).weekday() < 5]
-    return FinancialSeries("SYNTH", points=tuple(points))
+    dates = tuple(d for d in (ORIGIN + timedelta(days=o) for o in range(first, first + days))
+                  if d.weekday() < 5)
+    return FinancialSeries("SYNTH", dates, tuple(100.0 + (d - ORIGIN).days for d in dates))
 
 
 RULES = [PreprocessRules(strip_urls=u, map_emoji=m) for u in (True, False) for m in (True, False)]
@@ -180,6 +180,7 @@ def test_columns_equal_the_record_pipeline(tmp_path_factory, dump, rules, first,
     assert daily_sentiment_column(aligned).tolist() == reference_day_scores(days_want)
     embedder = HashingEmbedder(dimension=8, seed=1)
     for mode in AGGREGATION_MODES:  # column slices against the records
-        rows = daily_embeddings(embedder, aligned.per_day("texts"), mode, k=2,
-                                followers=aligned.per_day("followers"))
-        assert rows.tobytes() == daily_embeddings(embedder, aligned.tweets, mode, k=2).tobytes()
+        rows = daily_embeddings(embedder, aligned.per_day("texts"), mode, 2, aligned.per_day("followers"))
+        want_rows = daily_embeddings(embedder, [[r.text for r in day] for day in days_want], mode, 2,
+                                     [[r.followers for r in day] for day in days_want])
+        assert rows.tobytes() == want_rows.tobytes()

@@ -174,7 +174,9 @@ class _TableEmbedder:
 
 
 def _assert_rows_match_loop(embedder, embed, days, mode, k):
-    rows = daily_embeddings(embedder, days, mode, k)
+    texts = [[getattr(t, "text", t) for t in day] for day in days]
+    followers = [[getattr(t, "followers", 0) for t in day] for day in days]
+    rows = daily_embeddings(embedder, texts, mode, k, followers)
     assert rows.shape[0] == len(days)
     for tweets, row in zip(days, rows):
         assert np.array_equal(row, _daily_embedding_loop(embed, embedder.dimension, tweets, mode, k))
@@ -211,19 +213,16 @@ class TestDailyEmbeddings:
         )
         e = ExternalEmbedder(endpoint=stub_server.url, dimension=4, batch_size=4, backoff=0.01)
         days = [[f"tweet {5 * day + i}" for i in range(5)] for day in range(3)]
-        concat = daily_embeddings(e, days, "individual-concat", k=5)
+        concat = daily_embeddings(e, days, "individual-concat", 5, [[0] * 5] * 3)
         assert stub_server.calls == math.ceil(15 / 4)
         assert np.array_equal(concat.reshape(3, 5, 4)[..., 0], np.arange(15.0).reshape(3, 5))
-        mean = daily_embeddings(e, days, "individual-mean")
+        mean = daily_embeddings(e, days, "individual-mean", 10, [[0] * 5] * 3)
         assert stub_server.calls == 2 * math.ceil(15 / 4)
         assert np.array_equal(mean, np.repeat([[2.0], [7.0], [12.0]], 4, axis=1))
 
 
 class TestDailyEmbedding:
     E = HashingEmbedder(dimension=16, seed=5)
-
-    def _tweet(self, text, followers):
-        return TweetRecord("x", date(2021, 1, 4), text, followers)
 
     def test_mean_of_identical_equals_single(self):
         one = daily_embedding(self.E, ["same tweet"], "individual-mean")
@@ -240,8 +239,8 @@ class TestDailyEmbedding:
         assert np.array_equal(out[16:], np.zeros(32))
 
     def test_concat_truncates_by_followers(self):
-        tweets = [self._tweet("small account", 10), self._tweet("big account", 10_000)]
-        out = daily_embedding(self.E, tweets, "individual-concat", k=1)
+        texts = ["small account", "big account"]
+        out = daily_embedding(self.E, texts, "individual-concat", k=1, followers=[10, 10_000])
         assert np.array_equal(out, self.E.embed("big account"))
 
     def test_joint_equals_joined_embedding(self):

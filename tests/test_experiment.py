@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from econarrative import experiment, ingest, sentiment, synthgen
 from econarrative.embed import HashingEmbedder, daily_embedding
@@ -14,7 +15,7 @@ from econarrative.experiment import (
     run_experiment,
     write_report,
 )
-from econarrative.harness import make_labels
+from econarrative.harness import TASKS, LabelSeries, make_labels
 
 
 def _planted_config(text_source, seed=7):
@@ -151,10 +152,14 @@ class TestStages:
             ("eval", "train_fracton"),
             ("features", "windw"),  # ran silently with the default 7-day window
             ("features.embedding", "dim"),
+            ("data", "txt"),
+            ("data.series", "colum"),
+            ("data.text", "min_folowers"),
+            ("data.text.synthetic_narratives", "per_dy"),
         ],
     )
     def test_unknown_key_rejected_in_config_stage(self, tmp_path, section, key):
-        config = _planted_config(NARRATIVES)
+        config = json.loads(json.dumps(_planted_config(NARRATIVES)))  # NARRATIVES stays as it is
         # the missing file shows the check runs before any ingest
         config["data"]["series"] = {"path": str(tmp_path / "missing.csv")}
         node = config
@@ -163,6 +168,44 @@ class TestStages:
         node[key] = 3
         where = f"section '{section}'" if section else "the top level"
         with pytest.raises(ExperimentError, match=f"unknown config key '{key}' in {where}") as err:
+            run_experiment(config)
+        assert err.value.stage == "config"
+
+    @pytest.mark.parametrize(
+        "data, section, key",
+        [
+            ({"text": {"path": "t.jsonl", "min_folowers": 10}}, "data.text", "min_folowers"),
+            ({"text": {"path": "t.jsonl", "random_texts": {}}}, "data.text", "random_texts"),
+            ({"text": {"pth": "t.jsonl"}}, "data.text", "pth"),
+            ({"text": {"random_texts": {"per_dy": 2}}}, "data.text.random_texts", "per_dy"),
+            ({"text": {"shuffled_narratives": {"shufle_seed": 1}}}, "data.text.shuffled_narratives",
+             "shufle_seed"),
+            ({"series": {"random_walk": {"n": 50, "sigm": 0.5}}}, "data.series.random_walk", "sigm"),
+            # a walk's name is read inside `random_walk`
+            ({"series": {"random_walk": {"n": 50}, "name": "X"}}, "data.series", "name"),
+        ],
+    )
+    def test_unknown_data_key_rejected_in_config_stage(self, data, section, key):
+        config = _planted_config(NARRATIVES)
+        config["data"].update(data)
+        with pytest.raises(ExperimentError, match=f"unknown config key '{key}' in section '{section}'") as err:
+            run_experiment(config)
+        assert err.value.stage == "config"
+
+    @pytest.mark.parametrize(
+        "model, key",
+        [
+            ({"name": "m", "type": "logistic", "inputs": "TF", "lamda": 0.1}, "lamda"),
+            ({"name": "m", "type": "logistic", "epochs": 3}, "epochs"),
+            ({"name": "m", "type": "baseline", "kind": "up", "inputs": "F"}, "inputs"),
+            ({"name": "m", "type": "baseline", "kind": "up", "lam": 1.0}, "lam"),
+        ],
+    )
+    def test_unknown_model_key_rejected_in_config_stage(self, tmp_path, model, key):
+        config = _planted_config(NARRATIVES)
+        config["data"]["series"] = {"path": str(tmp_path / "missing.csv")}
+        config["models"] = [model]
+        with pytest.raises(ExperimentError, match=f"unknown config key '{key}' in model 'm'") as err:
             run_experiment(config)
         assert err.value.stage == "config"
 
@@ -345,10 +388,7 @@ def _aligned_and_labels(task="next-value", n=120):
     series = synthgen.gen_random_walk(n=n, sigma=0.01, v0=100.0, seed=3)
     corpus = synthgen.gen_random_texts(synthgen.SynthConfig(seed=4, per_day=2), series.dates)
     aligned = ingest.align(corpus, series)
-    aligned_series = ingest.FinancialSeries(
-        name=series.name, points=tuple(zip(aligned.dates, aligned.values))
-    )
-    return aligned, make_labels(aligned_series, task, 1)
+    return aligned, make_labels(aligned, task, 1)
 
 
 class TestFeatureColumns:
@@ -376,7 +416,7 @@ class TestFeatureColumns:
         expected = [
             np.concatenate(
                 [
-                    daily_embedding(embedder, aligned.tweets[i], mode="individual-mean"),
+                    daily_embedding(embedder, aligned.per_day("texts")[i], mode="individual-mean"),
                     np.array(aligned.values[i - 6:i + 1]),
                 ]
             )
@@ -396,3 +436,44 @@ class TestFeatureColumns:
         for row, d in enumerate(matrix.dates):
             i = aligned.index_of(d)
             assert matrix.X[row, matrix.t_columns].tolist() == column[i - 2:i + 1].tolist()
+
+
+def _rows_by_date(aligned, labels, window):
+    """build_features' row dates and labels as they were looked up before
+    positions: each day from max(window, 7) on that has a label, by its date."""
+    label_by_date = dict(zip(labels.dates, labels.values))
+    dates = [d for d in aligned.dates[max(window, 7):] if d in label_by_date]
+    return tuple(dates), tuple(label_by_date[d] for d in dates)
+
+
+class TestRowsByPosition:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 60), st.integers(1, 12), st.sampled_from([1, 7, 30]), st.sampled_from(TASKS))
+    def test_rows_and_labels_equal_the_date_lookup(self, extra, window, horizon, task):
+        series = synthgen.gen_random_walk(n=horizon + extra, sigma=0.01, v0=100.0, seed=extra)
+        aligned = ingest.align(ingest.TweetCorpus(), series)
+        labels = make_labels(aligned, task, horizon)
+        dates, values = _rows_by_date(aligned, labels, window)
+        features = {"text": "none", "financial": "value-window", "window": window}
+        if len(dates) < 2:
+            with pytest.raises(ValueError, match="not enough usable dates"):
+                build_features(aligned, labels, features)
+            return
+        matrix = build_features(aligned, labels, features)
+        assert matrix.dates == dates
+        assert matrix.labels == values
+        ends = [aligned.dates.index(d) + 1 for d in dates]
+        assert matrix.X.tolist() == [list(aligned.values[end - window:end]) for end in ends]
+
+    @pytest.mark.parametrize("dropped", [0, 40], ids=["first-day", "middle-day"])
+    def test_labels_that_skip_an_aligned_day_rejected_at_features_stage(self, monkeypatch, dropped):
+        def gapped_labels(series, task, horizon):
+            labels = make_labels(series, task, horizon)
+            keep = [i for i in range(len(labels.dates)) if i != dropped]
+            return LabelSeries(task, horizon, tuple(labels.dates[i] for i in keep),
+                               tuple(labels.values[i] for i in keep))
+
+        monkeypatch.setattr(experiment, "make_labels", gapped_labels)
+        with pytest.raises(ExperimentError, match="labels must cover the aligned days") as err:
+            experiment.prepare(_planted_config(NARRATIVES))
+        assert err.value.stage == "features"

@@ -16,9 +16,8 @@ from econarrative.ingest import FinancialSeries
 
 
 def _series(values, start=date(2020, 1, 1)):
-    return FinancialSeries(
-        "TEST", points=tuple((start + timedelta(days=i), float(v)) for i, v in enumerate(values))
-    )
+    dates = tuple(start + timedelta(days=i) for i in range(len(values)))
+    return FinancialSeries("TEST", dates, tuple(float(v) for v in values))
 
 
 class TestMakeLabels:

@@ -139,8 +139,7 @@ def _corpus(*records):
 def test_rank_by_followers_keeps_posting_order_on_ties():
     day = [TweetRecord(str(i), date(2021, 9, 1), f"t{i}", followers=f)
            for i, f in enumerate([5, 9, 5, 9, 1])]
-    assert ingest.rank_by_followers(day) == [1, 3, 0, 2, 4]
-    assert ingest.rank_by_followers(day[:2] + ["plain text"]) == [1, 0, 2]
+    assert ingest.rank_counts([t.followers for t in day]) == [1, 3, 0, 2, 4]
 
 
 class TestPreprocess:
@@ -278,11 +277,11 @@ class TestLoadSeries:
         path = write_csv(["2021-01-04,1.0", "2021-01-05,2.0", "2021-01-06,3.0"])
         series = load_series(path)
         assert len(series) == 3
-        assert series.values == [1.0, 2.0, 3.0]
+        assert series.values == (1.0, 2.0, 3.0)
 
     def test_duplicate_date_rejected(self, write_csv):
         path = write_csv(["2021-01-04,1.0", "2021-01-04,2.0"])
-        with pytest.raises(IngestError, match="2021-01-04"):
+        with pytest.raises(IngestError, match="line 3: series dates not strictly increasing at 2021-01-04"):
             load_series(path)
 
     def test_missing_cell_skipped_and_counted(self, write_csv):
@@ -302,18 +301,28 @@ class TestLoadSeries:
         with pytest.raises(IngestError, match=re.escape(f"line 3: bad date {cell!r}")):
             load_series(path)
 
+    def test_bad_date_with_missing_value_is_not_skipped(self, write_csv):
+        # the date is read before the value cell is tested for a missing marker
+        path = write_csv(["2015-01-05,1.0", "2015-13-06,N/A"])
+        with pytest.raises(IngestError, match=re.escape("line 3: bad date '2015-13-06'")):
+            load_series(path)
+
     def test_non_numeric_value(self, write_csv):
         path = write_csv(["2021-01-04,abc"])
-        with pytest.raises(IngestError, match="non-numeric"):
+        with pytest.raises(IngestError, match="line 2: non-numeric value 'abc' at 2021-01-04"):
             load_series(path)
 
     def test_positive_indicator_enforced(self):
         with pytest.raises(IngestError, match="strictly positive"):
-            FinancialSeries("VIX", points=((date(2021, 1, 4), -1.0),))
+            FinancialSeries("VIX", (date(2021, 1, 4),), (-1.0,))
+
+    def test_dates_and_values_must_be_parallel(self):
+        with pytest.raises(IngestError, match="parallel"):
+            FinancialSeries("VIX", (date(2021, 1, 4), date(2021, 1, 5)), (1.0,))
 
 
 def _series(*pairs, name="TEST"):
-    return FinancialSeries(name, points=tuple((d, float(v)) for d, v in pairs))
+    return FinancialSeries(name, tuple(d for d, _ in pairs), tuple(float(v) for _, v in pairs))
 
 
 class TestAlignProperties:
@@ -435,9 +444,9 @@ class TestBlockingSplit:
         days = []
         d = start
         while d <= end:
-            days.append((d, 1.0))
+            days.append(d)
             d = d.fromordinal(d.toordinal() + 1)
-        series = FinancialSeries("FFR", points=tuple(days), frequency="daily")
+        series = FinancialSeries("FFR", tuple(days), (1.0,) * len(days))
         blocks = blocking_split(series, [date(2008, 12, 16), date(2015, 1, 1)])
         assert blocks[1].sample_count == 2207
 
