@@ -41,7 +41,7 @@ from .models import (
     train_darnn,
 )
 from .models.baselines import _majority
-from .models.darnn import AttentionRnn
+from .models.darnn import AttentionRnn, DivergenceError
 
 
 class ExperimentError(RuntimeError):
@@ -322,6 +322,13 @@ def _darnn_model(model_cfg: dict, matrix: FeatureMatrix, n_train: int, *_) -> li
         batch_size=model_cfg.get("batch_size", 32),
     )
     raw = trained.predict(drivers[n_train:], history[n_train:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        # finite weights can still overflow the forward pass or the MSE
+        scorable = np.isfinite(raw * raw).all()
+    if not scorable:
+        raise DivergenceError(
+            f"model {_model_name(model_cfg)!r} diverged: a prediction or its square is not finite"
+        )
     return [float(v) * label_std + label_mean for v in raw]
 
 
@@ -368,33 +375,54 @@ CONFIG_KEYS = {
     "features": {"window", "text", "financial", "embedding"},
     "features.embedding": {"dimension", "seed", "mode", "k"},
 }
+# the keys a section must hold when it is present
+REQUIRED_KEYS = {"": ("data",), "data": ("series",), "data.series.random_walk": ("n", "sigma")}
+# keys whose value must be a number in whichever section or model holds them
+NUMBER_KEYS = {
+    "n", "sigma", "v0", "seed", "per_day", "p", "shuffle_seed", "min_followers", "window",
+    "train_fraction", "lam", "m", "epochs", "lr", "batch_size",
+}
+_ABSENT = object()
 
 
-def _reject_unknown_keys(node: dict, allowed: set, where: str) -> None:
+def _check_keys(node: dict, allowed: set, where: str, required: Sequence[str] = ()) -> None:
     unknown = sorted(set(node) - allowed)
     if unknown:
         raise ValueError(f"unknown config key {unknown[0]!r} in {where}")
+    missing = [key for key in required if key not in node]
+    if missing:
+        raise ValueError(f"{where} is missing the {missing[0]!r} key")
+    for key in sorted(NUMBER_KEYS & set(node)):
+        value = node[key]
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"{key!r} in {where} must be a number, got {type(value).__name__}")
 
 
 def _check_config(config: dict) -> list[str]:
-    """Reject unknown keys, a bad task, unknown model types, models on the
-    wrong task kind and baselines without a kind; return the model names."""
+    """Reject unknown, missing and non-numeric keys, a bad task, unknown
+    model types, models on the wrong task kind and baselines without a
+    kind; return the model names."""
     for section, allowed in CONFIG_KEYS.items():
         node = config
         for part in section.split(".") if section else ():
-            node = node.get(part, {}) if isinstance(node, dict) else {}
-        if node is None and section == "data.text":  # a run without text
+            node = node.get(part, _ABSENT) if isinstance(node, dict) else _ABSENT
+        if node is _ABSENT or (node is None and section == "data.text"):  # None: no text
             continue
         if not isinstance(node, dict):
             raise ValueError(f"config section {section!r} must be an object")
         if isinstance(allowed, dict):  # a data spec
             allowed = next((keys for source, keys in allowed.items() if source in node), set())
-        _reject_unknown_keys(node, allowed, f"section {section!r}" if section else "the top level")
+        _check_keys(node, allowed, f"section {section!r}" if section else "the top level",
+                    REQUIRED_KEYS.get(section, ()))
     task, horizon = _task_of(config)
     TaskSpec(target=config.get("task", {}).get("target", ""), task=task, horizon=horizon)
     task_kind = "regression" if task in REGRESSION_TASKS else "classification"
     models = config.get("models", [])
-    for model_cfg in models:
+    if not isinstance(models, list):
+        raise ValueError(f"'models' must be a list, got {type(models).__name__}")
+    for i, model_cfg in enumerate(models):
+        if not isinstance(model_cfg, dict):
+            raise ValueError(f"models[{i}] must be an object, got {type(model_cfg).__name__}")
         kind = model_cfg.get("type")
         if kind not in MODELS:
             raise ValueError(f"unknown model type {kind!r}")
@@ -402,8 +430,7 @@ def _check_config(config: dict) -> list[str]:
             raise ValueError(f"{kind} models only fit {MODELS[kind][0]} tasks, not {task!r}")
         if kind == "baseline" and "kind" not in model_cfg:
             raise ValueError("baseline model is missing the 'kind' key")
-        _reject_unknown_keys(model_cfg, {"type", "name", *MODELS[kind][2]},
-                             f"model {_model_name(model_cfg)!r}")
+        _check_keys(model_cfg, {"type", "name", *MODELS[kind][2]}, f"model {_model_name(model_cfg)!r}")
     names = [_model_name(m) for m in models]
     repeated = [name for i, name in enumerate(names) if name in names[:i]]
     if repeated:

@@ -355,6 +355,8 @@ def load_series(path: str | Path, column: str = "value", name: str | None = None
                 v = float(raw)
             except ValueError as exc:
                 raise IngestError(f"{where}: non-numeric value {raw!r} at {d}") from exc
+            if not math.isfinite(v):
+                raise IngestError(f"{where}: non-finite value {raw!r} at {d}")
             if dates and d <= dates[-1]:
                 raise IngestError(f"{where}: series dates not strictly increasing at {d}")
             dates.append(d)

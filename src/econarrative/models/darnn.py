@@ -10,12 +10,16 @@ All gradients are derived by hand and verified against central finite
 differences (see gradient_check); training is plain mini-batch gradient
 descent on the mean squared error.
 
-Shapes: drivers (B, T, n), target history (B, T), labels (B,).
+Shapes: drivers (B, T, n), target history (B, T), labels (B,). The
+forward pass and the loss also take params stacked along a leading axis,
+K copies of each tensor: weights (K, out, in) and states (K, B, ...), one
+prediction row per copy; gradient_check evaluates all its probes of one
+tensor that way. Without the axis the pass is the plain per-batch one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -32,13 +36,13 @@ def _lstm(W, b, h, s, x):
     Returns the new hidden and cell states and the step's cache for
     _lstm_backward.
     """
-    k = h.shape[1]
-    lstm_in = np.concatenate([h, x], axis=1)
-    pre = lstm_in @ W.T + b
-    gi = _sigmoid(pre[:, :k])
-    gf = _sigmoid(pre[:, k:2 * k])
-    go = _sigmoid(pre[:, 2 * k:3 * k])
-    gg = np.tanh(pre[:, 3 * k:])
+    k = h.shape[-1]
+    lstm_in = np.concatenate([h, x], axis=-1)
+    pre = lstm_in @ W.swapaxes(-1, -2) + b[..., None, :]
+    gi = _sigmoid(pre[..., :k])
+    gf = _sigmoid(pre[..., k:2 * k])
+    go = _sigmoid(pre[..., 2 * k:3 * k])
+    gg = np.tanh(pre[..., 3 * k:])
     s_new = gf * s + gi * gg
     h_new = go * np.tanh(s_new)
     return h_new, s_new, (lstm_in, s, s_new, gi, gf, go, gg)
@@ -66,16 +70,16 @@ def _lstm_backward(W, g_W, g_b, cell, g_h, g_s):
 
 
 def _attend(W, v, h, s, proj):
-    """Additive attention over K items: softmax(tanh([h; s] W^T + proj) v)
-    over axis 1, where proj (B, K, d) is the items' own projection.
+    """Additive attention over N items: softmax(tanh([h; s] W^T + proj) v)
+    over the items, where proj (B, N, d) is the items' own projection.
 
-    Returns the (B, K) weights and the step's cache for _attend_backward.
+    Returns the (B, N) weights and the step's cache for _attend_backward.
     """
-    z = np.concatenate([h, s], axis=1)
-    G = np.tanh((z @ W.T)[:, None, :] + proj)
-    E = G @ v
-    e = np.exp(E - E.max(axis=1, keepdims=True))
-    weights = e / e.sum(axis=1, keepdims=True)
+    z = np.concatenate([h, s], axis=-1)
+    G = np.tanh((z @ W.swapaxes(-1, -2))[..., None, :] + proj)
+    E = (G @ v[..., None, :, None])[..., 0]
+    e = np.exp(E - E.max(axis=-1, keepdims=True))
+    weights = e / e.sum(axis=-1, keepdims=True)
     return weights, (z, G, weights)
 
 
@@ -178,40 +182,43 @@ class AttentionRnn:
         m, p = self.m, self.p
         P = self.params
 
-        # driver-series projection, shared by every encoder step
-        att_in_proj = np.einsum("ts,bsk->bkt", P["att_in_U"], X)  # (B, n, T)
+        lead = P["out_c"].shape[:-1]  # (K,) for stacked params, else ()
 
-        h = np.zeros((B, m))
-        s = np.zeros((B, m))
-        H = np.zeros((B, T, m))
+        # driver-series projection, shared by every encoder step
+        att_in_proj = np.einsum("...ts,bsk->...bkt", P["att_in_U"], X)  # (B, n, T)
+
+        h = np.zeros((*lead, B, m))
+        s = np.zeros((*lead, B, m))
+        H = np.zeros((*lead, B, T, m))
         enc_steps = []
-        alphas = np.zeros((B, T, n))
+        alphas = np.zeros((*lead, B, T, n))
         for t in range(T):
             alpha, att = _attend(P["att_in_W"], P["att_in_v"], h, s, att_in_proj)
             h, s, cell = _lstm(P["enc_W"], P["enc_b"], h, s, alpha * X[:, t, :])
             enc_steps.append((att, cell))
-            alphas[:, t, :] = alpha
-            H[:, t, :] = h
+            alphas[..., t, :] = alpha
+            H[..., t, :] = h
 
-        att_tm_proj = np.einsum("mj,btj->btm", P["att_tm_U"], H)   # (B, T, m)
+        att_tm_proj = np.einsum("...mj,...btj->...btm", P["att_tm_U"], H)   # (B, T, m)
 
-        dh = np.zeros((B, p))
-        ds = np.zeros((B, p))
+        dh = np.zeros((*lead, B, p))
+        ds = np.zeros((*lead, B, p))
         dec_steps = []
-        betas = np.zeros((B, T, T))
-        context = np.zeros((B, m))
+        betas = np.zeros((*lead, B, T, T))
+        context = np.zeros((*lead, B, m))
         for t in range(T):
             beta, att = _attend(P["att_tm_W"], P["att_tm_v"], dh, ds, att_tm_proj)
-            context = np.einsum("bt,btm->bm", beta, H)
-            mix_in = np.concatenate([Y[:, t:t + 1], context], axis=1)  # (B, 1+m)
-            y_mix = mix_in @ P["mix_w"] + P["mix_b"]               # (B,)
-            dh, ds, cell = _lstm(P["dec_W"], P["dec_b"], dh, ds, y_mix[:, None])
+            context = np.einsum("...bt,...btm->...bm", beta, H)
+            history = np.broadcast_to(Y[:, t:t + 1], (*lead, B, 1))
+            mix_in = np.concatenate([history, context], axis=-1)    # (B, 1+m)
+            y_mix = (mix_in @ P["mix_w"][..., None])[..., 0] + P["mix_b"]  # (B,)
+            dh, ds, cell = _lstm(P["dec_W"], P["dec_b"], dh, ds, y_mix[..., None])
             dec_steps.append((att, mix_in, cell))
-            betas[:, t, :] = beta
+            betas[..., t, :] = beta
 
-        final_in = np.concatenate([dh, context], axis=1)           # (B, p+m)
-        q = final_in @ P["out_W"].T + P["out_b"]                   # (B, p)
-        y_hat = q @ P["out_v"] + P["out_c"]                        # (B,)
+        final_in = np.concatenate([dh, context], axis=-1)          # (B, p+m)
+        q = final_in @ P["out_W"].swapaxes(-1, -2) + P["out_b"][..., None, :]  # (B, p)
+        y_hat = (q @ P["out_v"][..., None])[..., 0] + P["out_c"]  # (B,)
 
         if not want_cache:
             return y_hat
@@ -227,12 +234,14 @@ class AttentionRnn:
 
     # -- backward --------------------------------------------------------
 
-    def loss(self, X, Y, labels) -> float:
+    def loss(self, X, Y, labels):
+        """MSE on the batch: a float, or one per copy of stacked params."""
         labels = np.asarray(labels, dtype=float)
         y_hat = self.forward(X, Y)
         with np.errstate(over="ignore", invalid="ignore"):
-            # overflow here is how divergence gets detected upstream
-            return float(np.mean((y_hat - labels) ** 2))
+            # a non-finite loss is the caller's to detect
+            mse = np.mean((y_hat - labels) ** 2, axis=-1)
+        return float(mse) if mse.ndim == 0 else mse
 
     def loss_and_grads(self, X, Y, labels):
         """MSE on the batch and its gradient for every parameter tensor."""
@@ -326,8 +335,11 @@ def train_darnn(
 ) -> AttentionRnn:
     """Mini-batch gradient descent on MSE; returns a new trained model.
 
-    Per-epoch full-data MSE is recorded on the returned model's
-    epoch_mse list. Raises DivergenceError on a non-finite loss.
+    epoch_mse records each epoch's training loss: the mean of the epoch's
+    minibatch MSEs weighted by batch size, each taken before its update.
+    No separate full-data pass is run; the loss feeds no update, so the
+    trained parameters do not depend on it. Raises DivergenceError on a
+    non-finite batch loss or parameter.
     """
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
@@ -340,6 +352,7 @@ def train_darnn(
     n_samples = X.shape[0]
     for epoch in range(1, epochs + 1):
         order = rng.permutation(n_samples)
+        total = 0.0
         for start in range(0, n_samples, batch_size):
             idx = order[start:start + batch_size]
             loss, grads = trained.loss_and_grads(X[idx], Y[idx], labels[idx])
@@ -349,10 +362,8 @@ def train_darnn(
                 trained.params[key] -= learning_rate * grad
                 if not np.isfinite(trained.params[key]).all():
                     raise DivergenceError(f"training diverged at epoch {epoch}")
-        epoch_loss = trained.loss(X, Y, labels)
-        if not np.isfinite(epoch_loss):
-            raise DivergenceError(f"training diverged at epoch {epoch}")
-        trained.epoch_mse.append(epoch_loss)
+            total += loss * len(idx)
+        trained.epoch_mse.append(total / n_samples)
     return trained
 
 
@@ -366,26 +377,31 @@ def gradient_check(model: AttentionRnn, drivers, target_history, labels, step: f
     ~1e-11 absolute noise, so tensors whose whole gradient sits below
     1e-6 can only be verified absolutely, not relatively. A non-finite
     gradient on either side makes the result NaN, which fails any bound.
+
+    The 2S probes of a tensor with S entries run as one forward pass over
+    2S stacked parameter copies, so memory grows with the largest tensor.
     """
     X = np.asarray(drivers, dtype=float)
     Y = np.asarray(target_history, dtype=float)
     labels = np.asarray(labels, dtype=float)
     _, grads = model.loss_and_grads(X, Y, labels)
     errors = []
-    probe = model.copy()
-    for key in sorted(probe.params):
-        tensor = probe.params[key]
-        flat = tensor.reshape(-1)
+    for key in sorted(model.params):
+        tensor = model.params[key]
+        size = tensor.size
+        # copy i moves entry i up by step, copy size + i moves it down
+        probes = np.tile(tensor.reshape(1, size), (2 * size, 1))
+        entries = np.arange(size)
+        probes[entries, entries] += step
+        probes[size + entries, entries] -= step
+        stacked = {
+            name: np.broadcast_to(value, (2 * size, *value.shape))
+            for name, value in model.params.items()
+        }
+        stacked[key] = probes.reshape(2 * size, *tensor.shape)
+        losses = replace(model, params=stacked).loss(X, Y, labels)
+        numeric = (losses[:size] - losses[size:]) / (2.0 * step)
         analytic = grads[key].reshape(-1)
-        numeric = np.empty_like(analytic)
-        for idx in range(flat.size):
-            original = flat[idx]
-            flat[idx] = original + step
-            up = probe.loss(X, Y, labels)
-            flat[idx] = original - step
-            down = probe.loss(X, Y, labels)
-            flat[idx] = original
-            numeric[idx] = (up - down) / (2.0 * step)
         scale = max(np.abs(analytic).max(), np.abs(numeric).max(), 1e-6)
         errors.append(float(np.abs(analytic - numeric).max()) / scale)
     return float(np.max(errors))  # np.max propagates NaN where max() would drop it

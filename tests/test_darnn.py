@@ -37,6 +37,21 @@ class TestGradientCheck:
         monkeypatch.setattr(AttentionRnn, "loss_and_grads", planted)
         assert not gradient_check(model, X, Y, labels) < 1e-4
 
+    def test_finite_defect_fails_the_check(self, monkeypatch):
+        # one analytic entry 1e-3 relative off, the largest of its tensor
+        model, X, Y, labels = _instance(0)
+        honest = AttentionRnn.loss_and_grads
+
+        def planted(self, *args):
+            loss, grads = honest(self, *args)
+            flat = grads["dec_W"].reshape(-1)
+            flat[np.argmax(np.abs(flat))] *= 1.0 + 1e-3
+            return loss, grads
+
+        assert gradient_check(model, X, Y, labels) < 1e-4
+        monkeypatch.setattr(AttentionRnn, "loss_and_grads", planted)
+        assert gradient_check(model, X, Y, labels) >= 1e-4
+
     def test_well_conditioned_point_checks_every_path(self):
         # widen the weights so both attention stages carry real gradient
         model, X, Y, labels = _instance(3, T=5, n=3, m=6, p=6)
@@ -91,6 +106,31 @@ class TestTraining:
         trained = train_darnn(model, X, Y, labels, epochs=200, learning_rate=0.05, seed=0, batch_size=16)
         assert trained.epoch_mse[-1] < 1e-3
         assert len(trained.epoch_mse) == 200
+
+    @pytest.mark.parametrize("n_samples, batch_size", [(20, 8), (24, 8), (7, 32)])
+    def test_one_forward_per_batch(self, monkeypatch, n_samples, batch_size):
+        model, X, Y, labels = _instance(4, B=n_samples)
+        calls = []
+        real_forward = AttentionRnn.forward
+
+        def counted(self, *args, **kwargs):
+            calls.append(args[0].shape[0])
+            return real_forward(self, *args, **kwargs)
+
+        monkeypatch.setattr(AttentionRnn, "forward", counted)
+        train_darnn(model, X, Y, labels, epochs=3, learning_rate=0.01, seed=0, batch_size=batch_size)
+        assert len(calls) == 3 * -(-n_samples // batch_size)
+        assert max(calls) <= batch_size
+
+    def test_epoch_mse_is_the_training_loss(self):
+        # with no updates every batch sees the same parameters, so the
+        # batch-weighted mean of the batch losses is the full-data MSE
+        model, X, Y, labels = _instance(6, B=21)
+        trained = train_darnn(model, X, Y, labels, epochs=3, learning_rate=0.0, seed=2, batch_size=4)
+        full = model.loss(X, Y, labels)
+        assert len(trained.epoch_mse) == 3
+        for mse in trained.epoch_mse:
+            assert mse == pytest.approx(full, rel=1e-12)
 
     def test_seed_determinism_bit_identical(self):
         rng = np.random.default_rng(2)

@@ -1,4 +1,5 @@
 import json
+import re
 from datetime import date
 from pathlib import Path
 
@@ -223,6 +224,85 @@ class TestStages:
             run_experiment(config)
         assert err.value.stage == "config"
 
+    @pytest.mark.parametrize("models, message", [
+        (["up"], "models[0] must be an object, got str"),
+        ([{"name": "up", "type": "baseline", "kind": "up"}, 7], "models[1] must be an object, got int"),
+        ("up", "'models' must be a list, got str"),
+    ])
+    def test_model_entry_that_is_not_an_object_rejected(self, tmp_path, models, message):
+        config = _planted_config(NARRATIVES)
+        config["data"]["series"] = {"path": str(tmp_path / "missing.csv")}
+        config["models"] = models
+        with pytest.raises(ExperimentError, match=re.escape(message)) as err:
+            run_experiment(config)
+        assert err.value.stage == "config"
+
+    @pytest.mark.parametrize("section, key", [
+        ("data.series.random_walk", "n"),
+        ("data.series.random_walk", "sigma"),
+        ("data.series.random_walk", "v0"),
+        ("data.series.random_walk", "seed"),
+        ("data.text.shuffled_narratives", "per_day"),
+        ("data.text.shuffled_narratives", "p"),
+        ("data.text.shuffled_narratives", "shuffle_seed"),
+        ("features", "window"),
+        ("eval", "train_fraction"),
+    ])
+    @pytest.mark.parametrize("value", ["60", True, None, [1]])
+    def test_non_numeric_value_names_key_and_section(self, section, key, value):
+        config = json.loads(json.dumps(_planted_config(SHUFFLED)))  # SHUFFLED stays as it is
+        node = config
+        for part in section.split("."):
+            node = node[part]
+        node[key] = value
+        got = type(value).__name__
+        with pytest.raises(ExperimentError, match=re.escape(
+                f"'{key}' in section '{section}' must be a number, got {got}")) as err:
+            run_experiment(config)
+        assert err.value.stage == "config"
+
+    def test_non_numeric_follower_floor_rejected(self, tmp_path):
+        config = _planted_config({"path": str(tmp_path / "missing.jsonl"), "min_followers": "1000"})
+        with pytest.raises(ExperimentError, match=re.escape(
+                "'min_followers' in section 'data.text' must be a number, got str")) as err:
+            run_experiment(config)
+        assert err.value.stage == "config"
+
+    @pytest.mark.parametrize("model", [
+        {"name": "m", "type": "logistic", "lam": "0.1"},
+        {"name": "m", "type": "ridge", "lam": False},
+        *({"name": "m", "type": "darnn", key: "8"} for key in ("m", "p", "epochs", "lr", "batch_size", "seed")),
+    ])
+    def test_non_numeric_model_value_names_key_and_model(self, tmp_path, model):
+        config = _planted_config(NARRATIVES)
+        config["data"]["series"] = {"path": str(tmp_path / "missing.csv")}
+        if model["type"] != "logistic":
+            config["task"] = {"kind": "next-value", "horizon": 1}
+        config["models"] = [model]
+        key = next(k for k in model if k not in ("name", "type"))
+        got = type(model[key]).__name__
+        with pytest.raises(ExperimentError, match=re.escape(
+                f"'{key}' in model 'm' must be a number, got {got}")) as err:
+            run_experiment(config)
+        assert err.value.stage == "config"
+
+    @pytest.mark.parametrize("section, key", [
+        ("data.series.random_walk", "sigma"),
+        ("data.series.random_walk", "n"),
+        ("data", "series"),
+        ("", "data"),
+    ])
+    def test_missing_required_key_named_in_config_stage(self, section, key):
+        config = json.loads(json.dumps(_planted_config(NARRATIVES)))
+        node = config
+        for part in filter(None, section.split(".")):
+            node = node[part]
+        del node[key]
+        where = f"section '{section}'" if section else "the top level"
+        with pytest.raises(ExperimentError, match=re.escape(f"{where} is missing the '{key}' key")) as err:
+            run_experiment(config)
+        assert err.value.stage == "config"
+
     def test_unsupported_horizon_rejected_in_config_stage(self):
         config = _planted_config(NARRATIVES)
         config["task"]["horizon"] = 3
@@ -270,6 +350,29 @@ class TestRegressionModels:
         darnn_row = report.models[0]
         assert darnn_row["mse"] is not None
         assert darnn_row["mse"] >= 0.0
+
+    @pytest.mark.parametrize("scaled", [("out_v",), ("out_W", "out_v")])
+    def test_darnn_with_unscorable_predictions_fails_naming_the_model(self, monkeypatch, scaled):
+        # finite weights whose predictions square to inf (out_v alone) or
+        # whose forward pass overflows (out_W and out_v)
+        real_train = experiment.train_darnn
+
+        def blown(*args, **kwargs):
+            trained = real_train(*args, **kwargs)
+            for key in scaled:
+                trained.params[key] = trained.params[key] * 1e300
+            assert all(np.isfinite(v).all() for v in trained.params.values())
+            return trained
+
+        monkeypatch.setattr(experiment, "train_darnn", blown)
+        config = self._config()
+        config["models"] = [
+            {"name": "rnn", "type": "darnn", "inputs": "TF", "epochs": 1, "m": 4, "p": 4},
+        ]
+        with pytest.raises(ExperimentError, match="model 'rnn' diverged: a prediction or its square"
+                           " is not finite") as err:
+            run_experiment(config)
+        assert err.value.stage == "model:rnn"
 
     def test_darnn_rejects_embedding_drivers(self):
         config = self._config()

@@ -312,6 +312,16 @@ class TestLoadSeries:
         with pytest.raises(IngestError, match="line 2: non-numeric value 'abc' at 2021-01-04"):
             load_series(path)
 
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "Infinity"])  # "nan" marks a missing cell
+    def test_non_finite_value_names_line(self, write_csv, cell):
+        path = write_csv(["2015-01-05,1.0", f"2015-01-06,{cell}"])
+        with pytest.raises(IngestError, match=re.escape(f"line 3: non-finite value {cell!r} at 2015-01-06")):
+            load_series(path)
+
+    def test_series_built_in_code_rejects_non_finite_value(self):
+        with pytest.raises(IngestError, match="non-finite value at 2021-01-04"):
+            FinancialSeries("TEST", (date(2021, 1, 4),), (float("inf"),))
+
     def test_positive_indicator_enforced(self):
         with pytest.raises(IngestError, match="strictly positive"):
             FinancialSeries("VIX", (date(2021, 1, 4),), (-1.0,))
