@@ -105,7 +105,10 @@ class MetricsReport:
 
 
 def evaluate(predictions: Sequence, labels: Sequence, task: str) -> MetricsReport:
-    """MSE for regression; accuracy and increase-positive F1 for classification."""
+    """MSE for regression; accuracy and increase-positive F1 for classification.
+
+    A squared error beyond float range is a ValueError naming the prediction.
+    """
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}")
     if len(predictions) != len(labels):
@@ -114,7 +117,14 @@ def evaluate(predictions: Sequence, labels: Sequence, task: str) -> MetricsRepor
         raise ValueError("nothing to evaluate")
     pairs = tuple(zip(predictions, labels))
     if task in REGRESSION_TASKS:
-        mse = sum((float(p) - float(y)) ** 2 for p, y in pairs) / len(pairs)
+        squares = []
+        for i, (p, y) in enumerate(pairs):
+            try:
+                squares.append((float(p) - float(y)) ** 2)
+            except OverflowError:
+                message = f"prediction {i} is {float(p)!r}: its squared error overflows"
+                raise ValueError(message) from None
+        mse = sum(squares) / len(pairs)
         return MetricsReport(task=task, n=len(pairs), mse=mse)
     correct = sum(1 for p, y in pairs if p == y)
     tp = sum(1 for p, y in pairs if p == "increase" and y == "increase")

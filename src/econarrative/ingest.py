@@ -398,6 +398,13 @@ def align(corpus: TweetCorpus, series: FinancialSeries) -> AlignedDataset:
     )
 
 
+def distinct_index(texts: Sequence[str]) -> tuple[list[str], list[int]]:
+    """The distinct texts in first-seen order, and each text's position among them."""
+    first: dict[str, int] = {}
+    index = [first.setdefault(text, len(first)) for text in texts]
+    return list(first), index
+
+
 def blocking_split(series: FinancialSeries, boundaries: Sequence[date]) -> list[Block]:
     """Partition a series into contiguous date blocks at the given cut dates.
 

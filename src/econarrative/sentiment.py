@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .ingest import AlignedDataset, TweetCorpus
+from .ingest import AlignedDataset, TweetCorpus, distinct_index
 
 TOKEN_RE = re.compile(r"[\w']+")
 
@@ -90,12 +90,14 @@ def score(text: str, lexicon: SentimentLexicon | None = None) -> float:
     return total / math.sqrt(total * total + lexicon.normalization_alpha)
 
 
+def _mean(scores: Sequence[float]) -> float:
+    """Builtin sum of the scores in order over their count; 0.0 when empty."""
+    return sum(scores) / len(scores) if scores else 0.0
+
+
 def day_score(texts: Sequence[str], lexicon: SentimentLexicon) -> float:
     """Mean per-tweet compound score of one day's tweet texts; 0.0 when empty."""
-    if not texts:
-        return 0.0
-    scores = [score(text, lexicon) for text in texts]
-    return sum(scores) / len(scores)
+    return _mean([score(text, lexicon) for text in texts])
 
 
 def daily_sentiment(dataset: AlignedDataset, d: date, lexicon: SentimentLexicon | None = None) -> float:
@@ -106,9 +108,18 @@ def daily_sentiment(dataset: AlignedDataset, d: date, lexicon: SentimentLexicon 
 def daily_sentiment_column(
     dataset: AlignedDataset, lexicon: SentimentLexicon | None = None
 ) -> np.ndarray:
-    """day_score of every trading day, in date order; each tweet is scored once."""
+    """day_score of every trading day, in date order.
+
+    Each distinct aligned text is scored once. A day's mean sums its
+    tweets' scores in posting order, as day_score does, so every entry is
+    day_score of that day to the bit.
+    """
     lexicon = lexicon or load_lexicon()
-    return np.array([day_score(texts, lexicon) for texts in dataset.per_day("texts")], dtype=float)
+    distinct, index = distinct_index(dataset.corpus.texts)
+    scores = [score(text, lexicon) for text in distinct]
+    per_tweet = [scores[i] for i in index]
+    bounds = dataset.offsets
+    return np.array([_mean(per_tweet[a:b]) for a, b in zip(bounds, bounds[1:])], dtype=float)
 
 
 def word_frequency_timeline(
@@ -158,8 +169,8 @@ def sentiment_histogram(
     edges = [-1.0 + i * bin_width for i in range(n_bins)] + [1.0]
     hist = {(edges[i], min(edges[i + 1], 1.0)): 0 for i in range(n_bins)}
     keys = list(hist.keys())
-    for text in corpus.texts:
-        s = score(text, lexicon)
-        idx = min(int((s + 1.0) / bin_width), n_bins - 1)
-        hist[keys[idx]] += 1
+    distinct, index = distinct_index(corpus.texts)
+    bins = [min(int((score(text, lexicon) + 1.0) / bin_width), n_bins - 1) for text in distinct]
+    for i in index:
+        hist[keys[bins[i]]] += 1
     return hist

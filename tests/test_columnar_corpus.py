@@ -184,3 +184,22 @@ def test_columns_equal_the_record_pipeline(tmp_path_factory, dump, rules, first,
         want_rows = daily_embeddings(embedder, [[r.text for r in day] for day in days_want], mode, 2,
                                      [[r.followers for r in day] for day in days_want])
         assert rows.tobytes() == want_rows.tobytes()
+
+
+def test_repeated_texts_give_the_reference_day_scores():
+    # a small pool of valenced texts over 30 tweets a day, so each day and
+    # the corpus repeat texts, and a summation order other than the posting
+    # order (pairwise, as np.mean and np.add.reduceat take it) changes the sums
+    pool = ["great win", "bad loss", "not good", "panic crash", "fine rally", "rates up",
+            "good good good", "awful", "the of and", "great"]
+    records = [Record(f"t{day}-{j}", ORIGIN + timedelta(days=day), pool[(day * 7 + j * j) % len(pool)],
+                      FLOOR)
+               for day in range(12) if day not in (2, 8) for j in range(30 if day != 3 else 1)]
+    corpus = ingest.TweetCorpus.from_records(
+        (r.id, r.date, r.text, r.followers, None, "") for r in records)
+    series = _series(0, 12)
+    aligned = ingest.align(corpus, series)
+    trading, days_want = reference_align(records, series)
+    assert list(aligned.dates) == trading and [] in days_want
+    assert len(set(corpus.texts)) < max(len(day) for day in days_want)
+    assert daily_sentiment_column(aligned).tolist() == reference_day_scores(days_want)

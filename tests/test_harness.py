@@ -85,6 +85,12 @@ class TestEvaluate:
         report = evaluate([1.0, 3.0], [2.0, 1.0], "pct-change")
         assert report.mse == pytest.approx((1.0 + 4.0) / 2)
 
+    def test_overflowing_squared_error_names_the_prediction(self):
+        # (1e200 - 1.0) ** 2 overflows a float: a plain ValueError that names
+        # the prediction, not a bare OverflowError
+        with pytest.raises(ValueError, match=r"prediction 1 is 1e\+200"):
+            evaluate([1.0, 1e200, 2.0], [1.0, 1.0, 2.0], "next-value")
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="predictions"):
             evaluate([1.0], [1.0, 2.0], "next-value")

@@ -15,6 +15,7 @@ from econarrative.ingest import (
     TweetRecord,
     align,
     blocking_split,
+    distinct_index,
     load_series,
     load_tweets,
     preprocess,
@@ -140,6 +141,13 @@ def test_rank_by_followers_keeps_posting_order_on_ties():
     day = [TweetRecord(str(i), date(2021, 9, 1), f"t{i}", followers=f)
            for i, f in enumerate([5, 9, 5, 9, 1])]
     assert ingest.rank_counts([t.followers for t in day]) == [1, 3, 0, 2, 4]
+
+
+@given(st.lists(st.sampled_from(["a", "A", "a ", "b", ""]), max_size=20))
+def test_distinct_index_rebuilds_the_texts_in_first_seen_order(texts):
+    distinct, index = distinct_index(texts)
+    assert distinct == list(dict.fromkeys(texts))
+    assert [distinct[i] for i in index] == texts
 
 
 class TestPreprocess:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from econarrative import sentiment
 from econarrative.experiment import _windows
 from econarrative.ingest import AlignedDataset, TweetCorpus, TweetRecord
 from econarrative.sentiment import (
@@ -120,6 +121,45 @@ class TestDailySentiment:
         )
         column = daily_sentiment_column(dataset)
         assert column.tolist() == [daily_sentiment(dataset, d) for d in dataset.dates]
+
+
+REPEATS = [
+    (date(2021, 1, 4), ["great win", "bad loss", "great win"]),
+    (date(2021, 1, 5), []),
+    (date(2021, 1, 6), ["bad loss", "fine", "great win", "fine"]),
+    (date(2021, 1, 7), ["great win"]),
+]
+
+
+def _count_scores(monkeypatch):
+    """The texts sentiment.score is called on, from here on."""
+    calls = []
+
+    def counting_score(text, lexicon=None):
+        calls.append(text)
+        return score(text, lexicon)
+
+    monkeypatch.setattr(sentiment, "score", counting_score)
+    return calls
+
+
+class TestDistinctTexts:
+    def test_column_scores_each_distinct_aligned_text_once(self, monkeypatch):
+        dataset = _aligned(REPEATS)
+        want = [daily_sentiment(dataset, d) for d in dataset.dates]
+        calls = _count_scores(monkeypatch)
+        assert daily_sentiment_column(dataset).tolist() == want
+        assert calls == ["great win", "bad loss", "fine"]
+
+    def test_histogram_scores_each_distinct_text_once(self, monkeypatch):
+        texts = [t for _, day in REPEATS for t in day]
+        corpus = _corpus([TweetRecord(str(i), date(2021, 1, 4), t, 1000) for i, t in enumerate(texts)])
+        want = dict.fromkeys(sentiment_histogram(_corpus([]), 0.25), 0)
+        for text in texts:
+            want[list(want)[min(int((score(text) + 1.0) / 0.25), 7)]] += 1
+        calls = _count_scores(monkeypatch)
+        assert sentiment_histogram(corpus, 0.25) == want
+        assert calls == ["great win", "bad loss", "fine"]
 
 
 class TestSentimentWindow:
