@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 import requests
 
-from .ingest import distinct_index, rank_counts
+from .ingest import rank_counts
 from .retry import post_with_retries
 
 SEP_TOKEN = "⟂SEP⟂"  # reserved joiner for joint-mode encoding
@@ -167,14 +167,6 @@ class ExternalEmbedder:
         return np.concatenate(out)
 
 
-def _embed_distinct(embedder, texts: list[str]) -> np.ndarray:
-    """embedder.embed_batch(texts), with each distinct text sent once; when
-    every text is distinct, the batch's rows are returned as they are."""
-    distinct, index = distinct_index(texts)
-    vectors = embedder.embed_batch(distinct)
-    return vectors if len(distinct) == len(texts) else vectors[index]
-
-
 def daily_embeddings(embedder, days: Sequence[Sequence[str]], mode: str, k: int,
                      followers: Sequence[Sequence[int]]) -> np.ndarray:
     """Aggregate each day's texts into one fixed-width row, shape (len(days), width).
@@ -184,9 +176,8 @@ def daily_embeddings(embedder, days: Sequence[Sequence[str]], mode: str, k: int,
                       zero-vector padding (width k*d)
     joint             single encoding of all tweets joined by SEP_TOKEN (width d)
 
-    `followers` holds each day's follower counts, parallel to its texts. Each
-    distinct text the mode needs goes to the embedder once, in one
-    embed_batch call, and its row is copied to every place it appears.
+    `followers` holds each day's follower counts, parallel to its texts. All
+    the texts the mode needs go to the embedder in one embed_batch call.
     """
     if mode not in AGGREGATION_MODES:
         raise ValueError(f"unknown aggregation mode {mode!r}")
@@ -196,12 +187,12 @@ def daily_embeddings(embedder, days: Sequence[Sequence[str]], mode: str, k: int,
             raise ValueError("concat mode needs a positive per-day tweet count k")
         texts = [[day[i] for i in rank_counts(counts)[:k]] for day, counts in zip(days, followers)]
     if mode == "joint":
-        return _embed_distinct(embedder, [f" {SEP_TOKEN} ".join(day) for day in texts])
+        return embedder.embed_batch([f" {SEP_TOKEN} ".join(day) for day in texts])
     # the days in order of tweet count, so the days with n tweets are one
     # (days, n, d) block of the batch's rows
     counts = np.array([len(day) for day in texts], dtype=np.intp)
     order = np.argsort(counts, kind="stable")
-    vectors = _embed_distinct(embedder, [text for i in order.tolist() for text in texts[i]])
+    vectors = embedder.embed_batch([text for i in order.tolist() for text in texts[i]])
     d = embedder.dimension
     width = k * d if mode == "individual-concat" else d
     out = np.zeros((len(days), k, d) if mode == "individual-concat" else (len(days), d))

@@ -17,7 +17,7 @@ from econarrative.embed import (
     daily_embedding,
     daily_embeddings,
 )
-from econarrative.ingest import TweetRecord, rank_counts
+from econarrative.ingest import TweetRecord
 from datetime import date
 
 
@@ -219,75 +219,6 @@ class TestDailyEmbeddings:
         mean = daily_embeddings(e, days, "individual-mean", 10, [[0] * 5] * 3)
         assert stub_server.calls == 2 * math.ceil(15 / 4)
         assert np.array_equal(mean, np.repeat([[2.0], [7.0], [12.0]], 4, axis=1))
-
-
-class _SentTexts(_TableEmbedder):
-    """A table embedder that keeps each embed_batch call's texts and rows."""
-
-    def __init__(self, texts, dimension, seed):
-        super().__init__(texts, dimension, seed)
-        self.sent, self.rows = [], []
-
-    def embed_batch(self, texts):
-        self.sent.append(list(texts))
-        self.rows.append(super().embed_batch(texts))
-        return self.rows[-1]
-
-
-def _embed_each_day(embedder, days, mode, k, followers):
-    """daily_embeddings without distinct texts: each day's own embed_batch
-    rows, then that day's np.mean, top-k rows or joined text."""
-    d, out = embedder.dimension, []
-    for day, counts in zip(days, followers):
-        if mode == "joint":
-            out.append(embedder.embed_batch([f" {SEP_TOKEN} ".join(day)])[0])
-        elif mode == "individual-mean":
-            out.append(np.mean(embedder.embed_batch(list(day)), axis=0) if day else np.zeros(d))
-        else:
-            top = embedder.embed_batch([day[i] for i in rank_counts(counts)[:k]])
-            out.append(np.concatenate([top.ravel(), np.zeros((k - len(top)) * d)]))
-    return np.array(out)
-
-
-class TestDistinctTexts:
-    # texts repeated within a day and across days, and two equal days, so
-    # joint mode repeats a joined text as well
-    DAYS = [["a up", "b down", "a up"], [], ["b down", "c flat", "a up", "c flat"], ["a up"], ["a up"],
-            [f"t{i % 5}" for i in range(12)]]
-    FOLLOWERS = [[5, 9, 5], [], [1, 1, 3, 0], [2], [7], list(range(12))]
-
-    @pytest.mark.parametrize("mode", AGGREGATION_MODES)
-    def test_rows_equal_each_day_embedded_alone(self, mode):
-        joined = [f" {SEP_TOKEN} ".join(day) for day in self.DAYS]
-        vocabulary = [t for day in self.DAYS for t in day] + joined
-        embedder = _SentTexts(vocabulary, 3, seed=7)
-        rows = daily_embeddings(embedder, self.DAYS, mode, 2, self.FOLLOWERS)
-        want = _embed_each_day(_SentTexts(vocabulary, 3, seed=7), self.DAYS, mode, 2, self.FOLLOWERS)
-        assert rows.tobytes() == want.tobytes()
-        assert len(embedder.sent) == 1
-        assert len(embedder.sent[0]) == len(set(embedder.sent[0])) < sum(map(len, self.DAYS))
-
-    def test_all_distinct_texts_keep_the_batch_rows(self):
-        texts = [f"t{i}" for i in range(20)]
-        embedder = _SentTexts(texts, 4, seed=0)
-        assert embed._embed_distinct(embedder, texts) is embedder.rows[-1]
-        assert embedder.sent == [texts]
-
-    def test_external_embedder_sends_each_distinct_text_once(self, stub_server):
-        sent = []
-
-        def reply(payload):  # the stub calls this under its lock
-            sent.extend(payload["texts"])
-            return {"vectors": [[float(t.split()[1])] * 4 for t in payload["texts"]]}
-
-        stub_server.state.set_raw(reply)
-        e = ExternalEmbedder(endpoint=stub_server.url, dimension=4, batch_size=3, backoff=0.01)
-        days = [[f"tweet {j % 7}" for j in range(i, i + 5)] for i in range(4)]  # 20 tweets, 7 distinct
-        rows = daily_embeddings(e, days, "individual-mean", 10, [[0] * 5] * 4)
-        assert sorted(sent) == [f"tweet {j}" for j in range(7)]
-        assert stub_server.calls == math.ceil(7 / 3)
-        want = [np.mean([[float(j % 7)] * 4 for j in range(i, i + 5)], axis=0) for i in range(4)]
-        assert rows.tobytes() == np.array(want).tobytes()
 
 
 class TestDailyEmbedding:
