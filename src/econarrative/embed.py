@@ -41,7 +41,6 @@ class HashingEmbedder:
 
     dimension: int
     seed: int = 0
-    kind: str = "reference-hash"
     # token -> (bucket, sign): a pure function of (token, seed), so threads
     # sharing an embedder can only store the same value
     _memo: dict[str, tuple[int, float]] = field(
@@ -96,8 +95,6 @@ class HashingEmbedder:
 class ExternalEmbedder:
     """Client for a hosted embedding service (POST {"texts": [...]})."""
 
-    kind = "external-service"
-
     def __init__(
         self,
         endpoint: str,
@@ -111,10 +108,14 @@ class ExternalEmbedder:
     ) -> None:
         if dimension <= 0:
             raise ValueError("dimension must be positive")
+        for name, value in (("max_parallel", max_parallel), ("max_retries", max_retries),
+                            ("batch_size", batch_size)):
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1")
         self.endpoint = endpoint
         self.dimension = dimension
         self.api_key = api_key if api_key is not None else os.environ.get("NARRATIVE_LLM_API_KEY")
-        self.max_parallel = max(1, max_parallel)
+        self.max_parallel = max_parallel
         self.max_retries = max_retries
         self.backoff = backoff
         self.timeout = timeout

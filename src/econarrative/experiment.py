@@ -129,7 +129,7 @@ def _load_series(spec: dict) -> FinancialSeries:
 
 def _load_text(spec: dict | None, series: FinancialSeries, horizon: int) -> TweetCorpus:
     if spec is None:
-        return TweetCorpus(provenance={"source": "none"})
+        return TweetCorpus()
     if "path" in spec:
         corpus = ingest.load_tweets(spec["path"], min_followers=spec.get("min_followers", 0))
         return ingest.preprocess(corpus)
@@ -205,7 +205,7 @@ def _windows(column: np.ndarray, steps: int, rows: np.ndarray) -> tuple[np.ndarr
 
 
 def build_features(aligned: AlignedDataset, labels: LabelSeries, features_cfg: dict) -> FeatureMatrix:
-    window = int(features_cfg.get("window", 7))
+    window = features_cfg.get("window", 7)
     text_kind = features_cfg.get("text", "none")
     fin_kind = features_cfg.get("financial", "value-window")
     if window < 1:
@@ -377,11 +377,13 @@ CONFIG_KEYS = {
 }
 # the keys a section must hold when it is present
 REQUIRED_KEYS = {"": ("data",), "data": ("series",), "data.series.random_walk": ("n", "sigma")}
-# keys whose value must be a number in whichever section or model holds them
-NUMBER_KEYS = {
-    "n", "sigma", "v0", "seed", "per_day", "p", "shuffle_seed", "min_followers", "window",
-    "train_fraction", "lam", "m", "epochs", "lr", "batch_size",
+# keys whose value must be a number in whichever section or model holds them,
+# and those of them that count something, which must be integers
+INTEGER_KEYS = {
+    "n", "seed", "per_day", "shuffle_seed", "min_followers", "window", "horizon", "dimension",
+    "k", "m", "epochs", "batch_size",
 }
+NUMBER_KEYS = INTEGER_KEYS | {"sigma", "v0", "p", "train_fraction", "lam", "lr"}
 _ABSENT = object()
 
 
@@ -396,12 +398,14 @@ def _check_keys(node: dict, allowed: set, where: str, required: Sequence[str] = 
         value = node[key]
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"{key!r} in {where} must be a number, got {type(value).__name__}")
+        if key in INTEGER_KEYS and not isinstance(value, int):
+            raise ValueError(f"{key!r} in {where} must be an integer, got {value!r}")
 
 
 def _check_config(config: dict) -> list[str]:
-    """Reject unknown, missing and non-numeric keys, a bad task, unknown
-    model types, models on the wrong task kind and baselines without a
-    kind; return the model names."""
+    """Reject unknown, missing, non-numeric and non-integer keys, a bad
+    task, unknown model types, models on the wrong task kind and baselines
+    without a kind; return the model names."""
     for section, allowed in CONFIG_KEYS.items():
         node = config
         for part in section.split(".") if section else ():
@@ -440,7 +444,7 @@ def _check_config(config: dict) -> list[str]:
 
 def _task_of(config: dict) -> tuple[str, int]:
     task_cfg = config.get("task", {})
-    return task_cfg.get("kind", "direction-change"), int(task_cfg.get("horizon", 1))
+    return task_cfg.get("kind", "direction-change"), task_cfg.get("horizon", 1)
 
 
 def prepare(config: dict) -> tuple[AlignedDataset, FeatureMatrix]:

@@ -12,13 +12,13 @@ import csv
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, timedelta
 from functools import lru_cache
 from importlib import resources
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 class IngestError(ValueError):
@@ -58,13 +58,12 @@ class TweetCorpus:
     followers: tuple[int, ...] = ()
     topics: tuple[str | None, ...] = ()
     user_ids: tuple[str, ...] = ()
-    provenance: Mapping[str, object] = field(default_factory=dict)
 
     @classmethod
-    def from_records(cls, records: Iterable[tuple], provenance: Mapping | None = None) -> TweetCorpus:
+    def from_records(cls, records: Iterable[tuple]) -> TweetCorpus:
         """A corpus of TweetRecords or plain tuples of their fields, in any order."""
         rows = sorted(records, key=itemgetter(1))  # by date
-        return cls(*map(tuple, zip(*rows)), provenance=dict(provenance or {}))
+        return cls(*map(tuple, zip(*rows)))
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -77,11 +76,10 @@ class TweetCorpus:
     def date_range(self) -> tuple[date, date] | None:
         return (self.dates[0], self.dates[-1]) if self.dates else None
 
-    def rows(self, cut: slice = slice(None)) -> tuple[TweetRecord, ...]:
-        """The tweets of rows `cut` as records."""
-        return tuple(map(TweetRecord, *(column[cut] for column in self.columns)))
-
-    records = property(rows)
+    @property
+    def records(self) -> tuple[TweetRecord, ...]:
+        """Every tweet as a record, in row order."""
+        return tuple(map(TweetRecord, *self.columns))
 
 
 @dataclass(frozen=True)
@@ -156,24 +154,12 @@ class AlignedDataset:
     def tweets(self) -> tuple[tuple[TweetRecord, ...], ...]:
         return self.per_day("records")
 
-    def tweets_on(self, d: date) -> tuple[TweetRecord, ...]:
-        i = self.index_of(d)
-        return self.corpus.rows(slice(*self.offsets[i:i + 2]))
-
 
 @dataclass(frozen=True)
 class Block:
     start: date
     end: date
     sample_count: int
-
-
-@dataclass(frozen=True)
-class PreprocessRules:
-    strip_urls: bool = True
-    map_emoji: bool = True
-    dedupe: bool = True
-    drop_empty: bool = True
 
 
 @lru_cache(maxsize=1)
@@ -278,48 +264,44 @@ def load_tweets(path: str | Path, min_followers: int = 0) -> TweetCorpus:
             if followers < min_followers:
                 continue
             rows.append((rec_id, rec_date, text, followers, topic, str(user_id)))
-    provenance = {"source": str(path), "min_followers": min_followers, "preprocessing": ()}
-    return TweetCorpus.from_records(rows, provenance)
+    return TweetCorpus.from_records(rows)
 
 
-def _clean_text(text: str, rules: PreprocessRules) -> str:
+def _clean_text(text: str) -> str:
     # URL_RE can only match where "://" or a case-insensitive "www." occurs
-    if rules.strip_urls and ("://" in text or "www." in text.lower()):
+    if "://" in text or "www." in text.lower():
         text = URL_RE.sub(" ", text)
-    if rules.map_emoji and not text.isascii():
+    if not text.isascii():
         text = NON_ASCII_RE.sub(_emoji_alias, text)
     # str.split() splits on exactly the code points regex \s matches
     return " ".join(text.split())
 
 
-def preprocess(corpus: TweetCorpus, rules: PreprocessRules | None = None) -> TweetCorpus:
-    """Strip links, map emoji to text aliases, collapse per-day duplicates.
+def preprocess(corpus: TweetCorpus) -> TweetCorpus:
+    """Strip links, map emoji to text aliases, drop texts left empty and
+    collapse per-day duplicates.
 
     Idempotent: running it twice yields the same corpus. A text cleaning
     leaves as it was keeps its string object.
     """
-    rules = rules or PreprocessRules()
     kept: list[int] = []
     texts: list[str] = []
     seen: set[tuple[date, str]] = set()
     for row, (day, raw) in enumerate(zip(corpus.dates, corpus.texts)):
-        text = _clean_text(raw, rules)
-        if rules.drop_empty and not text:
+        text = _clean_text(raw)
+        if not text:
             continue
-        if rules.dedupe:
-            # casefold neither makes nor changes whitespace, so the cleaned
-            # text's collapsed spacing carries over to the key
-            key = (day, text.casefold())
-            if key in seen:
-                continue
-            seen.add(key)
+        # casefold neither makes nor changes whitespace, so the cleaned
+        # text's collapsed spacing carries over to the key
+        key = (day, text.casefold())
+        if key in seen:
+            continue
+        seen.add(key)
         kept.append(row)
         texts.append(raw if text == raw else text)
     columns = [tuple(map(column.__getitem__, kept)) for column in corpus.columns]
     columns[2] = tuple(texts)
-    applied = tuple(name for name in ("strip_urls", "map_emoji", "dedupe", "drop_empty")
-                    if getattr(rules, name))
-    return TweetCorpus(*columns, provenance={**corpus.provenance, "preprocessing": applied})
+    return TweetCorpus(*columns)
 
 
 MISSING_CELLS = {"", "na", "n/a", "nan", "null", "."}
@@ -392,7 +374,7 @@ def align(corpus: TweetCorpus, series: FinancialSeries) -> AlignedDataset:
     return AlignedDataset(
         dates=trading_dates,
         values=series.values[days],
-        corpus=TweetCorpus(*(column[cut] for column in corpus.columns), provenance=corpus.provenance),
+        corpus=TweetCorpus(*(column[cut] for column in corpus.columns)),
         offsets=(0, *ends),
         indicator=series.name,
     )

@@ -26,7 +26,7 @@ from .retry import post_with_retries
 
 MAX_TWEETS_PER_DAY = 10
 
-DEFAULT_REFUSAL_PHRASES = (
+REFUSAL_PHRASES = (
     "as a language model",
     "as an ai language model",
     "i cannot provide financial advice",
@@ -98,11 +98,12 @@ class LlmClientConfig:
     timeout: float = 60.0
     cache_dir: str | Path | None = None
     api_key: str | None = None
-    refusal_phrases: tuple[str, ...] = DEFAULT_REFUSAL_PHRASES
 
     def __post_init__(self) -> None:
         if self.max_parallel < 1:
             raise ValueError("max_parallel must be >= 1")
+        if self.max_retries < 1:
+            raise ValueError("max_retries must be >= 1")
 
 
 def _financial_block(values_by_date: Mapping[date, float], dates: Sequence[date]) -> str:
@@ -399,9 +400,9 @@ class WeeklyPrediction:
     raw: str
 
 
-def detect_refusal(text: str, phrases: Sequence[str] = DEFAULT_REFUSAL_PHRASES) -> bool:
+def detect_refusal(text: str) -> bool:
     lowered = text.lower()
-    return any(p in lowered for p in phrases)
+    return any(p in lowered for p in REFUSAL_PHRASES)
 
 
 def _final_answer_segment(text: str) -> str:
@@ -489,7 +490,7 @@ def llm_predict_weekly_average(
     """Ask the model for next week's average value and parse the answer."""
     prompt = build_weekly_prompt(tweets_by_date, values_by_date, target, mode, examples)
     raw = client.complete(prompt)
-    if detect_refusal(raw, client.config.refusal_phrases):
+    if detect_refusal(raw):
         raise RefusalError("model declined to predict", raw=raw)
     value, low, high = parse_weekly_answer(raw, target=target)
     return WeeklyPrediction(value=value, low=low, high=high, raw=raw)

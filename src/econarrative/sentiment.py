@@ -23,9 +23,14 @@ from .ingest import AlignedDataset, TweetCorpus, distinct_index
 
 TOKEN_RE = re.compile(r"[\w']+")
 
+# VADER's rule (Hutto & Gilbert, 2014): a valence preceded within
+# NEGATION_WINDOW tokens by a negator is scaled by NEGATION_SCALE, and the
+# summed valence s is normalised to s / sqrt(s^2 + NORMALIZATION_ALPHA)
 NEGATION_WINDOW = 3
+NEGATION_SCALE = -0.74
+NORMALIZATION_ALPHA = 15.0
 
-DEFAULT_NEGATORS = frozenset(
+NEGATORS = frozenset(
     {
         "not", "no", "never", "none", "neither", "nor", "nothing",
         "cannot", "cant", "can't", "dont", "don't", "doesnt", "doesn't",
@@ -41,15 +46,6 @@ DEFAULT_NEGATORS = frozenset(
 @dataclass(frozen=True)
 class SentimentLexicon:
     valences: Mapping[str, float]
-    negators: frozenset[str] = DEFAULT_NEGATORS
-    negation_scale: float = -0.74
-    normalization_alpha: float = 15.0
-
-    def __post_init__(self) -> None:
-        if not -1.0 < self.negation_scale < 0.0:
-            raise ValueError("negation_scale must lie in (-1, 0)")
-        if self.normalization_alpha <= 0:
-            raise ValueError("normalization_alpha must be positive")
 
 
 def tokenize(text: str) -> list[str]:
@@ -82,12 +78,12 @@ def score(text: str, lexicon: SentimentLexicon | None = None) -> float:
         if valence is None:
             continue
         window = tokens[max(0, i - NEGATION_WINDOW):i]
-        if any(t in lexicon.negators for t in window):
-            valence *= lexicon.negation_scale
+        if any(t in NEGATORS for t in window):
+            valence *= NEGATION_SCALE
         total += valence
     if total == 0.0:
         return 0.0
-    return total / math.sqrt(total * total + lexicon.normalization_alpha)
+    return total / math.sqrt(total * total + NORMALIZATION_ALPHA)
 
 
 def _mean(scores: Sequence[float]) -> float:
@@ -95,24 +91,22 @@ def _mean(scores: Sequence[float]) -> float:
     return sum(scores) / len(scores) if scores else 0.0
 
 
-def day_score(texts: Sequence[str], lexicon: SentimentLexicon) -> float:
-    """Mean per-tweet compound score of one day's tweet texts; 0.0 when empty."""
-    return _mean([score(text, lexicon) for text in texts])
-
-
 def daily_sentiment(dataset: AlignedDataset, d: date, lexicon: SentimentLexicon | None = None) -> float:
     """Mean per-tweet compound score for one trading day; 0.0 when empty."""
-    return day_score([t.text for t in dataset.tweets_on(d)], lexicon or load_lexicon())
+    lexicon = lexicon or load_lexicon()
+    i = dataset.index_of(d)
+    texts = dataset.corpus.texts[dataset.offsets[i]:dataset.offsets[i + 1]]
+    return _mean([score(text, lexicon) for text in texts])
 
 
 def daily_sentiment_column(
     dataset: AlignedDataset, lexicon: SentimentLexicon | None = None
 ) -> np.ndarray:
-    """day_score of every trading day, in date order.
+    """daily_sentiment of every trading day, in date order.
 
     Each distinct aligned text is scored once. A day's mean sums its
-    tweets' scores in posting order, as day_score does, so every entry is
-    day_score of that day to the bit.
+    tweets' scores in posting order, as daily_sentiment does, so every
+    entry is daily_sentiment of that day to the bit.
     """
     lexicon = lexicon or load_lexicon()
     distinct, index = distinct_index(dataset.corpus.texts)

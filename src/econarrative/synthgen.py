@@ -38,28 +38,20 @@ NEGATIVE_CUES = (
     "weak growth and grim stagnation scare anxious investors",
 )
 
+SENTENCE_LENGTH = (5, 12)  # words per random sentence, both ends included
+
 
 @dataclass(frozen=True)
 class SynthConfig:
     seed: int = 0
-    wordlist: tuple[str, ...] | None = None
-    sentence_length: tuple[int, int] = (5, 12)
     alignment_p: float = 1.0
     per_day: int = 3
-    positive_cues: tuple[str, ...] = POSITIVE_CUES
-    negative_cues: tuple[str, ...] = NEGATIVE_CUES
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.alignment_p <= 1.0:
             raise ValueError("alignment_p must lie in [0, 1]")
-        lo, hi = self.sentence_length
-        if lo < 1 or hi < lo:
-            raise ValueError("sentence_length must be a positive (lo, hi) range")
         if self.per_day < 1:
             raise ValueError("per_day must be >= 1")
-
-    def words(self) -> tuple[str, ...]:
-        return self.wordlist if self.wordlist is not None else load_wordlist()
 
 
 @lru_cache(maxsize=1)
@@ -76,9 +68,9 @@ def load_wordlist(path: str | None = None) -> tuple[str, ...]:
 
 def gen_random_texts(cfg: SynthConfig, dates: Sequence[date]) -> TweetCorpus:
     """Uniform word-salad sentences for every date; no planted signal."""
-    words = cfg.words()
+    words = load_wordlist()
     rng = np.random.default_rng(cfg.seed)
-    lo, hi = cfg.sentence_length
+    lo, hi = SENTENCE_LENGTH
     records = []
     for d in sorted(dates):
         for i in range(cfg.per_day):
@@ -93,7 +85,7 @@ def gen_random_texts(cfg: SynthConfig, dates: Sequence[date]) -> TweetCorpus:
                     user_id="synthetic",
                 )
             )
-    return TweetCorpus.from_records(records, {"source": "gen_random_texts", "seed": cfg.seed})
+    return TweetCorpus.from_records(records)
 
 
 def shuffle_dates(corpus: TweetCorpus, seed: int) -> TweetCorpus:
@@ -106,9 +98,7 @@ def shuffle_dates(corpus: TweetCorpus, seed: int) -> TweetCorpus:
         raise ValueError("need at least 2 distinct dates to shuffle")
     order = np.random.default_rng(seed).permutation(len(corpus))
     records = [rec._replace(date=corpus.dates[j]) for rec, j in zip(corpus.records, order)]
-    provenance = dict(corpus.provenance)
-    provenance["shuffled_seed"] = seed
-    return TweetCorpus.from_records(records, provenance)
+    return TweetCorpus.from_records(records)
 
 
 def gen_synthetic_narratives(series: FinancialSeries, horizon: int, cfg: SynthConfig) -> TweetCorpus:
@@ -124,7 +114,7 @@ def gen_synthetic_narratives(series: FinancialSeries, horizon: int, cfg: SynthCo
         for j in range(cfg.per_day):
             aligned = rng.random() < cfg.alignment_p
             positive = up if aligned else not up
-            pool = cfg.positive_cues if positive else cfg.negative_cues
+            pool = POSITIVE_CUES if positive else NEGATIVE_CUES
             text = pool[int(rng.integers(0, len(pool)))]
             records.append(
                 TweetRecord(
@@ -135,10 +125,7 @@ def gen_synthetic_narratives(series: FinancialSeries, horizon: int, cfg: SynthCo
                     user_id="synthetic",
                 )
             )
-    return TweetCorpus.from_records(
-        records,
-        {"source": "gen_synthetic_narratives", "seed": cfg.seed, "alignment_p": cfg.alignment_p},
-    )
+    return TweetCorpus.from_records(records)
 
 
 def gen_random_walk(

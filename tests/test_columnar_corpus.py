@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from econarrative import ingest
 from econarrative.embed import AGGREGATION_MODES, HashingEmbedder, daily_embeddings
-from econarrative.ingest import FinancialSeries, PreprocessRules
+from econarrative.ingest import FinancialSeries
 from econarrative.sentiment import daily_sentiment_column, load_lexicon, score
 
 FLOOR = 1000
@@ -47,26 +47,23 @@ def reference_load(path, min_followers):
     return records
 
 
-def reference_clean(text, rules):
+def reference_clean(text):
     aliases = ingest.load_emoji_aliases()
-    if rules.strip_urls:
-        text = ingest.URL_RE.sub(" ", text)
-    if rules.map_emoji:
-        text = "".join(f" {aliases[ch]} " if ch in aliases else ch for ch in text)
+    text = ingest.URL_RE.sub(" ", text)
+    text = "".join(f" {aliases[ch]} " if ch in aliases else ch for ch in text)
     return re.sub(r"\s+", " ", text).strip()
 
 
-def reference_preprocess(records, rules):
+def reference_preprocess(records):
     kept, seen = [], set()
     for rec in records:
-        text = reference_clean(rec.text, rules)
-        if rules.drop_empty and not text:
+        text = reference_clean(rec.text)
+        if not text:
             continue
-        if rules.dedupe:
-            key = (rec.date, text.casefold())
-            if key in seen:
-                continue
-            seen.add(key)
+        key = (rec.date, text.casefold())
+        if key in seen:
+            continue
+        seen.add(key)
         kept.append(Record(rec.id, rec.date, text, rec.followers))
     return kept
 
@@ -140,12 +137,9 @@ def _series(first, days):
     return FinancialSeries("SYNTH", dates, tuple(100.0 + (d - ORIGIN).days for d in dates))
 
 
-RULES = [PreprocessRules(strip_urls=u, map_emoji=m) for u in (True, False) for m in (True, False)]
-
-
 @settings(max_examples=150, deadline=None)
-@given(dumps(), st.sampled_from(RULES), st.integers(-2, 10), st.integers(3, 25))
-def test_columns_equal_the_record_pipeline(tmp_path_factory, dump, rules, first, days):
+@given(dumps(), st.integers(-2, 10), st.integers(3, 25))
+def test_columns_equal_the_record_pipeline(tmp_path_factory, dump, first, days):
     path = tmp_path_factory.mktemp("dump") / "tweets.jsonl"
     path.write_text(dump, encoding="utf-8")
 
@@ -154,8 +148,8 @@ def test_columns_equal_the_record_pipeline(tmp_path_factory, dump, rules, first,
     assert (loaded.ids, loaded.dates, loaded.texts, loaded.followers) == tuple(
         tuple(getattr(r, f) for r in want) for f in ("id", "date", "text", "followers"))
 
-    corpus = ingest.preprocess(loaded, rules)
-    want = reference_preprocess(want, rules)
+    corpus = ingest.preprocess(loaded)
+    want = reference_preprocess(want)
     assert list(corpus.ids) == [r.id for r in want]  # kept rows, in order
     assert list(corpus.dates) == [r.date for r in want]
     assert list(corpus.texts) == [r.text for r in want]

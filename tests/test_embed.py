@@ -264,6 +264,12 @@ class TestDailyEmbedding:
 
 
 class TestExternalEmbedder:
+    @pytest.mark.parametrize("setting", ["max_parallel", "max_retries", "batch_size"])
+    def test_setting_below_one_rejected(self, setting):
+        # 0 was clamped to 1, failed before any request, or failed inside range()
+        with pytest.raises(ValueError, match=f"{setting} must be >= 1"):
+            ExternalEmbedder(endpoint="http://unused.invalid/", dimension=4, **{setting: 0})
+
     def test_round_trip_against_stub(self, stub_server):
         stub_server.state.set_embedding(dimension=8)
         e = ExternalEmbedder(endpoint=stub_server.url, dimension=8, backoff=0.01)

@@ -247,17 +247,49 @@ class TestStages:
         ("data.text.shuffled_narratives", "shuffle_seed"),
         ("features", "window"),
         ("eval", "train_fraction"),
+        ("task", "horizon"),
+        ("features.embedding", "dimension"),
+        ("features.embedding", "k"),
     ])
     @pytest.mark.parametrize("value", ["60", True, None, [1]])
     def test_non_numeric_value_names_key_and_section(self, section, key, value):
         config = json.loads(json.dumps(_planted_config(SHUFFLED)))  # SHUFFLED stays as it is
         node = config
         for part in section.split("."):
-            node = node[part]
+            node = node.setdefault(part, {})
         node[key] = value
         got = type(value).__name__
         with pytest.raises(ExperimentError, match=re.escape(
                 f"'{key}' in section '{section}' must be a number, got {got}")) as err:
+            run_experiment(config)
+        assert err.value.stage == "config"
+
+    @pytest.mark.parametrize("section, key", [
+        ("", "seed"),
+        ("data.series.random_walk", "n"),
+        ("data.series.random_walk", "seed"),
+        ("data.text", "min_followers"),
+        ("data.text.shuffled_narratives", "seed"),
+        ("data.text.shuffled_narratives", "per_day"),
+        ("data.text.shuffled_narratives", "shuffle_seed"),
+        ("task", "horizon"),  # 1.0 and "1" both ran as horizon 1
+        ("features", "window"),  # 3.9 ran as a 3-day window
+        ("features.embedding", "dimension"),
+        ("features.embedding", "k"),
+        ("features.embedding", "seed"),
+    ])
+    @pytest.mark.parametrize("value", [3.9, 1.0])
+    def test_non_integer_count_names_key_and_section(self, section, key, value):
+        config = json.loads(json.dumps(_planted_config(SHUFFLED)))  # SHUFFLED stays as it is
+        if section == "data.text":
+            config["data"]["text"] = {"path": "missing.jsonl"}
+        node = config
+        for part in filter(None, section.split(".")):
+            node = node.setdefault(part, {})
+        node[key] = value
+        where = f"section '{section}'" if section else "the top level"
+        with pytest.raises(ExperimentError, match=re.escape(
+                f"'{key}' in {where} must be an integer, got {value!r}")) as err:
             run_experiment(config)
         assert err.value.stage == "config"
 
@@ -272,6 +304,8 @@ class TestStages:
         {"name": "m", "type": "logistic", "lam": "0.1"},
         {"name": "m", "type": "ridge", "lam": False},
         *({"name": "m", "type": "darnn", key: "8"} for key in ("m", "p", "epochs", "lr", "batch_size", "seed")),
+        # a count that is a number but not an integer
+        *({"name": "m", "type": "darnn", key: 8.0} for key in ("m", "epochs", "batch_size", "seed")),
     ])
     def test_non_numeric_model_value_names_key_and_model(self, tmp_path, model):
         config = _planted_config(NARRATIVES)
@@ -280,9 +314,11 @@ class TestStages:
             config["task"] = {"kind": "next-value", "horizon": 1}
         config["models"] = [model]
         key = next(k for k in model if k not in ("name", "type"))
-        got = type(model[key]).__name__
+        value = model[key]
+        expected = (f"an integer, got {value!r}" if isinstance(value, float)
+                    else f"a number, got {type(value).__name__}")
         with pytest.raises(ExperimentError, match=re.escape(
-                f"'{key}' in model 'm' must be a number, got {got}")) as err:
+                f"'{key}' in model 'm' must be {expected}")) as err:
             run_experiment(config)
         assert err.value.stage == "config"
 
@@ -495,8 +531,12 @@ def _aligned_and_labels(task="next-value", n=120):
 
 
 class TestFeatureColumns:
-    def test_each_aligned_tweet_scored_once(self, monkeypatch):
-        aligned, labels = _aligned_and_labels("direction-change")
+    def test_each_distinct_aligned_text_scored_once(self, monkeypatch):
+        # planted cue sentences come from two pools of six, so texts repeat
+        series = synthgen.gen_random_walk(n=120, sigma=0.01, v0=100.0, seed=3)
+        corpus = synthgen.gen_synthetic_narratives(series, 1, synthgen.SynthConfig(seed=4))
+        aligned = ingest.align(corpus, series)
+        labels = make_labels(aligned, "direction-change", 1)
         calls = []
         real_score = sentiment.score
 
@@ -507,7 +547,7 @@ class TestFeatureColumns:
         monkeypatch.setattr(sentiment, "score", counting_score)
         features = {"text": "sentiment-window", "financial": "direction-window", "window": 7}
         build_features(aligned, labels, features)
-        assert len(calls) == sum(len(day) for day in aligned.tweets) > 0
+        assert len(calls) == len(set(aligned.corpus.texts)) < len(aligned.corpus)
 
     def test_windows_match_per_row_construction(self):
         aligned, labels = _aligned_and_labels()

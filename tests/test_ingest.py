@@ -10,7 +10,6 @@ from econarrative import ingest
 from econarrative.ingest import (
     FinancialSeries,
     IngestError,
-    PreprocessRules,
     TweetCorpus,
     TweetRecord,
     align,
@@ -210,22 +209,15 @@ class TestPreprocess:
                 assert not any(c.isspace() for c in folded), hex(cp)
 
 
-def _clean_text_loop(text, rules):
+def _clean_text_loop(text):
     """_clean_text before str.translate: emoji mapped one character at a
     time, whitespace collapsed with a regex."""
     aliases = ingest.load_emoji_aliases()
-    if rules.strip_urls:
-        text = ingest.URL_RE.sub(" ", text)
-    if rules.map_emoji:
-        text = "".join(f" {aliases[ch]} " if ch in aliases else ch for ch in text)
+    text = ingest.URL_RE.sub(" ", text)
+    text = "".join(f" {aliases[ch]} " if ch in aliases else ch for ch in text)
     return re.sub(r"\s+", " ", text).strip()
 
 
-ALL_RULES = [
-    PreprocessRules(strip_urls=urls, map_emoji=emoji)
-    for urls in (True, False)
-    for emoji in (True, False)
-]
 WHITESPACE = [chr(cp) for cp in range(sys.maxunicode + 1) if re.fullmatch(r"\s", chr(cp))]
 
 
@@ -245,25 +237,23 @@ class TestCleanText:
     def test_url_precheck_skips_only_texts_without_a_match(self, text):
         # _clean_text runs URL_RE only on texts holding "://" or a
         # case-insensitive "www."; re.IGNORECASE also folds ſ into s and the
-        # Kelvin sign into k, so the alphabet carries both
-        rules = PreprocessRules(strip_urls=True, map_emoji=False)
-        assert ingest._clean_text(text, rules) == " ".join(ingest.URL_RE.sub(" ", text).split())
+        # Kelvin sign into k, so the alphabet carries both; none of its
+        # characters is an emoji alias key
+        assert ingest._clean_text(text) == " ".join(ingest.URL_RE.sub(" ", text).split())
 
     def test_no_alias_key_is_ascii(self):
         # _clean_text skips the emoji table for ASCII text
         assert not any(ch.isascii() for ch in ingest.load_emoji_aliases())
 
-    @pytest.mark.parametrize("rules", ALL_RULES)
-    def test_every_alias_matches_loop(self, rules):
+    def test_every_alias_matches_loop(self):
         for ch in ingest.load_emoji_aliases():
             for text in (ch, f"up{ch}", f" {ch}{ch} rally ", f"see http://x.co/{ch} now{ch}"):
-                assert ingest._clean_text(text, rules) == _clean_text_loop(text, rules), hex(ord(ch))
+                assert ingest._clean_text(text) == _clean_text_loop(text), hex(ord(ch))
 
-    @pytest.mark.parametrize("rules", ALL_RULES)
-    def test_every_whitespace_matches_loop(self, rules):
+    def test_every_whitespace_matches_loop(self):
         for ws in WHITESPACE:
             for text in (ws, f"{ws}a{ws}{ws}b{ws}", f"x\U0001f680{ws}www.a.b{ws}y"):
-                assert ingest._clean_text(text, rules) == _clean_text_loop(text, rules), hex(ord(ws))
+                assert ingest._clean_text(text) == _clean_text_loop(text), hex(ord(ws))
 
     @given(
         st.lists(
@@ -273,11 +263,10 @@ class TestCleanText:
                 + ["\u3000", "\u2028", "http://", "https://t.co/", "WWW.", "rally", "Fed", "é"]
             )
             | st.text(max_size=3)
-        ).map("".join),
-        st.sampled_from(ALL_RULES),
+        ).map("".join)
     )
-    def test_mixed_strings_match_loop(self, text, rules):
-        assert ingest._clean_text(text, rules) == _clean_text_loop(text, rules)
+    def test_mixed_strings_match_loop(self, text):
+        assert ingest._clean_text(text) == _clean_text_loop(text)
 
 
 class TestLoadSeries:
@@ -382,14 +371,14 @@ class TestAlign:
             TweetRecord("sat", date(2021, 1, 9), "weekend news", 2000),
         )
         dataset = align(corpus, _series(*self.CAL))
-        assert [r.id for r in dataset.tweets_on(date(2021, 1, 8))] == ["fri"]
-        assert [r.id for r in dataset.tweets_on(date(2021, 1, 11))] == ["sat"]
+        assert [r.id for r in dataset.tweets[dataset.index_of(date(2021, 1, 8))]] == ["fri"]
+        assert [r.id for r in dataset.tweets[dataset.index_of(date(2021, 1, 11))]] == ["sat"]
 
     def test_weekend_only_corpus_attaches_forward(self):
         corpus = _corpus(TweetRecord("sat", date(2021, 1, 9), "weekend news", 2000))
         dataset = align(corpus, _series(*self.CAL))
         assert dataset.dates == (date(2021, 1, 11),)
-        assert [r.id for r in dataset.tweets_on(date(2021, 1, 11))] == ["sat"]
+        assert [r.id for r in dataset.tweets[dataset.index_of(date(2021, 1, 11))]] == ["sat"]
 
     def test_tweet_outside_series_range_excluded(self):
         corpus = _corpus(

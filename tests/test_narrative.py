@@ -168,6 +168,12 @@ class TestIntegrationPrompt:
 
 
 class TestClientCache:
+    @pytest.mark.parametrize("setting", ["max_parallel", "max_retries"])
+    def test_setting_below_one_rejected(self, setting):
+        # max_retries=0 failed "after 0 tries" without sending a request
+        with pytest.raises(ValueError, match=f"{setting} must be >= 1"):
+            LlmClientConfig(endpoint="http://unused.invalid/", model="m", **{setting: 0})
+
     def _client(self, stub_server, tmp_path, **overrides):
         config = LlmClientConfig(
             endpoint=stub_server.url,

@@ -10,7 +10,8 @@ from econarrative import sentiment
 from econarrative.experiment import _windows
 from econarrative.ingest import AlignedDataset, TweetCorpus, TweetRecord
 from econarrative.sentiment import (
-    SentimentLexicon,
+    NEGATION_SCALE,
+    NORMALIZATION_ALPHA,
     daily_sentiment,
     daily_sentiment_column,
     load_lexicon,
@@ -62,14 +63,9 @@ class TestScore:
         assert _compound(s + 1.0) > value
 
     def test_lexicon_constants(self):
-        lex = load_lexicon()
-        assert -1.0 < lex.negation_scale < 0.0
-        assert lex.normalization_alpha > 0
-        assert all(math.isfinite(v) for v in lex.valences.values())
-
-    def test_bad_lexicon_constants_rejected(self):
-        with pytest.raises(ValueError):
-            SentimentLexicon(valences={}, negation_scale=0.5)
+        assert -1.0 < NEGATION_SCALE < 0.0
+        assert NORMALIZATION_ALPHA > 0
+        assert all(math.isfinite(v) for v in load_lexicon().valences.values())
 
 
 def _aligned(day_texts):

@@ -9,6 +9,7 @@ from econarrative.sentiment import score
 from econarrative.synthgen import (
     NEGATIVE_CUES,
     POSITIVE_CUES,
+    SENTENCE_LENGTH,
     SynthConfig,
     gen_random_texts,
     gen_random_walk,
@@ -28,10 +29,10 @@ class TestRandomTexts:
         assert [r.text for r in a.records] == [r.text for r in b.records]
         assert [r.id for r in a.records] == [r.id for r in b.records]
 
-    def test_fixed_sentence_length(self):
-        cfg = SynthConfig(seed=2, sentence_length=(5, 5))
-        corpus = gen_random_texts(cfg, DATES[:3])
-        assert all(len(r.text.split()) == 5 for r in corpus.records)
+    def test_sentence_lengths_cover_the_fixed_range(self):
+        corpus = gen_random_texts(SynthConfig(seed=2), DATES)
+        lo, hi = SENTENCE_LENGTH
+        assert {len(r.text.split()) for r in corpus.records} == set(range(lo, hi + 1))
 
     def test_expected_sentiment_near_zero(self):
         cfg = SynthConfig(seed=3, per_day=1)
@@ -46,9 +47,11 @@ class TestRandomTexts:
         counts = Counter(r.date for r in corpus.records)
         assert all(c == 3 for c in counts.values())
 
-    def test_empty_wordlist_rejected(self):
-        with pytest.raises(ValueError):
-            gen_random_texts(SynthConfig(seed=0, wordlist=()), DATES[:2])
+    def test_empty_wordlist_rejected(self, tmp_path):
+        path = tmp_path / "words.txt"
+        path.write_text("\n \n", encoding="utf-8")
+        with pytest.raises(ValueError, match="wordlist is empty"):
+            load_wordlist(str(path))
 
     def test_bundled_wordlist_loads(self):
         words = load_wordlist()
@@ -170,7 +173,5 @@ class TestRandomWalk:
 def test_config_validation():
     with pytest.raises(ValueError):
         SynthConfig(alignment_p=1.5)
-    with pytest.raises(ValueError):
-        SynthConfig(sentence_length=(0, 5))
     with pytest.raises(ValueError):
         SynthConfig(per_day=0)
