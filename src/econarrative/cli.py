@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__, ingest, sentiment, synthgen
-from .experiment import config_hash, prepare, run_experiment
+from .experiment import FINANCIAL_FEATURES, TEXT_FEATURES, config_hash, prepare, run_experiment
 from .harness import REGRESSION_TASKS, TASKS, evaluate
 from .models import (LINEAR_PENALTIES, LinearModel, LogisticModel, Standardized, fit_columns,
                      model_from_doc, model_to_doc)
@@ -304,10 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tweets")
     p.add_argument("--series", required=True)
     p.add_argument("--column", default="value")
-    p.add_argument("--kind", default="sentiment-window",
-                   choices=["sentiment-window", "embedding", "none"])
-    p.add_argument("--financial", default="value-window",
-                   choices=["value-window", "direction-window", "none"])
+    p.add_argument("--kind", default="sentiment-window", choices=TEXT_FEATURES)
+    p.add_argument("--financial", default="value-window", choices=FINANCIAL_FEATURES)
     p.add_argument("--window", type=int, default=7)
     p.add_argument("--task", default="direction-change", choices=TASKS)
     p.add_argument("--horizon", type=int, default=1)

@@ -23,24 +23,12 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import ingest, sentiment, synthgen
-from .embed import HashingEmbedder, daily_embeddings
-from .harness import (
-    LabelSeries,
-    REGRESSION_TASKS,
-    TaskSpec,
-    evaluate,
-    make_labels,
-    mcnemar,
-)
+from .embed import AGGREGATION_MODES, HashingEmbedder, daily_embeddings
+from .harness import HORIZONS, REGRESSION_TASKS, TASKS, LabelSeries, evaluate, make_labels, mcnemar
 from .ingest import AlignedDataset, FinancialSeries, TweetCorpus
-from .models import (
-    LINEAR_PENALTIES,
-    BaselineContext,
-    financial_baseline,
-    fit_columns,
-    train_darnn,
-)
-from .models.baselines import _majority
+from .models import BaselineContext, financial_baseline, fit_columns, train_darnn
+from .models.baselines import BASELINE_KINDS, BASELINE_TASKS, _majority
+from .models.columns import DEFAULT_LAM
 from .models.darnn import AttentionRnn, DivergenceError
 
 
@@ -112,45 +100,30 @@ class ExperimentReport:
 
 def _load_series(spec: dict) -> FinancialSeries:
     if "path" in spec:
-        return ingest.load_series(
-            spec["path"], column=spec.get("column", "value"), name=spec.get("name")
-        )
-    if "random_walk" in spec:
-        rw = spec["random_walk"]
-        return synthgen.gen_random_walk(
-            n=rw["n"],
-            sigma=rw["sigma"],
-            v0=rw.get("v0", 100.0),
-            seed=rw.get("seed", 0),
-            name=rw.get("name", "SYNTH"),
-        )
-    raise ValueError("series spec needs 'path' or 'random_walk'")
+        return ingest.load_series(spec["path"], column=spec["column"], name=spec["name"])
+    rw = spec["random_walk"]
+    return synthgen.gen_random_walk(
+        n=rw["n"], sigma=rw["sigma"], v0=rw["v0"], seed=rw["seed"], name=rw["name"]
+    )
 
 
 def _load_text(spec: dict | None, series: FinancialSeries, horizon: int) -> TweetCorpus:
     if spec is None:
         return TweetCorpus()
     if "path" in spec:
-        corpus = ingest.load_tweets(spec["path"], min_followers=spec.get("min_followers", 0))
+        corpus = ingest.load_tweets(spec["path"], min_followers=spec["min_followers"])
         return ingest.preprocess(corpus)
     if "random_texts" in spec:
         opts = spec["random_texts"]
-        cfg = synthgen.SynthConfig(seed=opts.get("seed", 0), per_day=opts.get("per_day", 3))
+        cfg = synthgen.SynthConfig(seed=opts["seed"], per_day=opts["per_day"])
         return synthgen.gen_random_texts(cfg, series.dates)
     source = "synthetic_narratives" if "synthetic_narratives" in spec else "shuffled_narratives"
-    if source in spec:
-        opts = spec[source]
-        cfg = synthgen.SynthConfig(
-            seed=opts.get("seed", 0),
-            alignment_p=opts.get("p", 1.0),
-            per_day=opts.get("per_day", 3),
-        )
-        corpus = synthgen.gen_synthetic_narratives(series, horizon, cfg)
-        if source == "shuffled_narratives":
-            shuffle_seed = opts.get("shuffle_seed", opts.get("seed", 0) + 1)
-            corpus = synthgen.shuffle_dates(corpus, seed=shuffle_seed)
-        return corpus
-    raise ValueError("unknown text source spec")
+    opts = spec[source]
+    cfg = synthgen.SynthConfig(seed=opts["seed"], alignment_p=opts["p"], per_day=opts["per_day"])
+    corpus = synthgen.gen_synthetic_narratives(series, horizon, cfg)
+    if source == "shuffled_narratives":
+        corpus = synthgen.shuffle_dates(corpus, seed=opts["shuffle_seed"])
+    return corpus
 
 
 # -- feature stage --------------------------------------------------------
@@ -169,12 +142,9 @@ def _text_column(aligned: AlignedDataset, kind: str, emb_cfg: dict, read: np.nda
         return sentiment.daily_sentiment_column(aligned)[:, None]
     if kind == "none":
         return np.zeros((len(aligned), 0))
-    if kind != "embedding":
-        raise ValueError(f"unknown text feature kind {kind!r}")
-    embedder = HashingEmbedder(dimension=emb_cfg.get("dimension", 16), seed=emb_cfg.get("seed", 0))
-    mode, k = emb_cfg.get("mode", "individual-mean"), emb_cfg.get("k", 10)
+    embedder = HashingEmbedder(dimension=emb_cfg["dimension"], seed=emb_cfg["seed"])
     texts, followers = aligned.per_day("texts"), aligned.per_day("followers")
-    vectors = daily_embeddings(embedder, [texts[i] for i in read], mode, k,
+    vectors = daily_embeddings(embedder, [texts[i] for i in read], emb_cfg["mode"], emb_cfg["k"],
                                [followers[i] for i in read])
     column = np.zeros((len(aligned), vectors.shape[1]))
     column[read] = vectors
@@ -187,9 +157,7 @@ def _financial_column(aligned: AlignedDataset, kind: str) -> np.ndarray:
         return np.asarray(aligned.values, dtype=float)[:, None]
     if kind == "direction-window":
         return _directions(aligned.values).astype(float)[:, None]
-    if kind == "none":
-        return np.zeros((len(aligned), 0))
-    raise ValueError(f"unknown financial feature kind {kind!r}")
+    return np.zeros((len(aligned), 0))
 
 
 def _windows(column: np.ndarray, steps: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -205,9 +173,10 @@ def _windows(column: np.ndarray, steps: int, rows: np.ndarray) -> tuple[np.ndarr
 
 
 def build_features(aligned: AlignedDataset, labels: LabelSeries, features_cfg: dict) -> FeatureMatrix:
-    window = features_cfg.get("window", 7)
-    text_kind = features_cfg.get("text", "none")
-    fin_kind = features_cfg.get("financial", "value-window")
+    """Feature rows for a `features` config section; absent keys take their
+    SCHEMA defaults."""
+    features_cfg = _section(features_cfg, "features")
+    window, text_kind = features_cfg["window"], features_cfg["text"]
     if window < 1:
         raise ValueError("feature window must be >= 1")
 
@@ -222,9 +191,9 @@ def build_features(aligned: AlignedDataset, labels: LabelSeries, features_cfg: d
         raise ValueError("not enough usable dates to build features")
 
     t_steps = window if text_kind == "sentiment-window" else 1
-    text = _text_column(aligned, text_kind, features_cfg.get("embedding", {}), rows)
+    text = _text_column(aligned, text_kind, features_cfg["embedding"], rows)
     t_block, t_last = _windows(text, t_steps, rows)
-    f_block, f_last = _windows(_financial_column(aligned, fin_kind), window, rows)
+    f_block, f_last = _windows(_financial_column(aligned, features_cfg["financial"]), window, rows)
     t_width, f_width = t_block.shape[1], f_block.shape[1]
     return FeatureMatrix(
         dates=aligned.dates[start:len(labels.dates)],
@@ -239,13 +208,11 @@ def build_features(aligned: AlignedDataset, labels: LabelSeries, features_cfg: d
 
 
 def _input_columns(matrix: FeatureMatrix, inputs: str) -> np.ndarray:
-    if inputs == "TF":
-        return matrix.X
     if inputs == "T":
         return matrix.X[:, matrix.t_columns]
     if inputs == "F":
         return matrix.X[:, matrix.f_columns]
-    raise ValueError(f"model inputs must be F, T or TF, got {inputs!r}")
+    return matrix.X
 
 
 # -- model stage ----------------------------------------------------------
@@ -283,13 +250,11 @@ def _baseline_model(
 
 
 def _column_model(model_cfg: dict, matrix: FeatureMatrix, n_train: int, *_) -> list:
-    X = _input_columns(matrix, model_cfg.get("inputs", "TF"))
+    X = _input_columns(matrix, model_cfg["inputs"])
     return fit_columns(model_cfg, X[:n_train], matrix.labels[:n_train]).predict(X[n_train:])
 
 
 def _darnn_model(model_cfg: dict, matrix: FeatureMatrix, n_train: int, *_) -> list:
-    if model_cfg.get("inputs", "TF") != "TF":
-        raise ValueError("the attention RNN needs both driver and history inputs")
     window = matrix.window
     t_block = matrix.X[:, matrix.t_columns]
     f_block = matrix.X[:, matrix.f_columns]
@@ -305,21 +270,17 @@ def _darnn_model(model_cfg: dict, matrix: FeatureMatrix, n_train: int, *_) -> li
     history = (f_block - label_mean) / label_std
     targets = (np.array([float(v) for v in matrix.labels]) - label_mean) / label_std
     model = AttentionRnn.init(
-        T=window,
-        n=drivers.shape[2],
-        m=model_cfg.get("m", 32),
-        p=model_cfg.get("p", 32),
-        seed=model_cfg.get("seed", 0),
+        T=window, n=drivers.shape[2], m=model_cfg["m"], p=model_cfg["p"], seed=model_cfg["seed"]
     )
     trained = train_darnn(
         model,
         drivers[:n_train],
         history[:n_train],
         targets[:n_train],
-        epochs=model_cfg.get("epochs", 100),
-        learning_rate=model_cfg.get("lr", 1e-3),
-        seed=model_cfg.get("seed", 0),
-        batch_size=model_cfg.get("batch_size", 32),
+        epochs=model_cfg["epochs"],
+        learning_rate=model_cfg["lr"],
+        seed=model_cfg["seed"],
+        batch_size=model_cfg["batch_size"],
     )
     raw = trained.predict(drivers[n_train:], history[n_train:])
     with np.errstate(over="ignore", invalid="ignore"):
@@ -327,152 +288,199 @@ def _darnn_model(model_cfg: dict, matrix: FeatureMatrix, n_train: int, *_) -> li
         scorable = np.isfinite(raw * raw).all()
     if not scorable:
         raise DivergenceError(
-            f"model {_model_name(model_cfg)!r} diverged: a prediction or its square is not finite"
+            f"model {model_cfg['name']!r} diverged: a prediction or its square is not finite"
         )
     return [float(v) * label_std + label_mean for v in raw]
 
 
+# -- config ---------------------------------------------------------------
+
+
+REQUIRED = object()  # the default of a key that every config must give
+
+TEXT_FEATURES = ("none", "sentiment-window", "embedding")
+FINANCIAL_FEATURES = ("value-window", "direction-window", "none")
+INPUTS = ("TF", "T", "F")
+
+# section ("" is the top level) -> key -> (type, default). A type is `int`,
+# `float` (any number), `str`, `list`, `dict` (the section of that name) or a
+# tuple of the values the key may take; none takes a bool, and a None default
+# also takes null. A function default derives the value from the keys above
+# it. A data spec maps each source to its own table, and the
+# first source it names, in table order, picks the table. The run reads no
+# other key, so any other key is a typo that would change nothing.
+SCHEMA = {
+    "": {"seed": (int, 0), "data": (dict, REQUIRED), "task": (dict, {}), "features": (dict, {}),
+         "models": (list, []), "eval": (dict, {})},
+    "data": {"series": (dict, REQUIRED), "text": (dict, None)},  # None: no text
+    "data.series": {
+        "path": {"path": (str, REQUIRED), "column": (str, "value"), "name": (str, None)},
+        "random_walk": {"random_walk": (dict, REQUIRED)},
+    },
+    "data.series.random_walk": {"n": (int, REQUIRED), "sigma": (float, REQUIRED),
+                                "v0": (float, 100.0), "seed": (int, 0), "name": (str, "SYNTH")},
+    "data.text": {
+        "path": {"path": (str, REQUIRED), "min_followers": (int, 0)},
+        **{source: {source: (dict, REQUIRED)}
+           for source in ("random_texts", "synthetic_narratives", "shuffled_narratives")},
+    },
+    "data.text.random_texts": {"seed": (int, 0), "per_day": (int, 3)},
+    "data.text.synthetic_narratives": {"seed": (int, 0), "p": (float, 1.0), "per_day": (int, 3)},
+    "data.text.shuffled_narratives": {"seed": (int, 0), "p": (float, 1.0), "per_day": (int, 3),
+                                      "shuffle_seed": (int, lambda opts: opts["seed"] + 1)},
+    # target None: the series name
+    "task": {"target": (str, None), "kind": (TASKS, "direction-change"), "horizon": (HORIZONS, 1)},
+    "features": {"window": (int, 7), "text": (TEXT_FEATURES, "none"),
+                 "financial": (FINANCIAL_FEATURES, "value-window"), "embedding": (dict, {})},
+    "features.embedding": {"dimension": (int, 16), "seed": (int, 0),
+                           "mode": (AGGREGATION_MODES, "individual-mean"), "k": (int, 10)},
+    "eval": {"train_fraction": (float, 0.8)},
+}
+
+# the keys of every model entry; name None: its baseline `kind`, else `<type>-<inputs>`
+MODEL_KEYS = {"type": (str, REQUIRED), "name": (str, None)}
 # model type -> (task kind it fits, None for either; fit-and-predict function,
 # called as fn(model_cfg, matrix, n_train, aligned, task) and returning the
 # predictions for the rows after the first n_train; the keys it reads besides
-# `type` and `name`)
+# MODEL_KEYS, in SCHEMA's form)
 MODELS = {
-    "baseline": (None, _baseline_model, {"kind"}),
-    "logistic": ("classification", _column_model, {"inputs", "lam"}),
-    **{kind: ("regression", _column_model, {"inputs", "lam"}) for kind in LINEAR_PENALTIES},
-    "darnn": ("regression", _darnn_model, {"inputs", "m", "p", "seed", "epochs", "lr", "batch_size"}),
+    "baseline": (None, _baseline_model, {"kind": (BASELINE_KINDS, REQUIRED)}),
+    **{kind: ("classification" if kind == "logistic" else "regression", _column_model,
+              {"inputs": (INPUTS, "TF"), "lam": (float, lam)})
+       for kind, lam in DEFAULT_LAM.items()},
+    "darnn": ("regression", _darnn_model, {
+        "inputs": (("TF",), "TF"), "m": (int, 32), "p": (int, 32), "seed": (int, 0),
+        "epochs": (int, 100), "lr": (float, 1e-3), "batch_size": (int, 32),
+    }),
 }
 
 
-def _model_name(model_cfg: dict) -> str:
-    if model_cfg.get("name"):
-        return model_cfg["name"]
-    if model_cfg.get("type") == "baseline":
-        return model_cfg.get("kind")
-    return f"{model_cfg.get('type')}-{model_cfg.get('inputs', 'TF')}"
+def _value(key: str, value, kind, default, where: str, path: str):
+    """One config value checked against its key's type; a section comes back
+    resolved."""
+    if value is None and default is None:
+        return None
+    if kind is dict:
+        return _section(value, path)
+    if kind is list:
+        if not isinstance(value, list):
+            raise ValueError(f"{key!r} must be a list, got {type(value).__name__}")
+    elif isinstance(kind, tuple):
+        _value(key, value, type(kind[0]), REQUIRED, where, path)  # the options' type first
+        if value not in kind:
+            raise ValueError(f"{key!r} in {where} must be one of "
+                             f"{', '.join(map(repr, kind))}, got {value!r}")
+    elif kind is str:
+        if not isinstance(value, str):
+            raise ValueError(f"{key!r} in {where} must be a string, got {type(value).__name__}")
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key!r} in {where} must be a number, got {type(value).__name__}")
+    elif kind is int and not isinstance(value, int):
+        raise ValueError(f"{key!r} in {where} must be an integer, got {value!r}")
+    return value
+
+
+def _keys(node: dict, table: dict, where: str, section: str = "") -> dict:
+    """`node`'s keys checked against `table`, with every absent one set to its default."""
+    unknown = sorted(set(node) - set(table))
+    if unknown:
+        raise ValueError(f"unknown config key {unknown[0]!r} in {where}")
+    resolved = {}
+    for key, (kind, default) in table.items():
+        value = node.get(key, default)
+        if value is REQUIRED:
+            raise ValueError(f"{where} is missing the {key!r} key")
+        path = f"{section}.{key}".lstrip(".")
+        resolved[key] = (value(resolved) if callable(value)
+                         else _value(key, value, kind, default, where, path))
+    return resolved
+
+
+def _section(node, section: str) -> dict:
+    if not isinstance(node, dict):
+        raise ValueError(f"config section {section!r} must be an object")
+    table = SCHEMA[section]
+    if isinstance(next(iter(table.values())), dict):  # a data spec
+        table = next((keys for source, keys in table.items() if source in node),
+                     next(iter(table.values())))
+    return _keys(node, table, f"section {section!r}" if section else "the top level", section)
+
+
+def _model_name(entry: dict):
+    """`entry`'s name; `entry` holds every model key that has a default."""
+    if entry["name"]:
+        return entry["name"]
+    if entry["type"] == "baseline":
+        return entry.get("kind")
+    return f"{entry['type']}-{entry['inputs']}"
+
+
+def resolve_config(config: dict) -> dict:
+    """`config` checked against SCHEMA and MODELS and returned with every
+    absent key set to its default and every model's `name` filled in. Ranges
+    are left to the stages that own them."""
+    resolved = _section(config, "")
+    task = resolved["task"]["kind"]
+    task_kind = "regression" if task in REGRESSION_TASKS else "classification"
+    models = []
+    for i, entry in enumerate(resolved["models"]):
+        if not isinstance(entry, dict):
+            raise ValueError(f"models[{i}] must be an object, got {type(entry).__name__}")
+        kind = entry.get("type")
+        if kind not in MODELS:
+            raise ValueError(f"unknown model type {kind!r}")
+        table = {**MODEL_KEYS, **MODELS[kind][2]}
+        defaults = {key: default for key, (_, default) in table.items() if default is not REQUIRED}
+        name = _model_name({**defaults, **entry}) or kind  # or kind: a baseline without one
+        model = _keys(entry, table, f"model {name!r}")
+        model["name"] = _model_name(model)
+        fits = BASELINE_TASKS[model["kind"]] if kind == "baseline" else MODELS[kind][0]
+        if fits not in (None, task_kind):
+            what = f"{model['kind']!r} baselines" if kind == "baseline" else f"{kind} models"
+            raise ValueError(f"{what} only fit {fits} tasks, not {task!r}")
+        models.append(model)
+    names = [model["name"] for model in models]
+    repeated = [name for i, name in enumerate(names) if name in names[:i]]
+    if repeated:
+        raise ValueError(f"duplicate model name {repeated[0]!r}: give each model its own 'name'")
+    resolved["models"] = models
+    return resolved
 
 
 # -- runner ---------------------------------------------------------------
 
 
-# the keys each config section may hold ("" is the top level); the run reads
-# nothing else there, so any other key is a typo that would change nothing.
-# A data spec holds those of the first source it names, in the order
-# _load_series and _load_text look for them.
-CONFIG_KEYS = {
-    "": {"seed", "data", "task", "features", "models", "eval"},
-    "data": {"series", "text"},
-    "data.series": {"path": {"path", "column", "name"}, "random_walk": {"random_walk"}},
-    "data.series.random_walk": {"n", "sigma", "v0", "seed", "name"},
-    "data.text": {"path": {"path", "min_followers"}, "random_texts": {"random_texts"},
-                  "synthetic_narratives": {"synthetic_narratives"},
-                  "shuffled_narratives": {"shuffled_narratives"}},
-    "data.text.random_texts": {"seed", "per_day"},
-    "data.text.synthetic_narratives": {"seed", "p", "per_day"},
-    "data.text.shuffled_narratives": {"seed", "p", "per_day", "shuffle_seed"},
-    "task": {"target", "kind", "horizon"},
-    "eval": {"train_fraction"},
-    "features": {"window", "text", "financial", "embedding"},
-    "features.embedding": {"dimension", "seed", "mode", "k"},
-}
-# the keys a section must hold when it is present
-REQUIRED_KEYS = {"": ("data",), "data": ("series",), "data.series.random_walk": ("n", "sigma")}
-# keys whose value must be a number in whichever section or model holds them,
-# and those of them that count something, which must be integers
-INTEGER_KEYS = {
-    "n", "seed", "per_day", "shuffle_seed", "min_followers", "window", "horizon", "dimension",
-    "k", "m", "epochs", "batch_size",
-}
-NUMBER_KEYS = INTEGER_KEYS | {"sigma", "v0", "p", "train_fraction", "lam", "lr"}
-_ABSENT = object()
-
-
-def _check_keys(node: dict, allowed: set, where: str, required: Sequence[str] = ()) -> None:
-    unknown = sorted(set(node) - allowed)
-    if unknown:
-        raise ValueError(f"unknown config key {unknown[0]!r} in {where}")
-    missing = [key for key in required if key not in node]
-    if missing:
-        raise ValueError(f"{where} is missing the {missing[0]!r} key")
-    for key in sorted(NUMBER_KEYS & set(node)):
-        value = node[key]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"{key!r} in {where} must be a number, got {type(value).__name__}")
-        if key in INTEGER_KEYS and not isinstance(value, int):
-            raise ValueError(f"{key!r} in {where} must be an integer, got {value!r}")
-
-
-def _check_config(config: dict) -> list[str]:
-    """Reject unknown, missing, non-numeric and non-integer keys, a bad
-    task, unknown model types, models on the wrong task kind and baselines
-    without a kind; return the model names."""
-    for section, allowed in CONFIG_KEYS.items():
-        node = config
-        for part in section.split(".") if section else ():
-            node = node.get(part, _ABSENT) if isinstance(node, dict) else _ABSENT
-        if node is _ABSENT or (node is None and section == "data.text"):  # None: no text
-            continue
-        if not isinstance(node, dict):
-            raise ValueError(f"config section {section!r} must be an object")
-        if isinstance(allowed, dict):  # a data spec
-            allowed = next((keys for source, keys in allowed.items() if source in node), set())
-        _check_keys(node, allowed, f"section {section!r}" if section else "the top level",
-                    REQUIRED_KEYS.get(section, ()))
-    task, horizon = _task_of(config)
-    TaskSpec(target=config.get("task", {}).get("target", ""), task=task, horizon=horizon)
-    task_kind = "regression" if task in REGRESSION_TASKS else "classification"
-    models = config.get("models", [])
-    if not isinstance(models, list):
-        raise ValueError(f"'models' must be a list, got {type(models).__name__}")
-    for i, model_cfg in enumerate(models):
-        if not isinstance(model_cfg, dict):
-            raise ValueError(f"models[{i}] must be an object, got {type(model_cfg).__name__}")
-        kind = model_cfg.get("type")
-        if kind not in MODELS:
-            raise ValueError(f"unknown model type {kind!r}")
-        if MODELS[kind][0] not in (None, task_kind):
-            raise ValueError(f"{kind} models only fit {MODELS[kind][0]} tasks, not {task!r}")
-        if kind == "baseline" and "kind" not in model_cfg:
-            raise ValueError("baseline model is missing the 'kind' key")
-        _check_keys(model_cfg, {"type", "name", *MODELS[kind][2]}, f"model {_model_name(model_cfg)!r}")
-    names = [_model_name(m) for m in models]
-    repeated = [name for i, name in enumerate(names) if name in names[:i]]
-    if repeated:
-        raise ValueError(f"duplicate model name {repeated[0]!r}: give each model its own 'name'")
-    return names
-
-
-def _task_of(config: dict) -> tuple[str, int]:
-    task_cfg = config.get("task", {})
-    return task_cfg.get("kind", "direction-change"), task_cfg.get("horizon", 1)
-
-
 def prepare(config: dict) -> tuple[AlignedDataset, FeatureMatrix]:
-    """Ingest and align a config's data, label it and build its features."""
-    task, horizon = _task_of(config)
+    """Check a config, ingest and align its data, label it and build its features."""
+    with _stage("config"):
+        config = resolve_config(config)
+    return _ingest_and_features(config)
+
+
+def _ingest_and_features(config: dict) -> tuple[AlignedDataset, FeatureMatrix]:
+    task = config["task"]
     with _stage("ingest"):
         series = _load_series(config["data"]["series"])
-        corpus = _load_text(config["data"].get("text"), series, horizon)
+        corpus = _load_text(config["data"]["text"], series, task["horizon"])
         aligned = ingest.align(corpus, series)
 
     with _stage("features"):
-        labels = make_labels(aligned, task, horizon)
-        matrix = build_features(aligned, labels, config.get("features", {}))
+        labels = make_labels(aligned, task["kind"], task["horizon"])
+        matrix = build_features(aligned, labels, config["features"])
     return aligned, matrix
 
 
 def run_experiment(config: dict, out_dir: str | Path | None = None) -> ExperimentReport:
     chash = config_hash(config)
-    task_cfg = config.get("task", {})
     with _stage("config"):
-        names = _check_config(config)
-        task, horizon = _task_of(config)
+        resolved = resolve_config(config)
+    task, horizon, target = (resolved["task"][key] for key in ("kind", "horizon", "target"))
 
-    aligned, matrix = prepare(config)
+    aligned, matrix = _ingest_and_features(resolved)
 
     with _stage("split"):
         n_rows = len(matrix.dates)
-        n_train = ingest.train_size(n_rows, float(config.get("eval", {}).get("train_fraction", 0.8)))
+        n_train = ingest.train_size(n_rows, float(resolved["eval"]["train_fraction"]))
 
     model_rows: list[dict] = []
     predictions: dict[str, list] = {}
@@ -480,11 +488,13 @@ def run_experiment(config: dict, out_dir: str | Path | None = None) -> Experimen
     test_labels = matrix.labels[n_train:]
     test_dates = matrix.dates[n_train:]
 
-    for name, model_cfg in zip(names, config.get("models", [])):
+    for i, model_cfg in enumerate(resolved["models"]):
+        name = model_cfg["name"]
         with _stage(f"model:{name}"):
             preds = MODELS[model_cfg["type"]][1](model_cfg, matrix, n_train, aligned, task)
             report = evaluate(preds, test_labels, task)
-        row = {"name": name, "type": model_cfg.get("type"), "inputs": model_cfg.get("inputs")}
+        # `inputs` as the entry gives it: null where it takes the default
+        row = {"name": name, "type": model_cfg["type"], "inputs": config["models"][i].get("inputs")}
         row.update(report.to_dict())
         model_rows.append(row)
         predictions[name] = [
@@ -517,7 +527,8 @@ def run_experiment(config: dict, out_dir: str | Path | None = None) -> Experimen
     }
     report = ExperimentReport(
         config_hash=chash,
-        task={"target": task_cfg.get("target", aligned.indicator), "kind": task, "horizon": horizon},
+        task={"target": aligned.indicator if target is None else target, "kind": task,
+              "horizon": horizon},
         n_train=n_train,
         n_test=n_rows - n_train,
         train_range=(matrix.dates[0].isoformat(), matrix.dates[n_train - 1].isoformat()),

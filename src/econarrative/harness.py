@@ -24,23 +24,6 @@ MCNEMAR_EXACT_LIMIT = 25
 
 
 @dataclass(frozen=True)
-class TaskSpec:
-    target: str
-    task: str
-    horizon: int
-
-    def __post_init__(self) -> None:
-        if self.task not in TASKS:
-            raise ValueError(f"unknown task {self.task!r}")
-        if self.horizon not in HORIZONS:
-            raise ValueError(f"horizon must be one of {HORIZONS}")
-
-    @property
-    def is_regression(self) -> bool:
-        return self.task in REGRESSION_TASKS
-
-
-@dataclass(frozen=True)
 class LabelSeries:
     task: str
     horizon: int

@@ -12,15 +12,17 @@ from typing import Sequence
 
 from ..harness import REGRESSION_TASKS
 
-BASELINE_KINDS = (
-    "as-previous",
-    "inverse-previous",
-    "week-majority",
-    "train-majority",
-    "up",
-    "down",
-    "train-mean",
-)
+# baseline kind -> the task kind it predicts, None for either
+BASELINE_TASKS = {
+    "as-previous": None,
+    "inverse-previous": "classification",
+    "week-majority": "classification",
+    "train-majority": "classification",
+    "up": "classification",
+    "down": "classification",
+    "train-mean": "regression",
+}
+BASELINE_KINDS = tuple(BASELINE_TASKS)
 
 
 class MissingContextError(ValueError):

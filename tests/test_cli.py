@@ -160,6 +160,23 @@ class TestPipelineCommands:
         # 16 embedding columns (default dimension) + 7 value-window columns
         assert header.count("x") == 23
 
+    def test_features_rejects_a_horizon_the_experiment_rejects(self, tmp_path, capsys):
+        series = _write_walk_csv(tmp_path / "series.csv")
+        out = tmp_path / "out"
+        assert main(["features", "--series", str(series), "--kind", "none", "--horizon", "3",
+                     "--out", str(out)]) == 2
+        assert "stage 'config': 'horizon' in section 'task' must be one of 1, 7, 30, got 3" in (
+            capsys.readouterr().err)
+        assert not (out / "features.csv").exists()
+
+    def test_baseline_on_a_task_it_cannot_predict_fails_at_config(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        # the missing series shows the check runs before any file is read
+        assert main(["baseline", "--kind", "up", "--task", "next-value",
+                     "--series", str(tmp_path / "missing.csv"), "--out", str(out)]) == 2
+        assert ("stage 'config': 'up' baselines only fit classification tasks, not 'next-value'"
+                in capsys.readouterr().err)
+
     def test_baseline_command(self, tmp_path, capsys):
         series = _write_walk_csv(tmp_path / "series.csv")
         out = tmp_path / "out"

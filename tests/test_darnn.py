@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,16 @@ class TestTraining:
         model, X, Y, labels = _instance(0)
         with pytest.raises(ValueError):
             train_darnn(model, X, Y, labels, epochs=0)
+
+    @pytest.mark.parametrize("setting, value, message", [
+        ("batch_size", 0, "batch_size must be >= 1, got 0"),  # was range()'s zero step
+        ("batch_size", -4, "batch_size must be >= 1, got -4"),
+        ("learning_rate", -1.0, "learning_rate must be >= 0, got -1.0"),  # was gradient ascent
+    ])
+    def test_batch_size_and_learning_rate_validated(self, setting, value, message):
+        model, X, Y, labels = _instance(0)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            train_darnn(model, X, Y, labels, epochs=1, **{setting: value})
 
     def test_finite_parameters_after_training(self):
         model, X, Y, labels = _instance(8, B=12)

@@ -305,7 +305,7 @@ class TestStages:
         {"name": "m", "type": "ridge", "lam": False},
         *({"name": "m", "type": "darnn", key: "8"} for key in ("m", "p", "epochs", "lr", "batch_size", "seed")),
         # a count that is a number but not an integer
-        *({"name": "m", "type": "darnn", key: 8.0} for key in ("m", "epochs", "batch_size", "seed")),
+        *({"name": "m", "type": "darnn", key: 8.0} for key in ("m", "p", "epochs", "batch_size", "seed")),
     ])
     def test_non_numeric_model_value_names_key_and_model(self, tmp_path, model):
         config = _planted_config(NARRATIVES)
@@ -344,6 +344,174 @@ class TestStages:
         config["task"]["horizon"] = 3
         with pytest.raises(ExperimentError, match="stage 'config'"):
             run_experiment(config)
+
+    def test_unknown_task_kind_rejected_in_config_stage(self, tmp_path):
+        config = _planted_config(NARRATIVES)
+        config["data"]["series"] = {"path": str(tmp_path / "missing.csv")}
+        config["task"]["kind"] = "anomaly"
+        with pytest.raises(ExperimentError, match=re.escape(
+                "'kind' in section 'task' must be one of 'next-value', 'pct-change', "
+                "'direction-change', got 'anomaly'")) as err:
+            run_experiment(config)
+        assert err.value.stage == "config"
+
+    @pytest.mark.parametrize("kind, task, fits", [
+        *((kind, task, "classification")
+          for kind in ("inverse-previous", "week-majority", "train-majority", "up", "down")
+          for task in ("next-value", "pct-change")),  # "up" failed at its model stage
+        ("train-mean", "direction-change", "regression"),  # failed missing 'train_mean'
+    ])
+    def test_baseline_on_a_task_it_cannot_predict_rejected_in_config_stage(
+            self, tmp_path, kind, task, fits):
+        config = _planted_config(NARRATIVES)
+        # the missing file shows the check runs before any ingest
+        config["data"]["series"] = {"path": str(tmp_path / "missing.csv")}
+        config["task"] = {"kind": task, "horizon": 1}
+        config["models"] = [{"type": "baseline", "kind": kind}]
+        with pytest.raises(ExperimentError, match=re.escape(
+                f"'{kind}' baselines only fit {fits} tasks, not '{task}'")) as err:
+            run_experiment(config)
+        assert err.value.stage == "config"
+
+    def test_unknown_baseline_kind_rejected_in_config_stage(self, tmp_path):
+        config = _planted_config(NARRATIVES)
+        config["data"]["series"] = {"path": str(tmp_path / "missing.csv")}
+        config["models"] = [{"name": "b", "type": "baseline", "kind": "sideways"}]
+        with pytest.raises(ExperimentError, match=re.escape(
+                "'kind' in model 'b' must be one of 'as-previous', ")) as err:
+            run_experiment(config)
+        assert err.value.stage == "config"
+
+    @pytest.mark.parametrize("path, value, key, where", [
+        ("data.series", {"path": 5}, "path", "section 'data.series'"),
+        ("data.series", {"path": "s.csv", "column": 5}, "column", "section 'data.series'"),
+        ("data.series", {"path": "s.csv", "name": 5}, "name", "section 'data.series'"),
+        ("data.series", {"random_walk": {"n": 50, "sigma": 0.1, "name": 5}}, "name",
+         "section 'data.series.random_walk'"),
+        ("data.text", {"path": 5}, "path", "section 'data.text'"),
+        ("task.target", 5, "target", "section 'task'"),
+        ("models", [{"name": 5, "type": "logistic"}], "name", "model 5"),  # ran as a model named 5
+    ], ids=["series-path", "column", "series-name", "walk-name", "text-path", "target",
+            "model-name"])
+    def test_non_string_value_names_key_and_section(self, path, value, key, where):
+        config = _planted_config(NARRATIVES)
+        *parents, last = path.split(".")
+        node = config
+        for part in parents:
+            node = node[part]
+        node[last] = value
+        with pytest.raises(ExperimentError, match=re.escape(
+                f"'{key}' in {where} must be a string, got int")) as err:
+            run_experiment(config)
+        assert err.value.stage == "config"
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("features", "text", "sentiment"),  # failed at stage 'features'
+        ("features", "financial", "values"),
+        ("features.embedding", "mode", "mean"),
+        ("task", "kind", "direction"),
+        ("features", "text", 5),
+    ])
+    def test_unknown_choice_names_key_and_section(self, tmp_path, section, key, value):
+        config = json.loads(json.dumps(_planted_config(NARRATIVES)))
+        # the missing file shows the check runs before any ingest
+        config["data"]["series"] = {"path": str(tmp_path / "missing.csv")}
+        node = config
+        for part in section.split("."):
+            node = node.setdefault(part, {})
+        node[key] = value
+        expected = "must be one of " if isinstance(value, str) else "must be a string, got int"
+        with pytest.raises(ExperimentError, match=re.escape(
+                f"'{key}' in section '{section}' {expected}")) as err:
+            run_experiment(config)
+        assert err.value.stage == "config"
+
+    @pytest.mark.parametrize("model, options", [
+        ({"name": "m", "type": "logistic", "inputs": "FT"}, "'TF', 'T', 'F'"),  # failed at model:m
+        ({"name": "m", "type": "ridge", "inputs": "tf"}, "'TF', 'T', 'F'"),
+        ({"name": "m", "type": "darnn", "inputs": "F"}, "'TF'"),
+    ])
+    def test_unknown_model_inputs_rejected_in_config_stage(self, tmp_path, model, options):
+        config = _planted_config(NARRATIVES)
+        config["data"]["series"] = {"path": str(tmp_path / "missing.csv")}
+        if model["type"] != "logistic":
+            config["task"] = {"kind": "next-value", "horizon": 1}
+        config["models"] = [model]
+        with pytest.raises(ExperimentError, match=re.escape(
+                f"'inputs' in model 'm' must be one of {options}, got '{model['inputs']}'")) as err:
+            run_experiment(config)
+        assert err.value.stage == "config"
+
+    @pytest.mark.parametrize("data, section", [
+        ({"series": {}}, "data.series"),  # failed at stage 'ingest'
+        ({"text": {}}, "data.text"),
+    ])
+    def test_data_spec_without_a_source_rejected_in_config_stage(self, data, section):
+        config = _planted_config(NARRATIVES)
+        config["data"].update(data)
+        with pytest.raises(ExperimentError, match=re.escape(
+                f"section '{section}' is missing the 'path' key")) as err:
+            run_experiment(config)
+        assert err.value.stage == "config"
+
+
+def _schema_entries():
+    """(where, key, type, default) for every key of SCHEMA and MODELS."""
+    for section, table in experiment.SCHEMA.items():
+        is_spec = isinstance(next(iter(table.values())), dict)
+        for keys in table.values() if is_spec else [table]:
+            for key, (kind, default) in keys.items():
+                yield section, key, kind, default, keys
+    for kind, (_, _, keys) in experiment.MODELS.items():
+        for key, (type_, default) in {**experiment.MODEL_KEYS, **keys}.items():
+            yield f"model:{kind}", key, type_, default, keys
+
+
+class TestConfigSchema:
+    @pytest.mark.parametrize("section, key, kind, default, keys", [
+        pytest.param(*entry, id=f"{entry[0]}.{entry[1]}") for entry in _schema_entries()
+        if entry[3] is not experiment.REQUIRED
+    ])
+    def test_every_default_passes_its_own_check(self, section, key, kind, default, keys):
+        if callable(default):  # derived from the keys above it, at their defaults
+            default = default({k: d for k, (_, d) in keys.items() if not callable(d)})
+        path = f"{section}.{key}".lstrip(".")
+        value = experiment._value(key, default, kind, default, "the table", path)
+        if kind is dict and default is not None:
+            assert value == experiment._section(value, path)
+        else:
+            assert value == default
+
+    @pytest.mark.parametrize("config", [
+        _planted_config(NARRATIVES),
+        _planted_config(SHUFFLED),
+        _planted_config({"path": "tweets.jsonl"}),
+        {"data": {"series": {"path": "s.csv"}}, "models": [{"type": "darnn"}],
+         "task": {"kind": "next-value"}, "features": {"text": "embedding"}},
+    ], ids=["narratives", "shuffled", "files", "defaults"])
+    def test_resolving_a_resolved_config_changes_nothing(self, config):
+        raw = json.dumps(config, sort_keys=True)
+        resolved = experiment.resolve_config(config)
+        assert experiment.resolve_config(resolved) == resolved
+        assert json.dumps(config, sort_keys=True) == raw  # the raw config is left as it was
+
+    def test_defaults_fill_every_absent_key(self):
+        resolved = experiment.resolve_config(
+            {"data": {"series": {"random_walk": {"n": 50, "sigma": 0.1}},
+                      "text": {"shuffled_narratives": {"seed": 4}}},
+             "task": {"kind": "pct-change"},
+             "models": [{"type": "lasso"}, {"type": "baseline", "kind": "as-previous"}]})
+        assert resolved["data"]["series"]["random_walk"] == {
+            "n": 50, "sigma": 0.1, "v0": 100.0, "seed": 0, "name": "SYNTH"}
+        assert resolved["data"]["text"]["shuffled_narratives"] == {
+            "seed": 4, "p": 1.0, "per_day": 3, "shuffle_seed": 5}
+        assert resolved["task"] == {"target": None, "kind": "pct-change", "horizon": 1}
+        assert resolved["features"]["embedding"]["dimension"] == 16
+        assert resolved["eval"] == {"train_fraction": 0.8}
+        assert resolved["models"] == [
+            {"type": "lasso", "name": "lasso-TF", "inputs": "TF", "lam": 1.0},
+            {"type": "baseline", "name": "as-previous", "kind": "as-previous"},
+        ]
 
 
 class TestRegressionModels:
@@ -407,6 +575,17 @@ class TestRegressionModels:
         ]
         with pytest.raises(ExperimentError, match="model 'rnn' diverged: a prediction or its square"
                            " is not finite") as err:
+            run_experiment(config)
+        assert err.value.stage == "model:rnn"
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("lr", -1.0, "learning_rate must be >= 0, got -1.0"),  # trained by gradient ascent
+        ("batch_size", 0, "batch_size must be >= 1, got 0"),
+    ])
+    def test_darnn_setting_out_of_range_fails_naming_it(self, key, value, message):
+        config = self._config()
+        config["models"] = [{"name": "rnn", "type": "darnn", "epochs": 1, "m": 4, "p": 4, key: value}]
+        with pytest.raises(ExperimentError, match=re.escape(message)) as err:
             run_experiment(config)
         assert err.value.stage == "model:rnn"
 

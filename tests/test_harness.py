@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from econarrative.harness import (
     McNemarResult,
-    TaskSpec,
     direction_of,
     evaluate,
     make_labels,
@@ -167,20 +166,6 @@ class TestMcNemar:
         ba = mcnemar(b, a)
         assert ab.p_value == pytest.approx(ba.p_value, abs=1e-12)
         assert (ab.b, ab.c) == (ba.c, ba.b)
-
-
-class TestTaskSpec:
-    def test_valid(self):
-        spec = TaskSpec(target="VIX", task="direction-change", horizon=7)
-        assert not spec.is_regression
-
-    def test_invalid_horizon(self):
-        with pytest.raises(ValueError):
-            TaskSpec(target="VIX", task="next-value", horizon=3)
-
-    def test_invalid_task(self):
-        with pytest.raises(ValueError):
-            TaskSpec(target="VIX", task="anomaly", horizon=1)
 
 
 def test_direction_of():
