@@ -16,11 +16,12 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__, ingest, sentiment, synthgen
-from .experiment import FINANCIAL_FEATURES, TEXT_FEATURES, config_hash, prepare, run_experiment
+from .experiment import (FINANCIAL_FEATURES, MODELS, TEXT_FEATURES, config_hash, prepare,
+                         run_experiment)
 from .harness import REGRESSION_TASKS, TASKS, evaluate
-from .models import (LINEAR_PENALTIES, LinearModel, LogisticModel, Standardized, fit_columns,
-                     model_from_doc, model_to_doc)
+from .models import LinearModel, LogisticModel, Standardized, fit_columns, model_from_doc, model_to_doc
 from .models.baselines import BASELINE_KINDS
+from .models.columns import DEFAULT_LAM
 
 logger = logging.getLogger("econarrative")
 
@@ -116,7 +117,7 @@ def _cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     dates, X, labels = _load_features_csv(args.features)
     model_cfg = {"type": args.model} if args.lam is None else {"type": args.model, "lam": args.lam}
-    task = "classification" if args.model == "logistic" else "regression"
+    task = MODELS[args.model][0]
     _write_json(out / "model.json", model_to_doc(fit_columns(model_cfg, X, labels), task=task))
     logger.info("trained %s on %d rows", args.model, len(dates))
     return 0
@@ -315,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="fit a model on a feature CSV", parents=[verbose])
     p.add_argument("--features", required=True)
-    p.add_argument("--model", default="logistic", choices=["logistic", *LINEAR_PENALTIES])
+    p.add_argument("--model", default="logistic", choices=list(DEFAULT_LAM))
     p.add_argument("--lam", type=float, help="penalty weight (default: the experiment's)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train)

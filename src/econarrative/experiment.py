@@ -26,8 +26,8 @@ from . import ingest, sentiment, synthgen
 from .embed import AGGREGATION_MODES, HashingEmbedder, daily_embeddings
 from .harness import HORIZONS, REGRESSION_TASKS, TASKS, LabelSeries, evaluate, make_labels, mcnemar
 from .ingest import AlignedDataset, FinancialSeries, TweetCorpus
-from .models import BaselineContext, financial_baseline, fit_columns, train_darnn
-from .models.baselines import BASELINE_KINDS, BASELINE_TASKS, _majority
+from .models import financial_baseline, fit_columns, train_darnn
+from .models.baselines import BASELINE_KINDS, BASELINE_TASKS
 from .models.columns import DEFAULT_LAM
 from .models.darnn import AttentionRnn, DivergenceError
 
@@ -183,8 +183,8 @@ def build_features(aligned: AlignedDataset, labels: LabelSeries, features_cfg: d
     # day i's label is labels.values[i]: the labels cover the first days
     if labels.dates != aligned.dates[:len(labels.dates)]:
         raise ValueError("labels must cover the aligned days from the first one on")
-    # a direction window of `window` moves and the week-majority
-    # baselines' 7 moves each need the value before their first day
+    # a direction window of `window` moves needs the value before its first
+    # day, and a baseline reads the 8 values ending at its row's day
     start = max(window, 7)
     rows = np.arange(start, len(labels.dates), dtype=np.intp)
     if len(rows) < 2:
@@ -218,35 +218,13 @@ def _input_columns(matrix: FeatureMatrix, inputs: str) -> np.ndarray:
 # -- model stage ----------------------------------------------------------
 
 
-def _baseline_model(
-    model_cfg: dict, matrix: FeatureMatrix, n_train: int, aligned: AlignedDataset, task: str
-) -> list:
-    values = aligned.values
-    moves = np.where(_directions(values), "increase", "decrease").tolist()
-    train_labels = matrix.labels[:n_train]
-    if task in REGRESSION_TASKS:
-        train_mean = float(np.mean([float(v) for v in train_labels]))
-        train_majority = None
-    else:
-        train_majority = _majority(train_labels)
-        train_mean = None
-    out = []
-    for d in matrix.dates[n_train:]:
-        i = aligned.index_of(d)
-        if task == "pct-change":
-            prev_value = 100.0 * (values[i] - values[i - 1]) / values[i - 1]
-        else:
-            prev_value = values[i]
-        context = BaselineContext(
-            task=task,
-            prev_value=prev_value,
-            prev_direction=moves[i],
-            week_directions=tuple(moves[i - 6:i + 1]),
-            train_majority=train_majority,
-            train_mean=train_mean,
-        )
-        out.append(financial_baseline(model_cfg["kind"], context))
-    return out
+def _baseline_model(model_cfg: dict, matrix: FeatureMatrix, n_train: int, aligned: AlignedDataset,
+                    task: str) -> list:
+    # the rows are consecutive aligned days, so the test rows follow the first one
+    first = aligned.index_of(matrix.dates[n_train])
+    rows = np.arange(first, first + len(matrix.dates) - n_train)
+    weeks, _ = _windows(_financial_column(aligned, "value-window"), 8, rows)
+    return financial_baseline(model_cfg["kind"], task, weeks, matrix.labels[:n_train])
 
 
 def _column_model(model_cfg: dict, matrix: FeatureMatrix, n_train: int, *_) -> list:

@@ -25,8 +25,6 @@ MCNEMAR_EXACT_LIMIT = 25
 
 @dataclass(frozen=True)
 class LabelSeries:
-    task: str
-    horizon: int
     dates: tuple[date, ...]
     values: tuple
 
@@ -66,7 +64,7 @@ def make_labels(series: FinancialSeries | AlignedDataset, task: str, horizon: in
             label = direction_of(before, ahead)
         out_dates.append(dates[i])
         out_values.append(label)
-    return LabelSeries(task=task, horizon=horizon, dates=tuple(out_dates), values=tuple(out_values))
+    return LabelSeries(dates=tuple(out_dates), values=tuple(out_values))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-from .baselines import BaselineContext, financial_baseline
+from .baselines import financial_baseline
 from .columns import Standardized, fit_columns
 from .darnn import AttentionRnn, gradient_check, train_darnn
 from .linear import LINEAR_PENALTIES, LinearModel, fit_linear, linear_objective
@@ -8,7 +8,6 @@ from .textclf import TextClassifier, fit_text_classifier
 
 __all__ = [
     "AttentionRnn",
-    "BaselineContext",
     "LINEAR_PENALTIES",
     "LinearModel",
     "LogisticModel",

@@ -7,10 +7,11 @@ up/down calls, and the training-mean for regression.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
-from ..harness import REGRESSION_TASKS
+import numpy as np
+
+from ..harness import REGRESSION_TASKS, TASKS
 
 # baseline kind -> the task kind it predicts, None for either
 BASELINE_TASKS = {
@@ -25,63 +26,41 @@ BASELINE_TASKS = {
 BASELINE_KINDS = tuple(BASELINE_TASKS)
 
 
-class MissingContextError(ValueError):
-    """A baseline was asked for without the context element it needs."""
+def _direction(up) -> list:
+    # a flat move or a tied vote is a decrease, matching the labelling convention
+    return np.where(up, "increase", "decrease").tolist()
 
 
-@dataclass(frozen=True)
-class BaselineContext:
-    """Everything a rule might consume; populate what the kind requires."""
-
-    task: str = "direction-change"
-    prev_value: float | None = None
-    prev_direction: str | None = None
-    week_directions: Sequence[str] | None = None
-    train_majority: str | None = None
-    train_mean: float | None = None
-
-
-def _require(value, name: str):
-    if value is None:
-        raise MissingContextError(f"baseline needs context element {name!r}")
-    return value
-
-
-def _flip(direction: str) -> str:
-    if direction == "increase":
-        return "decrease"
-    if direction == "decrease":
-        return "increase"
-    raise ValueError(f"unknown direction {direction!r}")
-
-
-def _majority(directions: Sequence[str]) -> str:
-    ups = sum(1 for d in directions if d == "increase")
-    downs = len(directions) - ups
-    # ties resolve to decrease, matching the labelling convention
-    return "increase" if ups > downs else "decrease"
-
-
-def financial_baseline(kind: str, context: BaselineContext):
-    """Evaluate one baseline rule; returns a float or a direction string."""
-    if kind not in BASELINE_KINDS:
+def financial_baseline(kind: str, task: str, weeks, train_labels: Sequence) -> list:
+    """One rule's prediction per test row: floats for a regression task,
+    'increase'/'decrease' otherwise. `weeks` holds each row's 8 values ending
+    at its day, oldest first: the last 7 moves."""
+    if kind not in BASELINE_TASKS:
         raise ValueError(f"unknown baseline kind {kind!r}")
-    regression = context.task in REGRESSION_TASKS
-    if kind == "as-previous":
-        if regression:
-            return float(_require(context.prev_value, "prev_value"))
-        return _require(context.prev_direction, "prev_direction")
-    if kind == "inverse-previous":
-        return _flip(_require(context.prev_direction, "prev_direction"))
-    if kind == "week-majority":
-        week = _require(context.week_directions, "week_directions")
-        if not week:
-            raise MissingContextError("week_directions is empty")
-        return _majority(week)
+    if task not in TASKS:
+        raise ValueError(f"unknown task {task!r}")
+    fits = BASELINE_TASKS[kind]
+    if fits not in (None, "regression" if task in REGRESSION_TASKS else "classification"):
+        raise ValueError(f"{kind!r} baselines only fit {fits} tasks, not {task!r}")
+    weeks = np.asarray(weeks, dtype=float)
+    if weeks.ndim != 2 or weeks.shape[1] != 8:
+        raise ValueError(f"weeks must have shape (rows, 8), got {weeks.shape}")
+    rows = len(weeks)
+    if kind == "train-mean":
+        return [float(np.mean([float(v) for v in train_labels]))] * rows
     if kind == "train-majority":
-        return _require(context.train_majority, "train_majority")
-    if kind == "up":
-        return "increase"
-    if kind == "down":
-        return "decrease"
-    return float(_require(context.train_mean, "train_mean"))
+        ups = sum(1 for v in train_labels if v == "increase")
+        return _direction([2 * ups > len(train_labels)] * rows)
+    if kind in ("up", "down"):
+        return _direction([kind == "up"] * rows)
+    last, before = weeks[:, -1], weeks[:, -2]
+    if task == "next-value":  # as-previous
+        return last.tolist()
+    if task == "pct-change":  # as-previous
+        if (before == 0).any():
+            raise ZeroDivisionError("pct-change baseline: zero base value")
+        return (100.0 * (last - before) / before).tolist()
+    ups = weeks[:, 1:] > weeks[:, :-1]
+    if kind == "week-majority":
+        return _direction(2 * ups.sum(axis=1) > ups.shape[1])
+    return _direction(ups[:, -1] if kind == "as-previous" else ~ups[:, -1])

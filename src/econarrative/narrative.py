@@ -14,7 +14,7 @@ import os
 import re
 import tempfile
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import date
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -314,12 +314,7 @@ class LlmClient:
             except ParseError:
                 self._persist_failure(key, raw)
                 raise
-            analysis = LlmAnalysis(
-                tweet_analysis=parsed.tweet_analysis,
-                impact_analysis=parsed.impact_analysis,
-                window=prompt.window,
-                cache_key=key,
-            )
+            analysis = replace(parsed, cache_key=key)
             if path is not None:
                 _write_atomic(
                     path,

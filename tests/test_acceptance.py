@@ -15,12 +15,7 @@ import pytest
 from econarrative.experiment import run_experiment
 from econarrative.harness import evaluate, mcnemar
 from econarrative.ingest import TweetRecord
-from econarrative.models import (
-    BaselineContext,
-    financial_baseline,
-    fit_linear,
-    linear_objective,
-)
+from econarrative.models import financial_baseline, fit_linear, linear_objective
 from econarrative.models.darnn import AttentionRnn, gradient_check
 from econarrative.narrative import (
     LlmAnalysis,
@@ -49,26 +44,20 @@ def test_baseline_arithmetic_against_hand_computation():
     # hand-derived: moves are +, -, +, +, tie, -, +, +, -
     directions = ["increase", "decrease", "increase", "increase", "decrease",
                   "decrease", "increase", "increase", "decrease"]
-    ctx = BaselineContext(
-        task="direction-change",
-        prev_value=4.4,
-        prev_direction="decrease",
-        week_directions=tuple(directions[-7:]),  # 4 of 7 increases
-        train_majority="increase",
-        train_mean=3.85,
-    )
-    assert financial_baseline("as-previous", ctx) == "decrease"
-    assert financial_baseline(
-        "as-previous", BaselineContext(task="next-value", prev_value=4.4)
-    ) == 4.4
-    assert financial_baseline("inverse-previous", ctx) == "increase"
-    assert financial_baseline("week-majority", ctx) == "increase"
-    assert financial_baseline("train-majority", ctx) == "increase"
-    assert financial_baseline("up", ctx) == "increase"
-    assert financial_baseline("down", ctx) == "decrease"
-    assert financial_baseline(
-        "train-mean", BaselineContext(task="next-value", train_mean=(1.0 + 2.0 + 3.0) / 3)
-    ) == 2.0
+    weeks = [values[-8:]]  # the last day's 8 values: its last 7 moves, 4 of them up
+    train_labels = directions  # 5 of 9 up
+
+    def classify(kind):
+        return financial_baseline(kind, "direction-change", weeks, train_labels)
+
+    assert classify("as-previous") == ["decrease"]
+    assert financial_baseline("as-previous", "next-value", weeks, []) == [4.4]
+    assert classify("inverse-previous") == ["increase"]
+    assert classify("week-majority") == ["increase"]
+    assert classify("train-majority") == ["increase"]
+    assert classify("up") == ["increase"]
+    assert classify("down") == ["decrease"]
+    assert financial_baseline("train-mean", "next-value", weeks, [1.0, 2.0, 3.0]) == [2.0]
     _report("baseline-arithmetic", "7 rule baselines exact", time.monotonic() - start, 1.0)
 
 

@@ -16,7 +16,7 @@ from econarrative.experiment import (
     run_experiment,
     write_report,
 )
-from econarrative.harness import TASKS, LabelSeries, make_labels
+from econarrative.harness import TASKS, LabelSeries, direction_of, make_labels
 
 
 def _planted_config(text_source, seed=7):
@@ -605,6 +605,46 @@ class TestRegressionModels:
         assert err.value.stage == "model:darnn"
 
 
+class TestBaselineModels:
+    def test_one_call_per_baseline_model(self, monkeypatch):
+        calls = []
+        real = experiment.financial_baseline
+
+        def counted(kind, *args):
+            calls.append(kind)
+            return real(kind, *args)
+
+        monkeypatch.setattr(experiment, "financial_baseline", counted)
+        report = run_experiment(_planted_config(NARRATIVES))
+        assert calls == ["up", "week-majority"]
+        assert len(report.predictions["week-majority"]) == report.n_test
+
+    @pytest.mark.parametrize("horizon", [1, 7, 30])
+    def test_predictions_read_each_test_day_by_date(self, horizon):
+        def run(task, kinds):
+            config = {"data": {"series": {"random_walk": {"n": 120, "sigma": 0.01, "seed": 2}}},
+                      "task": {"kind": task, "horizon": horizon},
+                      "models": [{"type": "baseline", "kind": kind} for kind in kinds]}
+            return run_experiment(config).predictions
+
+        series = synthgen.gen_random_walk(n=120, sigma=0.01, v0=100.0, seed=2)
+        values = series.values
+        ends = {d.isoformat(): i for i, d in enumerate(series.dates)}
+
+        def moves(i):  # the 7 moves ending at day i
+            return [direction_of(values[j - 1], values[j]) for j in range(i - 6, i + 1)]
+
+        regression = run("next-value", ["as-previous"])
+        assert [p for d, p, _ in regression["as-previous"]] == [
+            values[ends[d]] for d, _, _ in regression["as-previous"]]
+        classification = run("direction-change", ["as-previous", "week-majority"])
+        assert [p for d, p, _ in classification["as-previous"]] == [
+            moves(ends[d])[-1] for d, _, _ in classification["as-previous"]]
+        assert [p for d, p, _ in classification["week-majority"]] == [
+            "increase" if moves(ends[d]).count("increase") >= 4 else "decrease"
+            for d, _, _ in classification["week-majority"]]
+
+
 class TestReportPersistence:
     def test_report_files_written(self, tmp_path):
         config = _planted_config(NARRATIVES)
@@ -792,7 +832,7 @@ class TestRowsByPosition:
         def gapped_labels(series, task, horizon):
             labels = make_labels(series, task, horizon)
             keep = [i for i in range(len(labels.dates)) if i != dropped]
-            return LabelSeries(task, horizon, tuple(labels.dates[i] for i in keep),
+            return LabelSeries(tuple(labels.dates[i] for i in keep),
                                tuple(labels.values[i] for i in keep))
 
         monkeypatch.setattr(experiment, "make_labels", gapped_labels)
