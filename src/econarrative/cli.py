@@ -18,7 +18,7 @@ from pathlib import Path
 from . import __version__, ingest, sentiment, synthgen
 from .experiment import (FINANCIAL_FEATURES, MODELS, TEXT_FEATURES, config_hash, prepare,
                          run_experiment)
-from .harness import REGRESSION_TASKS, TASKS, evaluate
+from .harness import TASKS, evaluate
 from .models import LinearModel, LogisticModel, Standardized, fit_columns, model_from_doc, model_to_doc
 from .models.baselines import BASELINE_KINDS
 from .models.columns import DEFAULT_LAM
@@ -52,7 +52,6 @@ def _write_json(path: Path, payload) -> None:
 
 def _cmd_ingest(args) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     summary = {}
     if args.tweets:
         corpus = ingest.preprocess(ingest.load_tweets(args.tweets, min_followers=args.min_followers))
@@ -79,7 +78,6 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_features(args) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     text = {"path": args.tweets, "min_followers": args.min_followers} if args.tweets else None
     _, matrix = prepare({
         "data": {"series": {"path": args.series, "column": args.column}, "text": text},
@@ -104,17 +102,19 @@ def _load_features_csv(path: str):
     dates, rows, labels = [], [], []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        if next(reader, None) is None:
+            raise ValueError(f"feature file {path} has no header row")
         for record in reader:
             dates.append(record[0])
             rows.append([float(v) for v in record[1:-1]])
             labels.append(record[-1])
+    if not rows:
+        raise ValueError(f"feature file {path} has no data rows")
     return dates, np.array(rows), labels
 
 
 def _cmd_train(args) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     dates, X, labels = _load_features_csv(args.features)
     model_cfg = {"type": args.model} if args.lam is None else {"type": args.model, "lam": args.lam}
     task = MODELS[args.model][0]
@@ -125,7 +125,6 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     model = model_from_doc(json.loads(Path(args.model).read_text("utf-8")))
     if isinstance(model, (LinearModel, LogisticModel)):  # schema 1: `train` fitted the raw columns
         model = Standardized(model)
@@ -143,19 +142,17 @@ def _cmd_evaluate(args) -> int:
     predictions, labels = [], []
     with open(args.predictions, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
+        for column in ("prediction", "label"):
+            if column not in (reader.fieldnames or ()):
+                raise ValueError(f"{args.predictions} has no {column!r} column")
         for row in reader:
             predictions.append(row["prediction"])
             labels.append(row["label"])
-    if args.task in REGRESSION_TASKS:
-        predictions = [float(v) for v in predictions]
-        labels = [float(v) for v in labels]
     report = evaluate(predictions, labels, args.task)
     payload = report.to_dict()
     print(json.dumps(payload, sort_keys=True, indent=2))
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_json(out / "metrics.json", payload)
+        _write_json(Path(args.out) / "metrics.json", payload)
     return 0
 
 
@@ -175,7 +172,6 @@ def _cmd_baseline(args) -> int:
 
 def _cmd_synth(args) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.kind == "walk":
         series = synthgen.gen_random_walk(n=args.n, sigma=args.sigma, v0=args.v0, seed=args.seed)
         ingest.write_series_csv(series, out / "series.csv")
@@ -204,7 +200,6 @@ def _cmd_synth(args) -> int:
 def _cmd_analyze(args) -> int:
     corpus = ingest.preprocess(ingest.load_tweets(args.tweets))
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.what == "freq":
         timeline = sentiment.word_frequency_timeline(corpus, args.term, granularity=args.by)
         path = out / f"freq_{args.term}.csv"
@@ -241,10 +236,8 @@ def _cmd_llm_analyze(args) -> int:
         )
     )
     analysis = client.request_analysis(prompt)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     _write_json(
-        out / "analysis.json",
+        Path(args.out) / "analysis.json",
         {
             "window": [analysis.window[0].isoformat(), analysis.window[1].isoformat()],
             "tweet_analysis": analysis.tweet_analysis,

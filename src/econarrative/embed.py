@@ -10,17 +10,14 @@ backend, which speaks a minimal JSON batch protocol.
 from __future__ import annotations
 
 import hashlib
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Sequence
 
 import numpy as np
-import requests
 
 from .ingest import rank_counts
-from .retry import post_with_retries
+from .retry import JsonService
 
 SEP_TOKEN = "⟂SEP⟂"  # reserved joiner for joint-mode encoding
 
@@ -108,37 +105,14 @@ class ExternalEmbedder:
     ) -> None:
         if dimension <= 0:
             raise ValueError("dimension must be positive")
-        for name, value in (("max_parallel", max_parallel), ("max_retries", max_retries),
-                            ("batch_size", batch_size)):
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1")
-        self.endpoint = endpoint
+        if batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         self.dimension = dimension
-        self.api_key = api_key if api_key is not None else os.environ.get("NARRATIVE_LLM_API_KEY")
-        self.max_parallel = max_parallel
-        self.max_retries = max_retries
-        self.backoff = backoff
-        self.timeout = timeout
         self.batch_size = batch_size
-        self._session = requests.Session()
-
-    def _post(self, texts: list[str]) -> list[list[float]]:
-        headers = {"Authorization": f"Bearer {self.api_key}"} if self.api_key else {}
-        return post_with_retries(
-            self._session,
-            self.endpoint,
-            {"texts": texts},
-            headers,
-            timeout=self.timeout,
-            retries=self.max_retries,
-            backoff=self.backoff,
-            extract=lambda reply: reply["vectors"],
-            error_cls=EmbeddingServiceError,
-            service="embedding service",
+        self.service = JsonService(
+            endpoint, "embedding service", EmbeddingServiceError, api_key,
+            max_parallel, max_retries, backoff, timeout,
         )
-
-    def embed(self, text: str) -> np.ndarray:
-        return self.embed_batch([text])[0]
 
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
         """One row per text, shape (len(texts), dimension), in order; the
@@ -146,8 +120,9 @@ class ExternalEmbedder:
         chunks = [list(texts[i:i + self.batch_size]) for i in range(0, len(texts), self.batch_size)]
         if not chunks:
             return np.zeros((0, self.dimension))
-        with ThreadPoolExecutor(max_workers=self.max_parallel) as pool:
-            results = list(pool.map(self._post, chunks))
+        results = self.service.map(
+            lambda chunk: self.service.post({"texts": chunk}, lambda reply: reply["vectors"]), chunks
+        )
         out: list[np.ndarray] = []
         for chunk, vectors in zip(chunks, results):
             try:

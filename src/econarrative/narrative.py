@@ -19,10 +19,8 @@ from datetime import date
 from pathlib import Path
 from typing import Mapping, Sequence
 
-import requests
-
 from .ingest import TweetRecord, rank_counts
-from .retry import post_with_retries
+from .retry import JsonService, check_settings
 
 MAX_TWEETS_PER_DAY = 10
 
@@ -100,10 +98,7 @@ class LlmClientConfig:
     api_key: str | None = None
 
     def __post_init__(self) -> None:
-        if self.max_parallel < 1:
-            raise ValueError("max_parallel must be >= 1")
-        if self.max_retries < 1:
-            raise ValueError("max_retries must be >= 1")
+        check_settings(self.max_parallel, self.max_retries)
 
 
 def _financial_block(values_by_date: Mapping[date, float], dates: Sequence[date]) -> str:
@@ -219,11 +214,16 @@ class LlmClient:
 
     def __init__(self, config: LlmClientConfig) -> None:
         self.config = config
-        self._session = requests.Session()
+        self.service = JsonService(
+            config.endpoint, "chat endpoint", LlmRequestError, config.api_key,
+            config.max_parallel, config.max_retries, config.backoff, config.timeout,
+        )
         self._locks: dict[str, threading.Lock] = {}
         self._locks_guard = threading.Lock()
-        self._calls_guard = threading.Lock()
-        self.network_calls = 0
+
+    @property
+    def network_calls(self) -> int:
+        return self.service.requests
 
     # -- cache ---------------------------------------------------------
 
@@ -239,11 +239,6 @@ class LlmClient:
     def _key_lock(self, key: str) -> threading.Lock:
         with self._locks_guard:
             return self._locks.setdefault(key, threading.Lock())
-
-    def _count_call(self) -> None:
-        # request_analyses calls complete from several threads
-        with self._calls_guard:
-            self.network_calls += 1
 
     def _persist_failure(self, key: str, raw: str) -> None:
         path = self._cache_path(key)
@@ -274,28 +269,12 @@ class LlmClient:
 
     def complete(self, prompt_text: str) -> str:
         """One chat call; retries transport and server failures with backoff."""
-        headers = {"Content-Type": "application/json"}
-        api_key = self.config.api_key or os.environ.get("NARRATIVE_LLM_API_KEY")
-        if api_key:
-            headers["Authorization"] = f"Bearer {api_key}"
         body = {
             "model": self.config.model,
             "temperature": self.config.temperature,
             "messages": [{"role": "user", "content": prompt_text}],
         }
-        return post_with_retries(
-            self._session,
-            self.config.endpoint,
-            body,
-            headers,
-            timeout=self.config.timeout,
-            retries=self.config.max_retries,
-            backoff=self.config.backoff,
-            extract=lambda reply: reply["choices"][0]["message"]["content"],
-            error_cls=LlmRequestError,
-            service="chat endpoint",
-            on_attempt=self._count_call,
-        )
+        return self.service.post(body, lambda reply: reply["choices"][0]["message"]["content"])
 
     # -- analysis protocol ----------------------------------------------
 
@@ -334,10 +313,7 @@ class LlmClient:
 
     def request_analyses(self, prompts: Sequence[AnalysisPrompt]) -> list[LlmAnalysis]:
         """Bounded-parallel request_analysis over several prompts."""
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=self.config.max_parallel) as pool:
-            return list(pool.map(self.request_analysis, prompts))
+        return self.service.map(self.request_analysis, prompts)
 
 
 def render_directions(directions: Sequence) -> str:

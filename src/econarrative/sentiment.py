@@ -12,9 +12,8 @@ import math
 import re
 from dataclasses import dataclass
 from datetime import date
-from functools import lru_cache
+from functools import cache
 from importlib import resources
-from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -52,13 +51,10 @@ def tokenize(text: str) -> list[str]:
     return [t.lower() for t in TOKEN_RE.findall(text)]
 
 
-@lru_cache(maxsize=4)
-def load_lexicon(path: str | None = None) -> SentimentLexicon:
-    """Load a token<TAB>valence table; defaults to the bundled lexicon."""
-    if path is None:
-        raw = resources.files("econarrative.assets").joinpath("lexicon.tsv").read_text("utf-8")
-    else:
-        raw = Path(path).read_text("utf-8")
+@cache
+def load_lexicon() -> SentimentLexicon:
+    """The bundled token<TAB>valence table."""
+    raw = resources.files("econarrative.assets").joinpath("lexicon.tsv").read_text("utf-8")
     valences: dict[str, float] = {}
     for line in raw.splitlines():
         if not line.strip():
@@ -68,13 +64,13 @@ def load_lexicon(path: str | None = None) -> SentimentLexicon:
     return SentimentLexicon(valences=valences)
 
 
-def score(text: str, lexicon: SentimentLexicon | None = None) -> float:
+def score(text: str) -> float:
     """Compound sentiment in (-1, 1); 0.0 for empty or all-unknown text."""
-    lexicon = lexicon or load_lexicon()
+    valences = load_lexicon().valences
     tokens = tokenize(text)
     total = 0.0
     for i, token in enumerate(tokens):
-        valence = lexicon.valences.get(token)
+        valence = valences.get(token)
         if valence is None:
             continue
         window = tokens[max(0, i - NEGATION_WINDOW):i]
@@ -91,26 +87,22 @@ def _mean(scores: Sequence[float]) -> float:
     return sum(scores) / len(scores) if scores else 0.0
 
 
-def daily_sentiment(dataset: AlignedDataset, d: date, lexicon: SentimentLexicon | None = None) -> float:
+def daily_sentiment(dataset: AlignedDataset, d: date) -> float:
     """Mean per-tweet compound score for one trading day; 0.0 when empty."""
-    lexicon = lexicon or load_lexicon()
     i = dataset.index_of(d)
     texts = dataset.corpus.texts[dataset.offsets[i]:dataset.offsets[i + 1]]
-    return _mean([score(text, lexicon) for text in texts])
+    return _mean([score(text) for text in texts])
 
 
-def daily_sentiment_column(
-    dataset: AlignedDataset, lexicon: SentimentLexicon | None = None
-) -> np.ndarray:
+def daily_sentiment_column(dataset: AlignedDataset) -> np.ndarray:
     """daily_sentiment of every trading day, in date order.
 
     Each distinct aligned text is scored once. A day's mean sums its
     tweets' scores in posting order, as daily_sentiment does, so every
     entry is daily_sentiment of that day to the bit.
     """
-    lexicon = lexicon or load_lexicon()
     distinct, index = distinct_index(dataset.corpus.texts)
-    scores = [score(text, lexicon) for text in distinct]
+    scores = [score(text) for text in distinct]
     per_tweet = [scores[i] for i in index]
     bounds = dataset.offsets
     return np.array([_mean(per_tweet[a:b]) for a, b in zip(bounds, bounds[1:])], dtype=float)
@@ -152,19 +144,16 @@ def _periods_between(start: date, end: date, granularity: str) -> list[str]:
     return out
 
 
-def sentiment_histogram(
-    corpus: TweetCorpus, bin_width: float, lexicon: SentimentLexicon | None = None
-) -> dict[tuple[float, float], int]:
+def sentiment_histogram(corpus: TweetCorpus, bin_width: float) -> dict[tuple[float, float], int]:
     """Histogram of per-tweet compound scores over bins partitioning [-1, 1]."""
     if bin_width <= 0:
         raise ValueError("bin_width must be positive")
-    lexicon = lexicon or load_lexicon()
     n_bins = max(1, math.ceil(2.0 / bin_width))
     edges = [-1.0 + i * bin_width for i in range(n_bins)] + [1.0]
     hist = {(edges[i], min(edges[i + 1], 1.0)): 0 for i in range(n_bins)}
     keys = list(hist.keys())
     distinct, index = distinct_index(corpus.texts)
-    bins = [min(int((score(text, lexicon) + 1.0) / bin_width), n_bins - 1) for text in distinct]
+    bins = [min(int((score(text) + 1.0) / bin_width), n_bins - 1) for text in distinct]
     for i in index:
         hist[keys[bins[i]]] += 1
     return hist

@@ -10,6 +10,7 @@ class _StubState:
 
     def __init__(self):
         self.calls = 0
+        self.headers = {}  # the last request's
         self.lock = threading.Lock()
         self.reply = lambda payload: {"choices": [{"message": {"content": "ok"}}]}
         self.status = 200
@@ -37,6 +38,7 @@ def _make_handler(state: _StubState):
             payload = json.loads(self.rfile.read(length) or b"{}")
             with state.lock:
                 state.calls += 1
+                state.headers = dict(self.headers)
                 status = state.status
                 body = json.dumps(state.reply(payload)).encode()
             self.send_response(status)

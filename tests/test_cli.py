@@ -212,6 +212,37 @@ class TestPipelineCommands:
         assert sum(int(line.rsplit(",", 1)[1]) for line in body[1:]) == 1
 
 
+class TestBadInput:
+    """Malformed input files fail with exit code 2 and an error naming the
+    file or column; the RuntimeWarnings pytest raises would change the message."""
+
+    @pytest.mark.parametrize("content, problem", [
+        ("", "has no header row"),
+        ("date,x0,label\n", "has no data rows"),
+    ])
+    def test_features_without_rows(self, tmp_path, capsys, content, problem):
+        features = tmp_path / "features.csv"
+        features.write_text(content, encoding="utf-8")
+        code = main(["train", "--features", str(features), "--out", str(tmp_path / "m")])
+        assert code == 2
+        assert f"feature file {features} {problem}" in capsys.readouterr().err
+
+    def test_evaluate_names_the_missing_column(self, tmp_path, capsys):
+        predictions = tmp_path / "predictions.csv"
+        predictions.write_text("date,label\n2021-01-04,increase\n", encoding="utf-8")
+        assert main(["evaluate", "--predictions", str(predictions)]) == 2
+        assert f"{predictions} has no 'prediction' column" in capsys.readouterr().err
+
+    def test_evaluate_reads_regression_values_as_numbers(self, tmp_path, capsys):
+        predictions = tmp_path / "predictions.csv"
+        predictions.write_text("prediction,label\n1.5,1.0\n-2,-1.0\n", encoding="utf-8")
+        out = tmp_path / "metrics"
+        assert main(["evaluate", "--predictions", str(predictions), "--task", "pct-change",
+                     "--out", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out)["mse"] == 0.625
+        assert json.loads((out / "metrics.json").read_text())["mse"] == 0.625
+
+
 def _planted_inputs(tmp_path):
     """A 300-point walk and its planted narratives (seed 3), as files."""
     series = synthgen.gen_random_walk(n=300, sigma=0.01, v0=100.0, seed=3)

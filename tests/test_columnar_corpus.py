@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from econarrative import ingest
 from econarrative.embed import AGGREGATION_MODES, HashingEmbedder, daily_embeddings
 from econarrative.ingest import FinancialSeries
-from econarrative.sentiment import daily_sentiment_column, load_lexicon, score
+from econarrative.sentiment import daily_sentiment_column, score
 
 FLOOR = 1000
 ORIGIN = date(2021, 1, 4)  # a Monday
@@ -88,8 +88,7 @@ def reference_align(records, series):
 
 
 def reference_day_scores(days):
-    lexicon = load_lexicon()
-    return [sum(score(r.text, lexicon) for r in day) / len(day) if day else 0.0 for day in days]
+    return [sum(score(r.text) for r in day) / len(day) if day else 0.0 for day in days]
 
 
 EMOJI = sorted(ingest.load_emoji_aliases())

@@ -313,14 +313,14 @@ class TestExternalEmbedder:
         stub_server.state.set_embedding(dimension=4)
         e = ExternalEmbedder(endpoint=stub_server.url, dimension=8, backoff=0.01)
         with pytest.raises(EmbeddingServiceError, match="dimension"):
-            e.embed("alpha")
+            e.embed_batch(["alpha"])
 
     def test_unreachable_endpoint(self):
         e = ExternalEmbedder(
             endpoint="http://127.0.0.1:1/", dimension=4, max_retries=2, backoff=0.01
         )
         with pytest.raises(EmbeddingServiceError, match="failed after 2"):
-            e.embed("alpha")
+            e.embed_batch(["alpha"])
 
     def test_client_error_is_not_retried(self, stub_server, monkeypatch):
         sleeps = []
@@ -328,6 +328,6 @@ class TestExternalEmbedder:
         stub_server.state.status = 401
         e = ExternalEmbedder(endpoint=stub_server.url, dimension=4, backoff=0.01)
         with pytest.raises(EmbeddingServiceError, match="client error 401"):
-            e.embed("alpha")
+            e.embed_batch(["alpha"])
         assert stub_server.calls == 1
         assert sleeps == []

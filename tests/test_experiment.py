@@ -759,9 +759,9 @@ class TestFeatureColumns:
         calls = []
         real_score = sentiment.score
 
-        def counting_score(text, lexicon=None):
+        def counting_score(text):
             calls.append(text)
-            return real_score(text, lexicon)
+            return real_score(text)
 
         monkeypatch.setattr(sentiment, "score", counting_score)
         features = {"text": "sentiment-window", "financial": "direction-window", "window": 7}

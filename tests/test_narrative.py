@@ -288,7 +288,7 @@ class TestClientCache:
                 return SimpleNamespace(status_code=200, json=lambda: reply)
 
         client = LlmClient(LlmClientConfig(endpoint="http://unused.invalid/", model="m"))
-        client._session = InstantSession()
+        client.service.session = InstantSession()
         threads, calls = 8, 200
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

@@ -131,9 +131,9 @@ def _count_scores(monkeypatch):
     """The texts sentiment.score is called on, from here on."""
     calls = []
 
-    def counting_score(text, lexicon=None):
+    def counting_score(text):
         calls.append(text)
-        return score(text, lexicon)
+        return score(text)
 
     monkeypatch.setattr(sentiment, "score", counting_score)
     return calls
