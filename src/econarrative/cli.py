@@ -18,7 +18,7 @@ from pathlib import Path
 from . import __version__, ingest, sentiment, synthgen
 from .experiment import (FINANCIAL_FEATURES, MODELS, TEXT_FEATURES, config_hash, prepare,
                          run_experiment)
-from .harness import TASKS, evaluate
+from .harness import TASKS, EntryError, evaluate
 from .models import LinearModel, LogisticModel, Standardized, fit_columns, model_from_doc, model_to_doc
 from .models.baselines import BASELINE_KINDS
 from .models.columns import DEFAULT_LAM
@@ -102,11 +102,23 @@ def _load_features_csv(path: str):
     dates, rows, labels = [], [], []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        if next(reader, None) is None:
+        header = next(reader, None)
+        if header is None:
             raise ValueError(f"feature file {path} has no header row")
         for record in reader:
+            where = f"feature file {path} line {reader.line_num}"
+            if len(record) < len(header):  # a blank line is a record of no fields
+                raise ValueError(f"{where}: no value for column {header[len(record)]!r}")
+            if len(record) > len(header):
+                raise ValueError(f"{where}: {len(record)} fields under {len(header)} column headers")
+            row = []
+            for column, cell in zip(header[1:-1], record[1:-1]):
+                try:
+                    row.append(float(cell))
+                except ValueError:
+                    raise ValueError(f"{where}: column {column!r} is {cell!r}, not a number") from None
             dates.append(record[0])
-            rows.append([float(v) for v in record[1:-1]])
+            rows.append(row)
             labels.append(record[-1])
     if not rows:
         raise ValueError(f"feature file {path} has no data rows")
@@ -139,7 +151,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    predictions, labels = [], []
+    predictions, labels, lines = [], [], []
     with open(args.predictions, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         for column in ("prediction", "label"):
@@ -148,7 +160,11 @@ def _cmd_evaluate(args) -> int:
         for row in reader:
             predictions.append(row["prediction"])
             labels.append(row["label"])
-    report = evaluate(predictions, labels, args.task)
+            lines.append(reader.line_num)
+    try:
+        report = evaluate(predictions, labels, args.task)
+    except EntryError as exc:
+        raise ValueError(f"{args.predictions} line {lines[exc.index]}: {exc}") from None
     payload = report.to_dict()
     print(json.dumps(payload, sort_keys=True, indent=2))
     if args.out:
@@ -249,6 +265,8 @@ def _cmd_llm_analyze(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be >= 1, not {args.jobs}")
     configs = [Path(p) for p in args.config]
     out_root = Path(args.out)
     stems = [p.stem for p in configs]

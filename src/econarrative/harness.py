@@ -85,10 +85,26 @@ class MetricsReport:
         return out
 
 
+class EntryError(ValueError):
+    """A prediction or label `evaluate` cannot score; `index` is its position."""
+
+    def __init__(self, message: str, index: int) -> None:
+        super().__init__(message)
+        self.index = index
+
+
+def _number(what: str, i: int, value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise EntryError(f"{what} {i} is {value!r}, not a number", i) from None
+
+
 def evaluate(predictions: Sequence, labels: Sequence, task: str) -> MetricsReport:
     """MSE for regression; accuracy and increase-positive F1 for classification.
 
-    A squared error beyond float range is a ValueError naming the prediction.
+    A regression entry that is not a number, or a squared error beyond float
+    range, is an EntryError naming the entry's index and value.
     """
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}")
@@ -100,11 +116,11 @@ def evaluate(predictions: Sequence, labels: Sequence, task: str) -> MetricsRepor
     if task in REGRESSION_TASKS:
         squares = []
         for i, (p, y) in enumerate(pairs):
+            p, y = _number("prediction", i, p), _number("label", i, y)
             try:
-                squares.append((float(p) - float(y)) ** 2)
+                squares.append((p - y) ** 2)
             except OverflowError:
-                message = f"prediction {i} is {float(p)!r}: its squared error overflows"
-                raise ValueError(message) from None
+                raise EntryError(f"prediction {i} is {p!r}: its squared error overflows", i) from None
         mse = sum(squares) / len(pairs)
         return MetricsReport(task=task, n=len(pairs), mse=mse)
     correct = sum(1 for p, y in pairs if p == y)

@@ -8,8 +8,6 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable
 
-import requests
-
 
 def check_settings(max_parallel: int, max_retries: int) -> None:
     for name, value in (("max_parallel", max_parallel), ("max_retries", max_retries)):
@@ -23,7 +21,8 @@ class JsonService:
 
     The key is resolved once, here: an empty or absent `api_key` falls back
     to NARRATIVE_LLM_API_KEY, and with neither no Authorization header is
-    sent.
+    sent. `requests` is imported here, not at module level, so commands that
+    build no client never load the HTTP stack.
     """
 
     def __init__(
@@ -37,7 +36,10 @@ class JsonService:
         backoff: float,
         timeout: float,
     ) -> None:
+        import requests
+
         check_settings(max_parallel, max_retries)
+        self._http = requests
         self.endpoint = endpoint
         self.name = name
         self.error_cls = error_cls
@@ -73,11 +75,11 @@ class JsonService:
                     self.endpoint, json=body, headers=self.headers, timeout=self.timeout
                 )
                 if resp.status_code >= 500:
-                    raise requests.HTTPError(f"server error {resp.status_code}")
+                    raise self._http.HTTPError(f"server error {resp.status_code}")
                 if resp.status_code < 400:
                     return extract(resp.json())
             # TypeError: JSON that is not the object `extract` reads, such as [1, 2]
-            except (requests.RequestException, KeyError, IndexError, TypeError, ValueError) as exc:
+            except (self._http.RequestException, KeyError, IndexError, TypeError, ValueError) as exc:
                 last = exc
                 continue
             raise self.error_cls(f"{self.name} rejected the request: client error {resp.status_code}")

@@ -227,6 +227,35 @@ class TestBadInput:
         assert code == 2
         assert f"feature file {features} {problem}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    @pytest.mark.parametrize("bad_row, problem", [
+        ("2021-01-06,abc,0.5,increase", "column 'x0' is 'abc', not a number"),
+        ("2021-01-06,0.1,increase", "no value for column 'label'"),
+        ("", "no value for column 'date'"),
+        ("2021-01-06,0.1,0.2,0.3,increase", "5 fields under 4 column headers"),
+    ])
+    def test_features_row_errors_name_file_line_and_column(self, tmp_path, capsys, command,
+                                                           bad_row, problem):
+        head = "date,x0,x1,label\n2021-01-04,0.1,0.2,increase\n2021-01-05,0.3,0.4,decrease\n"
+        good, features = tmp_path / "good.csv", tmp_path / "features.csv"
+        good.write_text(head, encoding="utf-8")
+        features.write_text(f"{head}{bad_row}\n2021-01-07,0.5,0.6,increase\n", encoding="utf-8")
+        if command == "train":
+            args = ["train", "--features", str(features), "--out", str(tmp_path / "m")]
+        else:
+            assert main(["train", "--features", str(good), "--out", str(tmp_path / "m")]) == 0
+            args = ["predict", "--model", str(tmp_path / "m" / "model.json"),
+                    "--features", str(features), "--out", str(tmp_path / "p")]
+        assert main(args) == 2
+        assert f"feature file {features} line 4: {problem}" in capsys.readouterr().err
+
+    def test_evaluate_names_the_line_of_a_non_numeric_value(self, tmp_path, capsys):
+        predictions = tmp_path / "predictions.csv"
+        predictions.write_text("prediction,label\n1.5,1.0\n\nx,-1.0\n", encoding="utf-8")
+        assert main(["evaluate", "--predictions", str(predictions), "--task", "pct-change"]) == 2
+        # the blank line is skipped, so entry 1 sits on line 4
+        assert f"{predictions} line 4: prediction 1 is 'x', not a number" in capsys.readouterr().err
+
     def test_evaluate_names_the_missing_column(self, tmp_path, capsys):
         predictions = tmp_path / "predictions.csv"
         predictions.write_text("date,label\n2021-01-04,increase\n", encoding="utf-8")
@@ -398,6 +427,14 @@ class TestExperimentCommand:
         assert main(["experiment", *args, "--jobs", "2", "--out", str(out)]) == 1
         assert "'exp_7'" in capsys.readouterr().err
         assert not (out / "exp_7").exists()  # rejected before any run
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_a_usage_error(self, tmp_path, capsys, jobs):
+        out = tmp_path / "out"
+        config = self._config(tmp_path)
+        assert main(["experiment", "--config", str(config), "--jobs", jobs, "--out", str(out)]) == 1
+        assert f"--jobs must be >= 1, not {jobs}" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
     def test_missing_config_is_runtime_error(self, tmp_path):
         code = main(["experiment", "--config", str(tmp_path / "none.json"),

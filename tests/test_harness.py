@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from econarrative.harness import (
+    EntryError,
     McNemarResult,
     direction_of,
     evaluate,
@@ -89,6 +90,15 @@ class TestEvaluate:
         # the prediction, not a bare OverflowError
         with pytest.raises(ValueError, match=r"prediction 1 is 1e\+200"):
             evaluate([1.0, 1e200, 2.0], [1.0, 1.0, 2.0], "next-value")
+
+    @pytest.mark.parametrize("predictions, labels, message", [
+        ([1.0, "x", 2.0], [1.0, 1.0, 2.0], "prediction 1 is 'x', not a number"),
+        ([1.0, 1.0], ["1.0", None], "label 1 is None, not a number"),
+    ])
+    def test_non_numeric_regression_entry_is_named(self, predictions, labels, message):
+        with pytest.raises(EntryError, match=message) as caught:
+            evaluate(predictions, labels, "pct-change")
+        assert caught.value.index == 1
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="predictions"):

@@ -1,6 +1,10 @@
 """The one JSON transport behind the chat client and the embedding client."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -114,3 +118,25 @@ def test_only_the_transport_imports_http_and_threads():
         names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert "requests" not in imported, module.__name__
         assert "ThreadPoolExecutor" not in imported | names, module.__name__
+
+
+IMPORT_PROBE = """
+import json, sys
+import econarrative.cli, econarrative.experiment, econarrative.narrative, econarrative.embed
+on_import = "requests" in sys.modules
+econarrative.narrative.LlmClient(
+    econarrative.narrative.LlmClientConfig(endpoint="http://unused.invalid/", model="m"))
+print(json.dumps([on_import, "requests" in sys.modules]))
+"""
+
+
+def test_http_stack_loads_only_when_a_client_is_built():
+    # a fresh interpreter: this one has loaded requests already
+    src = str(Path(retry.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    on_import, after_client = json.loads(proc.stdout)
+    assert not on_import, "importing the package loaded requests"
+    assert after_client, "building an LlmClient did not load requests"
