@@ -17,17 +17,17 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import ingest, sentiment, synthgen
 from .embed import AGGREGATION_MODES, HashingEmbedder, daily_embeddings
-from .harness import HORIZONS, REGRESSION_TASKS, TASKS, LabelSeries, evaluate, make_labels, mcnemar
+from .harness import (HORIZONS, REGRESSION_TASKS, TASKS, LabelSeries, evaluate, make_labels,
+                      mcnemar, moves)
 from .ingest import AlignedDataset, FinancialSeries, TweetCorpus
 from .models import financial_baseline, fit_columns, train_darnn
-from .models.baselines import BASELINE_KINDS, BASELINE_TASKS
+from .models.baselines import BASELINE_KINDS, BASELINE_TASKS, WEEK
 from .models.columns import DEFAULT_LAM
 from .models.darnn import AttentionRnn, DivergenceError
 
@@ -129,12 +129,6 @@ def _load_text(spec: dict | None, series: FinancialSeries, horizon: int) -> Twee
 # -- feature stage --------------------------------------------------------
 
 
-def _directions(values: Sequence[float]) -> np.ndarray:
-    """Up-move flag per trading day, values[j] > values[j-1]; False on day 0."""
-    v = np.asarray(values, dtype=float)
-    return np.concatenate([[False], v[1:] > v[:-1]])
-
-
 def _text_column(aligned: AlignedDataset, kind: str, emb_cfg: dict, read: np.ndarray) -> np.ndarray:
     """One text row per trading day, shape (days, width). Sentiment scores
     every day once; embeddings fill only the days in `read`."""
@@ -155,8 +149,9 @@ def _financial_column(aligned: AlignedDataset, kind: str) -> np.ndarray:
     """One financial row per trading day, shape (days, width)."""
     if kind == "value-window":
         return np.asarray(aligned.values, dtype=float)[:, None]
-    if kind == "direction-window":
-        return _directions(aligned.values).astype(float)[:, None]
+    if kind == "direction-window":  # 1.0 on a day the value rose to, 0.0 on day 0
+        ups = np.asarray(moves(aligned.values, "direction-change")) == "increase"
+        return np.concatenate([[0.0], ups])[:, None]
     return np.zeros((len(aligned), 0))
 
 
@@ -184,8 +179,8 @@ def build_features(aligned: AlignedDataset, labels: LabelSeries, features_cfg: d
     if labels.dates != aligned.dates[:len(labels.dates)]:
         raise ValueError("labels must cover the aligned days from the first one on")
     # a direction window of `window` moves needs the value before its first
-    # day, and a baseline reads the 8 values ending at its row's day
-    start = max(window, 7)
+    # day, and a baseline reads the WEEK + 1 values ending at its row's day
+    start = max(window, WEEK)
     rows = np.arange(start, len(labels.dates), dtype=np.intp)
     if len(rows) < 2:
         raise ValueError("not enough usable dates to build features")
@@ -223,7 +218,7 @@ def _baseline_model(model_cfg: dict, matrix: FeatureMatrix, n_train: int, aligne
     # the rows are consecutive aligned days, so the test rows follow the first one
     first = aligned.index_of(matrix.dates[n_train])
     rows = np.arange(first, first + len(matrix.dates) - n_train)
-    weeks, _ = _windows(_financial_column(aligned, "value-window"), 8, rows)
+    weeks, _ = _windows(_financial_column(aligned, "value-window"), WEEK + 1, rows)
     return financial_baseline(model_cfg["kind"], task, weeks, matrix.labels[:n_train])
 
 

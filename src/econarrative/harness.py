@@ -2,8 +2,8 @@
 
 Three tasks over a horizon h (in trading steps): the raw value at t+h,
 the percentage change between t+h and t+h-1, and the direction of that
-change. Ties in direction labels resolve to "decrease" so the binary
-convention is total.
+change. `moves` is the only code that labels a move; a flat move is a
+"decrease", so the binary convention is total.
 """
 
 from __future__ import annotations
@@ -13,10 +13,13 @@ from dataclasses import dataclass
 from datetime import date
 from typing import Sequence
 
+import numpy as np
+
 from .ingest import AlignedDataset, FinancialSeries
 
 TASKS = ("next-value", "pct-change", "direction-change")
 REGRESSION_TASKS = ("next-value", "pct-change")
+DIRECTIONS = ("increase", "decrease")  # the labels of a direction-change task
 HORIZONS = (1, 7, 30)
 
 # discordant-pair count below which the exact binomial test is used
@@ -29,9 +32,31 @@ class LabelSeries:
     values: tuple
 
 
-def direction_of(previous: float, current: float) -> str:
-    """Direction of the move previous -> current; a flat move is a decrease."""
-    return "increase" if current > previous else "decrease"
+class ZeroBaseError(ZeroDivisionError):
+    """A pct-change move from a zero value; `index` locates that value."""
+
+    def __init__(self, index: tuple) -> None:
+        super().__init__(f"zero base value at values{list(index)}")
+        self.index = index
+
+
+def moves(values, task: str) -> list:
+    """The one rule that labels a move: each pair of consecutive values along
+    the last axis gives the later value, the percentage change or its
+    direction, as plain floats or strings. A flat move is a decrease."""
+    v = np.asarray(values, dtype=float)
+    before, ahead = v[..., :-1], v[..., 1:]
+    if task == "direction-change":
+        return np.where(ahead > before, *DIRECTIONS).tolist()
+    if task == "pct-change":
+        zero = np.argwhere(before == 0)
+        if len(zero):
+            raise ZeroBaseError(tuple(zero[0].tolist()))
+        with np.errstate(over="ignore"):  # beyond float range is inf, as in float arithmetic
+            ahead = 100.0 * (ahead - before) / before
+    elif task != "next-value":
+        raise ValueError(f"unknown task {task!r}")
+    return ahead.tolist()
 
 
 def make_labels(series: FinancialSeries | AlignedDataset, task: str, horizon: int) -> LabelSeries:
@@ -44,27 +69,15 @@ def make_labels(series: FinancialSeries | AlignedDataset, task: str, horizon: in
         raise ValueError(f"unknown task {task!r}")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    dates = series.dates
-    values = series.values
+    dates, values = series.dates, series.values
     n = len(values)
     if n <= horizon:
         raise ValueError(f"series of length {n} cannot support horizon {horizon}")
-    out_dates: list[date] = []
-    out_values: list = []
-    for i in range(n - horizon):
-        ahead = values[i + horizon]
-        before = values[i + horizon - 1]
-        if task == "next-value":
-            label = ahead
-        elif task == "pct-change":
-            if before == 0:
-                raise ZeroDivisionError(f"zero base value at {dates[i + horizon - 1]}")
-            label = 100.0 * (ahead - before) / before
-        else:
-            label = direction_of(before, ahead)
-        out_dates.append(dates[i])
-        out_values.append(label)
-    return LabelSeries(dates=tuple(out_dates), values=tuple(out_values))
+    try:
+        labels = moves(values[horizon - 1:], task)
+    except ZeroBaseError as exc:
+        raise ZeroDivisionError(f"zero base value at {dates[horizon - 1 + exc.index[0]]}") from None
+    return LabelSeries(dates=tuple(dates[:n - horizon]), values=tuple(labels))
 
 
 @dataclass(frozen=True)
@@ -98,13 +111,16 @@ def _number(what: str, i: int, value) -> float:
         return float(value)
     except (TypeError, ValueError):
         raise EntryError(f"{what} {i} is {value!r}, not a number", i) from None
+    except OverflowError:
+        raise EntryError(f"{what} {i} is beyond float range", i) from None
 
 
 def evaluate(predictions: Sequence, labels: Sequence, task: str) -> MetricsReport:
     """MSE for regression; accuracy and increase-positive F1 for classification.
 
-    A regression entry that is not a number, or a squared error beyond float
-    range, is an EntryError naming the entry's index and value.
+    A regression entry that is not a number, a squared error beyond float
+    range, or a classification entry that is not "increase" or "decrease" is
+    an EntryError naming the entry's index and value.
     """
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}")
@@ -123,6 +139,10 @@ def evaluate(predictions: Sequence, labels: Sequence, task: str) -> MetricsRepor
                 raise EntryError(f"prediction {i} is {p!r}: its squared error overflows", i) from None
         mse = sum(squares) / len(pairs)
         return MetricsReport(task=task, n=len(pairs), mse=mse)
+    for i, pair in enumerate(pairs):
+        for what, value in zip(("prediction", "label"), pair):
+            if value not in DIRECTIONS:
+                raise EntryError(f"{what} {i} is {value!r}, not 'increase' or 'decrease'", i)
     correct = sum(1 for p, y in pairs if p == y)
     tp = sum(1 for p, y in pairs if p == "increase" and y == "increase")
     fp = sum(1 for p, y in pairs if p == "increase" and y == "decrease")

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .harness import direction_of
+from .harness import make_labels
 from .ingest import FinancialSeries, TweetCorpus, TweetRecord
 
 POSITIVE_CUES = (
@@ -66,6 +66,10 @@ def load_wordlist(path: str | None = None) -> tuple[str, ...]:
     return words
 
 
+def _record(tweet_id: str, d: date, text: str) -> TweetRecord:
+    return TweetRecord(id=tweet_id, date=d, text=text, followers=1000, user_id="synthetic")
+
+
 def gen_random_texts(cfg: SynthConfig, dates: Sequence[date]) -> TweetCorpus:
     """Uniform word-salad sentences for every date; no planted signal."""
     words = load_wordlist()
@@ -76,15 +80,7 @@ def gen_random_texts(cfg: SynthConfig, dates: Sequence[date]) -> TweetCorpus:
         for i in range(cfg.per_day):
             length = int(rng.integers(lo, hi + 1))
             text = " ".join(words[int(j)] for j in rng.integers(0, len(words), size=length))
-            records.append(
-                TweetRecord(
-                    id=f"rnd-{d.isoformat()}-{i}",
-                    date=d,
-                    text=text,
-                    followers=1000,
-                    user_id="synthetic",
-                )
-            )
+            records.append(_record(f"rnd-{d.isoformat()}-{i}", d, text))
     return TweetCorpus.from_records(records)
 
 
@@ -102,29 +98,18 @@ def shuffle_dates(corpus: TweetCorpus, seed: int) -> TweetCorpus:
 
 
 def gen_synthetic_narratives(series: FinancialSeries, horizon: int, cfg: SynthConfig) -> TweetCorpus:
-    """Cue sentences aligned (with probability p) to the next move's sign."""
-    values = series.values
-    dates = series.dates
-    if len(values) <= horizon:
-        raise ValueError(f"series of length {len(values)} cannot support horizon {horizon}")
+    """Cue sentences aligned (with probability p) to each day's direction-change label."""
+    labels = make_labels(series, "direction-change", horizon)
     rng = np.random.default_rng(cfg.seed)
     records = []
-    for i in range(len(values) - horizon):
-        up = direction_of(values[i + horizon - 1], values[i + horizon]) == "increase"
+    for d, label in zip(labels.dates, labels.values):
+        up = label == "increase"
         for j in range(cfg.per_day):
             aligned = rng.random() < cfg.alignment_p
             positive = up if aligned else not up
             pool = POSITIVE_CUES if positive else NEGATIVE_CUES
             text = pool[int(rng.integers(0, len(pool)))]
-            records.append(
-                TweetRecord(
-                    id=f"cue-{dates[i].isoformat()}-{j}",
-                    date=dates[i],
-                    text=text,
-                    followers=1000,
-                    user_id="synthetic",
-                )
-            )
+            records.append(_record(f"cue-{d.isoformat()}-{j}", d, text))
     return TweetCorpus.from_records(records)
 
 

@@ -256,6 +256,15 @@ class TestBadInput:
         # the blank line is skipped, so entry 1 sits on line 4
         assert f"{predictions} line 4: prediction 1 is 'x', not a number" in capsys.readouterr().err
 
+    def test_evaluate_names_the_line_of_a_non_direction_entry(self, tmp_path, capsys):
+        predictions = tmp_path / "predictions.csv"
+        predictions.write_text("prediction,label\nincrease,increase\nup,decrease\n1.5,Increase\n",
+                               encoding="utf-8")
+        assert main(["evaluate", "--predictions", str(predictions),
+                     "--task", "direction-change"]) == 2
+        err = capsys.readouterr().err
+        assert f"{predictions} line 3: prediction 1 is 'up', not 'increase' or 'decrease'" in err
+
     def test_evaluate_names_the_missing_column(self, tmp_path, capsys):
         predictions = tmp_path / "predictions.csv"
         predictions.write_text("date,label\n2021-01-04,increase\n", encoding="utf-8")

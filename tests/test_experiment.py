@@ -16,7 +16,7 @@ from econarrative.experiment import (
     run_experiment,
     write_report,
 )
-from econarrative.harness import TASKS, LabelSeries, direction_of, make_labels
+from econarrative.harness import TASKS, LabelSeries, make_labels
 
 
 def _planted_config(text_source, seed=7):
@@ -631,8 +631,9 @@ class TestBaselineModels:
         values = series.values
         ends = {d.isoformat(): i for i, d in enumerate(series.dates)}
 
-        def moves(i):  # the 7 moves ending at day i
-            return [direction_of(values[j - 1], values[j]) for j in range(i - 6, i + 1)]
+        def moves(i):  # the 7 moves ending at day i; a flat move is a decrease
+            return ["increase" if values[j] > values[j - 1] else "decrease"
+                    for j in range(i - 6, i + 1)]
 
         regression = run("next-value", ["as-previous"])
         assert [p for d, p, _ in regression["as-previous"]] == [

@@ -2,15 +2,16 @@ import math
 from datetime import date, timedelta
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from econarrative.harness import (
+    TASKS,
     EntryError,
     McNemarResult,
-    direction_of,
     evaluate,
     make_labels,
     mcnemar,
+    moves,
 )
 from econarrative.ingest import FinancialSeries
 
@@ -60,6 +61,16 @@ class TestMakeLabels:
         labels = make_labels(_series(values), "direction-change", 7)
         assert labels.values == ("increase", "decrease")
 
+    @pytest.mark.parametrize("horizon", [1, 7])
+    def test_zero_base_names_the_base_day(self, horizon):
+        values = [float(v) for v in range(1, 13)]
+        values[9] = 0.0  # the base of the move that labels day t = 10 - horizon
+        series = _series(values)
+        with pytest.raises(ZeroDivisionError) as caught:
+            make_labels(series, "pct-change", horizon)
+        # the base day t+h-1, not the labelled day t
+        assert str(caught.value) == f"zero base value at {series.dates[9]}"
+
 
 class TestEvaluate:
     def test_perfect_predictions(self):
@@ -99,6 +110,24 @@ class TestEvaluate:
         with pytest.raises(EntryError, match=message) as caught:
             evaluate(predictions, labels, "pct-change")
         assert caught.value.index == 1
+
+    def test_int_beyond_float_range_is_named(self):
+        with pytest.raises(EntryError, match="prediction 0 is beyond float range") as caught:
+            evaluate([10**400], [1.0], "next-value")
+        assert caught.value.index == 0
+
+    @pytest.mark.parametrize("predictions, labels, index, message", [
+        (["increase", "up", 1.5], ["increase", "decrease", "Increase"], 1,
+         "prediction 1 is 'up', not 'increase' or 'decrease'"),
+        (["increase", "decrease"], ["increase", "Increase"], 1,
+         "label 1 is 'Increase', not 'increase' or 'decrease'"),
+        ([1.5], ["increase"], 0, "prediction 0 is 1.5, not 'increase' or 'decrease'"),
+    ])
+    def test_non_direction_classification_entry_is_named(self, predictions, labels, index,
+                                                        message):
+        with pytest.raises(EntryError, match=message) as caught:
+            evaluate(predictions, labels, "direction-change")
+        assert caught.value.index == index
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="predictions"):
@@ -178,7 +207,48 @@ class TestMcNemar:
         assert (ab.b, ab.c) == (ba.c, ba.b)
 
 
-def test_direction_of():
-    assert direction_of(1.0, 2.0) == "increase"
-    assert direction_of(2.0, 1.0) == "decrease"
-    assert direction_of(2.0, 2.0) == "decrease"
+def test_direction_moves():
+    assert moves([1.0, 2.0], "direction-change") == ["increase"]
+    assert moves([2.0, 1.0], "direction-change") == ["decrease"]
+    assert moves([2.0, 2.0], "direction-change") == ["decrease"]
+
+
+def _scalar_moves(values, task):
+    """Independent oracle: the move rule one pair at a time in float arithmetic;
+    a zero pct-change base raises ZeroDivisionError."""
+    if values and isinstance(values[0], list):
+        return [_scalar_moves(row, task) for row in values]
+    out = []
+    for before, ahead in zip(values, values[1:]):
+        if task == "next-value":
+            out.append(ahead)
+        elif task == "pct-change":
+            out.append(100.0 * (ahead - before) / before)
+        else:
+            out.append("increase" if ahead > before else "decrease")
+    return out
+
+
+def _bits(labels):
+    """Each label's type and exact bits, nested as given."""
+    if isinstance(labels, list):
+        return [_bits(label) for label in labels]
+    return type(labels), labels.hex() if isinstance(labels, float) else labels
+
+
+# any finite float, or one of a few values so that flat moves come up often
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-2.0, -0.5, 1.5, 3.0])
+ARRAYS = st.lists(FINITE, max_size=12) | st.integers(0, 6).flatmap(
+    lambda width: st.lists(st.lists(FINITE, min_size=width, max_size=width), min_size=1, max_size=5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=ARRAYS, task=st.sampled_from(TASKS))
+def test_moves_match_a_scalar_loop_bit_for_bit(values, task):
+    try:
+        expected = _scalar_moves(values, task)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError, match="zero base value"):
+            moves(values, task)
+        return
+    assert _bits(moves(values, task)) == _bits(expected)

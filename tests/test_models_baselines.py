@@ -1,6 +1,6 @@
 import pytest
 
-from econarrative.harness import direction_of
+from econarrative.harness import moves
 from econarrative.models import financial_baseline
 
 # hand-built 10-point series and its hand-derived facts
@@ -17,8 +17,7 @@ TRAIN_LABELS = DIRECTIONS
 
 
 def test_hand_directions_match_convention():
-    computed = [direction_of(a, b) for a, b in zip(SERIES, SERIES[1:])]
-    assert computed == DIRECTIONS
+    assert moves(SERIES, "direction-change") == DIRECTIONS
 
 
 def _classify(kind, weeks=WEEKS, train_labels=TRAIN_LABELS):
