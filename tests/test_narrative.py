@@ -281,14 +281,9 @@ class TestClientCache:
         assert client.network_calls == 6
 
     def test_network_calls_counted_under_contention(self):
-        reply = {"choices": [{"message": {"content": "ok"}}]}
-
-        class InstantSession:
-            def post(self, *args, **kwargs):
-                return SimpleNamespace(status_code=200, json=lambda: reply)
-
+        reply = json.dumps({"choices": [{"message": {"content": "ok"}}]}).encode("utf-8")
         client = LlmClient(LlmClientConfig(endpoint="http://unused.invalid/", model="m"))
-        client.service.session = InstantSession()
+        client.service._send = lambda payload: (200, {}, reply)
         threads, calls = 8, 200
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -316,6 +311,14 @@ class TestClientCache:
         with pytest.raises(LlmRequestError, match="client error 400"):
             client.complete("hello")
         assert stub_server.calls == client.network_calls == 1
+        assert sleeps == []
+
+    def test_body_that_is_not_json_fails_before_sending(self, stub_server, tmp_path, monkeypatch):
+        sleeps = self._recorded_sleeps(monkeypatch)
+        client = self._client(stub_server, tmp_path, temperature=float("nan"))
+        with pytest.raises(LlmRequestError, match="body is not JSON: Out of range float"):
+            client.complete("hello")
+        assert stub_server.calls == client.network_calls == 0
         assert sleeps == []
 
     def test_reply_that_is_not_an_object_is_retried(self, stub_server, tmp_path, monkeypatch):
