@@ -251,7 +251,10 @@ def _cmd_llm_analyze(args) -> int:
             cache_dir=args.cache_dir or os.environ.get("NARRATIVE_CACHE_DIR"),
         )
     )
-    analysis = client.request_analysis(prompt)
+    try:
+        analysis = client.request_analysis(prompt)
+    finally:
+        client.service.close()
     _write_json(
         Path(args.out) / "analysis.json",
         {

@@ -27,6 +27,9 @@ AGGREGATION_MODES = ("individual-mean", "individual-concat", "joint")
 # arrays stay small, and its few numpy calls cost little per text
 TEXTS_PER_BLOCK = 1024
 
+TEXTS_PER_REQUEST = 32  # texts ExternalEmbedder sends in one request
+TIMEOUT_S = 30.0  # seconds each embedding request may wait for the service
+
 
 class EmbeddingServiceError(RuntimeError):
     """External embedding endpoint unreachable, rejected the request or returned bad vectors."""
@@ -98,26 +101,17 @@ class ExternalEmbedder:
         dimension: int,
         api_key: str | None = None,
         max_parallel: int = 4,
-        max_retries: int = 3,
-        backoff: float = 0.5,
-        timeout: float = 30.0,
-        batch_size: int = 32,
     ) -> None:
         if dimension <= 0:
             raise ValueError("dimension must be positive")
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         self.dimension = dimension
-        self.batch_size = batch_size
-        self.service = JsonService(
-            endpoint, "embedding service", EmbeddingServiceError, api_key,
-            max_parallel, max_retries, backoff, timeout,
-        )
+        self.service = JsonService(endpoint, "embedding service", EmbeddingServiceError, api_key,
+                                   max_parallel, TIMEOUT_S)
 
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
         """One row per text, shape (len(texts), dimension), in order; the
-        texts go out in requests of `batch_size`, `max_parallel` at a time."""
-        chunks = [list(texts[i:i + self.batch_size]) for i in range(0, len(texts), self.batch_size)]
+        texts go out in requests of TEXTS_PER_REQUEST, `max_parallel` at a time."""
+        chunks = [list(texts[i:i + TEXTS_PER_REQUEST]) for i in range(0, len(texts), TEXTS_PER_REQUEST)]
         if not chunks:
             return np.zeros((0, self.dimension))
         results = self.service.map(

@@ -48,7 +48,7 @@ def logistic_objective(X, y, weights, bias, lam: float) -> float:
     return nll + 0.5 * lam * float(weights @ weights)
 
 
-def fit_logistic(X, y, lam: float = 0.01, tol: float = GRAD_TOL, max_iter: int = MAX_ITER) -> LogisticModel:
+def fit_logistic(X, y, lam: float = 0.01) -> LogisticModel:
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2:
@@ -59,6 +59,7 @@ def fit_logistic(X, y, lam: float = 0.01, tol: float = GRAD_TOL, max_iter: int =
     if lam < 0:
         raise ValueError("lam must be non-negative")
 
+    tol, max_iter = GRAD_TOL, MAX_ITER
     w = np.zeros(d)
     b = 0.0
     objective = logistic_objective(X, y, w, b, lam)

@@ -23,6 +23,7 @@ from .ingest import TweetRecord, rank_counts
 from .retry import JsonService, check_settings
 
 MAX_TWEETS_PER_DAY = 10
+TIMEOUT_S = 60.0  # seconds each chat request may wait for the endpoint
 
 REFUSAL_PHRASES = (
     "as a language model",
@@ -91,14 +92,13 @@ class LlmClientConfig:
     model: str
     temperature: float = 0.5
     max_parallel: int = 4
-    max_retries: int = 3
-    backoff: float = 0.5
-    timeout: float = 60.0
     cache_dir: str | Path | None = None
     api_key: str | None = None
 
     def __post_init__(self) -> None:
-        check_settings(self.max_parallel, self.max_retries)
+        if not 0.0 <= self.temperature < float("inf"):  # False for NaN too
+            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature!r}")
+        check_settings(self.max_parallel)
 
 
 def _financial_block(values_by_date: Mapping[date, float], dates: Sequence[date]) -> str:
@@ -214,10 +214,8 @@ class LlmClient:
 
     def __init__(self, config: LlmClientConfig) -> None:
         self.config = config
-        self.service = JsonService(
-            config.endpoint, "chat endpoint", LlmRequestError, config.api_key,
-            config.max_parallel, config.max_retries, config.backoff, config.timeout,
-        )
+        self.service = JsonService(config.endpoint, "chat endpoint", LlmRequestError, config.api_key,
+                                   config.max_parallel, TIMEOUT_S)
         self._locks: dict[str, threading.Lock] = {}
         self._locks_guard = threading.Lock()
 

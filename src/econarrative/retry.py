@@ -11,11 +11,14 @@ from typing import Callable, Iterable
 
 from . import __version__
 
+# the retry policy of both clients; JsonService.post reads it on each call
+ATTEMPTS = 3
+BACKOFF_S = 0.5
 
-def check_settings(max_parallel: int, max_retries: int) -> None:
-    for name, value in (("max_parallel", max_parallel), ("max_retries", max_retries)):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1")
+
+def check_settings(max_parallel: int) -> None:
+    if max_parallel < 1:
+        raise ValueError("max_parallel must be >= 1")
 
 
 class JsonService:
@@ -37,8 +40,6 @@ class JsonService:
         error_cls: type[Exception],
         api_key: str | None,
         max_parallel: int,
-        max_retries: int,
-        backoff: float,
         timeout: float,
     ) -> None:
         import base64
@@ -47,18 +48,15 @@ class JsonService:
         import urllib.request
         from urllib.parse import unquote, urlsplit
 
-        check_settings(max_parallel, max_retries)
+        check_settings(max_parallel)
         url = urlsplit(endpoint)
         if url.scheme not in ("http", "https") or not url.hostname or url.username is not None:
             raise ValueError(
                 f"{name} endpoint must be an http:// or https:// URL without credentials, got {endpoint!r}"
             )
-        self.endpoint = endpoint
         self.name = name
         self.error_cls = error_cls
         self.max_parallel = max_parallel
-        self.max_retries = max_retries
-        self.backoff = backoff
         self._transport_errors = (OSError, http.client.HTTPException)
         key = api_key or os.environ.get("NARRATIVE_LLM_API_KEY")
         self.headers = {"Content-Type": "application/json", "User-Agent": f"econarrative/{__version__}"}
@@ -101,21 +99,19 @@ class JsonService:
         """POST `body` as JSON and return `extract(reply JSON)`.
 
         Transport errors, 5xx replies and replies `extract` cannot read are
-        retried, `max_retries` attempts in all, sleeping `backoff` seconds
-        before the second attempt and doubling the sleep before each later
-        one; a 4xx or 3xx reply (redirects are not followed) and a body that
-        is not JSON raise `error_cls` at once.
+        retried, ATTEMPTS attempts in all, sleeping BACKOFF_S seconds before
+        the second attempt and doubling the sleep before each later one; a
+        4xx or 3xx reply (redirects are not followed) and a body that is not
+        JSON raise `error_cls` at once.
         """
         try:
             payload = json.dumps(body, allow_nan=False).encode("utf-8")
         except (TypeError, ValueError) as exc:  # NaN or infinity, or an object JSON has no form for
             raise self.error_cls(f"{self.name}: the request body is not JSON: {exc}") from exc
-        delay = self.backoff
         last: object = None
-        for attempt in range(self.max_retries):
+        for attempt in range(ATTEMPTS):
             if attempt:
-                time.sleep(delay)
-                delay *= 2
+                time.sleep(BACKOFF_S * 2 ** (attempt - 1))
             # the clients post from several threads
             with self._requests_guard:
                 self.requests += 1
@@ -136,7 +132,7 @@ class JsonService:
                 f"{self.name} answered with redirect {status} to {headers.get('Location')}; "
                 "redirects are not followed, so set the endpoint to the final URL"
             )
-        raise self.error_cls(f"{self.name} failed after {self.max_retries} tries: {last}")
+        raise self.error_cls(f"{self.name} failed after {ATTEMPTS} tries: {last}")
 
     def _send(self, payload: bytes):
         """One POST of `payload`: (status, reply headers, reply body).
@@ -169,6 +165,13 @@ class JsonService:
             with self._idle_guard:
                 self._idle.append(conn)
         return resp.status, resp.headers, reply
+
+    def close(self) -> None:
+        """Close and forget the idle kept-alive connections; a later `post` opens a new one."""
+        with self._idle_guard:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
 
     def map(self, fn: Callable, items: Iterable) -> list:
         """`[fn(item) for item in items]`, at most `max_parallel` at a time."""

@@ -40,6 +40,8 @@ NEGATIVE_CUES = (
 
 SENTENCE_LENGTH = (5, 12)  # words per random sentence, both ends included
 
+WALK_START = date(2015, 1, 5)  # a Monday: the first date of every random walk
+
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -113,9 +115,7 @@ def gen_synthetic_narratives(series: FinancialSeries, horizon: int, cfg: SynthCo
     return TweetCorpus.from_records(records)
 
 
-def gen_random_walk(
-    n: int, sigma: float, v0: float, seed: int, start: date = date(2015, 1, 5), name: str = "SYNTH"
-) -> FinancialSeries:
+def gen_random_walk(n: int, sigma: float, v0: float, seed: int, name: str = "SYNTH") -> FinancialSeries:
     """Geometric random walk on consecutive weekdays; strictly positive."""
     if n < 2:
         raise ValueError("need at least 2 points")
@@ -129,7 +129,7 @@ def gen_random_walk(
     for z in steps:
         values.append(values[-1] * float(np.exp(sigma * z)))
     dates = []
-    d = start
+    d = WALK_START
     while len(dates) < n:
         if d.weekday() < 5:
             dates.append(d)

@@ -3,8 +3,11 @@ import ssl
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+
+from econarrative import retry
 
 TLS = Path(__file__).parent / "goldens" / "tls"  # a self-signed localhost certificate, for tests only
 
@@ -95,6 +98,14 @@ class StubServer:
     def close(self):
         self.server.shutdown()
         self.server.server_close()
+
+
+@pytest.fixture
+def sleeps(monkeypatch):
+    """The transport's retry sleeps, recorded in seconds instead of slept."""
+    recorded = []
+    monkeypatch.setattr(retry, "time", SimpleNamespace(sleep=recorded.append))
+    return recorded
 
 
 @pytest.fixture

@@ -333,7 +333,7 @@ def test_llm_client_contract(stub_server, tmp_path):
     # cache short-circuit: second identical request makes zero network calls
     stub_server.state.set_chat_content(WELL_FORMED)
     client = LlmClient(LlmClientConfig(endpoint=stub_server.url, model="m",
-                                       cache_dir=tmp_path / "cache", backoff=0.01))
+                                       cache_dir=tmp_path / "cache"))
     client.request_analysis(prompt)
     calls_after_first = stub_server.calls
     client.request_analysis(prompt)

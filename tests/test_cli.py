@@ -133,8 +133,10 @@ class TestPipelineCommands:
         # join predictions with labels for evaluation
         import csv
 
-        rows = list(csv.DictReader((pred_dir / "predictions.csv").open()))
-        labels = list(csv.DictReader(features.open()))
+        with (pred_dir / "predictions.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        with features.open() as fh:
+            labels = list(csv.DictReader(fh))
         joined = tmp_path / "joined.csv"
         with joined.open("w", newline="") as fh:
             writer = csv.writer(fh)

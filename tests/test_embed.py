@@ -1,7 +1,6 @@
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -206,12 +205,13 @@ class TestDailyEmbeddings:
         embedder = _TableEmbedder([t for day in days for t in day], dimension, seed=dimension)
         _assert_rows_match_loop(embedder, embedder.vectors.__getitem__, days, "individual-mean", 10)
 
-    def test_external_embedder_posts_batches_in_tweet_order(self, stub_server):
+    def test_external_embedder_posts_batches_in_tweet_order(self, stub_server, monkeypatch):
         # each vector holds its text's position, so a reordering shows
         stub_server.state.set_raw(
             lambda payload: {"vectors": [[float(t.split()[1])] * 4 for t in payload["texts"]]}
         )
-        e = ExternalEmbedder(endpoint=stub_server.url, dimension=4, batch_size=4, backoff=0.01)
+        monkeypatch.setattr(embed, "TEXTS_PER_REQUEST", 4)
+        e = ExternalEmbedder(endpoint=stub_server.url, dimension=4)
         days = [[f"tweet {5 * day + i}" for i in range(5)] for day in range(3)]
         concat = daily_embeddings(e, days, "individual-concat", 5, [[0] * 5] * 3)
         assert stub_server.calls == math.ceil(15 / 4)
@@ -264,22 +264,22 @@ class TestDailyEmbedding:
 
 
 class TestExternalEmbedder:
-    @pytest.mark.parametrize("setting", ["max_parallel", "max_retries", "batch_size"])
+    @pytest.mark.parametrize("setting", ["max_parallel"])
     def test_setting_below_one_rejected(self, setting):
-        # 0 was clamped to 1, failed before any request, or failed inside range()
+        # 0 was clamped to 1
         with pytest.raises(ValueError, match=f"{setting} must be >= 1"):
             ExternalEmbedder(endpoint="http://unused.invalid/", dimension=4, **{setting: 0})
 
     def test_round_trip_against_stub(self, stub_server):
         stub_server.state.set_embedding(dimension=8)
-        e = ExternalEmbedder(endpoint=stub_server.url, dimension=8, backoff=0.01)
+        e = ExternalEmbedder(endpoint=stub_server.url, dimension=8)
         vectors = e.embed_batch(["alpha", "beta", "gamma"])
         assert len(vectors) == 3
         assert all(v.shape == (8,) for v in vectors)
 
     def test_reply_with_too_few_vectors(self, stub_server):
         stub_server.state.set_raw(lambda payload: {"vectors": [[0.0] * 4]})
-        e = ExternalEmbedder(endpoint=stub_server.url, dimension=4, backoff=0.01)
+        e = ExternalEmbedder(endpoint=stub_server.url, dimension=4)
         with pytest.raises(EmbeddingServiceError, match="expected 2 vectors, got 1"):
             e.embed_batch(["alpha", "beta"])
 
@@ -294,39 +294,34 @@ class TestExternalEmbedder:
     ])
     def test_malformed_reply_is_a_service_error(self, stub_server, vectors, message):
         stub_server.state.set_raw(lambda payload: {"vectors": vectors})
-        e = ExternalEmbedder(endpoint=stub_server.url, dimension=2, backoff=0.01)
+        e = ExternalEmbedder(endpoint=stub_server.url, dimension=2)
         with pytest.raises(EmbeddingServiceError, match=message):
             e.embed_batch(["alpha", "beta"])
         assert stub_server.calls == 1
 
-    def test_reply_that_is_not_an_object_is_retried(self, stub_server, monkeypatch):
-        sleeps = []
-        monkeypatch.setattr(retry, "time", SimpleNamespace(sleep=sleeps.append))
+    def test_reply_that_is_not_an_object_is_retried(self, stub_server, sleeps):
         stub_server.state.set_raw(lambda payload: [1, 2])
-        e = ExternalEmbedder(endpoint=stub_server.url, dimension=2, max_retries=3, backoff=0.01)
+        e = ExternalEmbedder(endpoint=stub_server.url, dimension=2)
         with pytest.raises(EmbeddingServiceError, match="failed after 3 tries"):
             e.embed_batch(["alpha", "beta"])
         assert stub_server.calls == 3
-        assert sleeps == [0.01, 0.02]
+        assert sleeps == [retry.BACKOFF_S, 2 * retry.BACKOFF_S]
 
     def test_dimension_mismatch(self, stub_server):
         stub_server.state.set_embedding(dimension=4)
-        e = ExternalEmbedder(endpoint=stub_server.url, dimension=8, backoff=0.01)
+        e = ExternalEmbedder(endpoint=stub_server.url, dimension=8)
         with pytest.raises(EmbeddingServiceError, match="dimension"):
             e.embed_batch(["alpha"])
 
-    def test_unreachable_endpoint(self):
-        e = ExternalEmbedder(
-            endpoint="http://127.0.0.1:1/", dimension=4, max_retries=2, backoff=0.01
-        )
-        with pytest.raises(EmbeddingServiceError, match="failed after 2"):
+    def test_unreachable_endpoint(self, sleeps):
+        e = ExternalEmbedder(endpoint="http://127.0.0.1:1/", dimension=4)
+        with pytest.raises(EmbeddingServiceError, match="failed after 3"):
             e.embed_batch(["alpha"])
+        assert sleeps == [retry.BACKOFF_S, 2 * retry.BACKOFF_S]
 
-    def test_client_error_is_not_retried(self, stub_server, monkeypatch):
-        sleeps = []
-        monkeypatch.setattr(retry, "time", SimpleNamespace(sleep=sleeps.append))
+    def test_client_error_is_not_retried(self, stub_server, sleeps):
         stub_server.state.status = 401
-        e = ExternalEmbedder(endpoint=stub_server.url, dimension=4, backoff=0.01)
+        e = ExternalEmbedder(endpoint=stub_server.url, dimension=4)
         with pytest.raises(EmbeddingServiceError, match="client error 401"):
             e.embed_batch(["alpha"])
         assert stub_server.calls == 1

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from econarrative.models import fit_logistic, logistic_objective
+from econarrative.models import logistic
 from econarrative.models.logistic import ConvergenceError, _sigmoid
 
 
@@ -52,11 +53,12 @@ class TestFitLogistic:
         at_zero = logistic_objective(X, y, np.zeros(3), 0.0, 0.1)
         assert at_fit < at_zero
 
-    def test_unregularized_separable_fails_to_converge(self):
+    def test_unregularized_separable_fails_to_converge(self, monkeypatch):
+        monkeypatch.setattr(logistic, "MAX_ITER", 200)
         X = np.array([[-1.0], [1.0]])
         y = np.array([0.0, 1.0])
         with pytest.raises(ConvergenceError):
-            fit_logistic(X, y, lam=0.0, max_iter=200)
+            fit_logistic(X, y, lam=0.0)
 
 
 def test_sigmoid_saturates_safely():

@@ -3,7 +3,6 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from datetime import date
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -168,18 +167,21 @@ class TestIntegrationPrompt:
 
 
 class TestClientCache:
-    @pytest.mark.parametrize("setting", ["max_parallel", "max_retries"])
+    @pytest.mark.parametrize("setting", ["max_parallel"])
     def test_setting_below_one_rejected(self, setting):
-        # max_retries=0 failed "after 0 tries" without sending a request
         with pytest.raises(ValueError, match=f"{setting} must be >= 1"):
             LlmClientConfig(endpoint="http://unused.invalid/", model="m", **{setting: 0})
+
+    @pytest.mark.parametrize("temperature", [float("nan"), float("inf"), float("-inf"), -0.1])
+    def test_bad_temperature_rejected(self, temperature):
+        with pytest.raises(ValueError, match="temperature must be finite and >= 0"):
+            LlmClientConfig(endpoint="http://unused.invalid/", model="m", temperature=temperature)
 
     def _client(self, stub_server, tmp_path, **overrides):
         config = LlmClientConfig(
             endpoint=stub_server.url,
             model="test-model",
             cache_dir=tmp_path / "cache",
-            backoff=0.01,
             **overrides,
         )
         return LlmClient(config)
@@ -258,14 +260,11 @@ class TestClientCache:
         persisted = (tmp_path / "cache" / f"{key}.failed.json").read_text(encoding="utf-8")
         assert "cannot provide financial advice" in persisted
 
-    def test_transport_failure_after_retries(self, tmp_path):
-        client = LlmClient(
-            LlmClientConfig(
-                endpoint="http://127.0.0.1:1/", model="m", max_retries=2, backoff=0.01
-            )
-        )
-        with pytest.raises(LlmRequestError, match="failed after 2"):
+    def test_transport_failure_after_retries(self, tmp_path, sleeps):
+        client = LlmClient(LlmClientConfig(endpoint="http://127.0.0.1:1/", model="m"))
+        with pytest.raises(LlmRequestError, match="failed after 3"):
             client.complete("hello")
+        assert sleeps == [retry.BACKOFF_S, 2 * retry.BACKOFF_S]
 
     def test_parallel_requests(self, stub_server, tmp_path):
         stub_server.state.set_chat_content(WELL_FORMED)
@@ -299,13 +298,7 @@ class TestClientCache:
             sys.setswitchinterval(interval)
         assert client.network_calls == threads * calls
 
-    def _recorded_sleeps(self, monkeypatch):
-        sleeps = []
-        monkeypatch.setattr(retry, "time", SimpleNamespace(sleep=sleeps.append))
-        return sleeps
-
-    def test_client_error_is_not_retried(self, stub_server, tmp_path, monkeypatch):
-        sleeps = self._recorded_sleeps(monkeypatch)
+    def test_client_error_is_not_retried(self, stub_server, tmp_path, sleeps):
         stub_server.state.status = 400
         client = self._client(stub_server, tmp_path)
         with pytest.raises(LlmRequestError, match="client error 400"):
@@ -313,31 +306,28 @@ class TestClientCache:
         assert stub_server.calls == client.network_calls == 1
         assert sleeps == []
 
-    def test_body_that_is_not_json_fails_before_sending(self, stub_server, tmp_path, monkeypatch):
-        sleeps = self._recorded_sleeps(monkeypatch)
-        client = self._client(stub_server, tmp_path, temperature=float("nan"))
+    def test_body_that_is_not_json_fails_before_sending(self, stub_server, tmp_path, sleeps):
+        client = self._client(stub_server, tmp_path)
         with pytest.raises(LlmRequestError, match="body is not JSON: Out of range float"):
-            client.complete("hello")
+            client.service.post({"x": float("nan")}, lambda reply: reply)
         assert stub_server.calls == client.network_calls == 0
         assert sleeps == []
 
-    def test_reply_that_is_not_an_object_is_retried(self, stub_server, tmp_path, monkeypatch):
-        sleeps = self._recorded_sleeps(monkeypatch)
+    def test_reply_that_is_not_an_object_is_retried(self, stub_server, tmp_path, sleeps):
         stub_server.state.set_raw(lambda payload: [1, 2])
-        client = self._client(stub_server, tmp_path, max_retries=3)
+        client = self._client(stub_server, tmp_path)
         with pytest.raises(LlmRequestError, match="failed after 3 tries"):
             client.complete("hello")
         assert stub_server.calls == client.network_calls == 3
-        assert sleeps == [0.01, 0.02]
+        assert sleeps == [retry.BACKOFF_S, 2 * retry.BACKOFF_S]
 
-    def test_server_error_retried_without_a_final_sleep(self, stub_server, tmp_path, monkeypatch):
-        sleeps = self._recorded_sleeps(monkeypatch)
+    def test_server_error_retried_without_a_final_sleep(self, stub_server, tmp_path, sleeps):
         stub_server.state.status = 503
-        client = self._client(stub_server, tmp_path, max_retries=3)
+        client = self._client(stub_server, tmp_path)
         with pytest.raises(LlmRequestError, match="failed after 3 tries: server error 503"):
             client.complete("hello")
         assert stub_server.calls == client.network_calls == 3
-        assert sleeps == [0.01, 0.02]
+        assert sleeps == [retry.BACKOFF_S, 2 * retry.BACKOFF_S]
 
 
 class TestWeeklyPrediction:
@@ -369,7 +359,7 @@ class TestWeeklyPrediction:
 
     def test_end_to_end_against_stub(self, stub_server):
         stub_server.state.set_chat_content("After analysis, I predict the VIX will average 18-20.")
-        client = LlmClient(LlmClientConfig(endpoint=stub_server.url, model="m", backoff=0.01))
+        client = LlmClient(LlmClientConfig(endpoint=stub_server.url, model="m"))
         tweets, values = self._window()
         prediction = llm_predict_weekly_average(client, tweets, values, target="VIX", mode="cot")
         assert prediction.value == 19.0
@@ -379,14 +369,14 @@ class TestWeeklyPrediction:
         stub_server.state.set_chat_content(
             "As a language model I cannot provide financial advice."
         )
-        client = LlmClient(LlmClientConfig(endpoint=stub_server.url, model="m", backoff=0.01))
+        client = LlmClient(LlmClientConfig(endpoint=stub_server.url, model="m"))
         tweets, values = self._window()
         with pytest.raises(RefusalError):
             llm_predict_weekly_average(client, tweets, values, target="VIX")
 
     def test_no_numbers_raises_parse_error(self, stub_server):
         stub_server.state.set_chat_content("the future is uncertain")
-        client = LlmClient(LlmClientConfig(endpoint=stub_server.url, model="m", backoff=0.01))
+        client = LlmClient(LlmClientConfig(endpoint=stub_server.url, model="m"))
         tweets, values = self._window()
         with pytest.raises(ParseError):
             llm_predict_weekly_average(client, tweets, values, target="VIX")

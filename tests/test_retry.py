@@ -2,6 +2,7 @@
 
 import ast
 import base64
+import gc
 import json
 import os
 import re
@@ -10,8 +11,9 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
+from contextlib import contextmanager
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -37,12 +39,6 @@ def _embedding(url, **settings):
 
 CLIENTS = {"chat": _chat, "embedding": _embedding}
 ERRORS = {"chat": LlmRequestError, "embedding": EmbeddingServiceError}
-
-
-def _recorded_sleeps(monkeypatch):
-    sleeps = []
-    monkeypatch.setattr(retry, "time", SimpleNamespace(sleep=sleeps.append))
-    return sleeps
 
 
 def _proxy_env(monkeypatch, **values):
@@ -92,16 +88,16 @@ class TestBearerKey:
 
 
 class TestRequestCount:
-    def test_embedder_counts_every_request(self, stub_server):
+    def test_embedder_counts_every_request(self, stub_server, monkeypatch):
+        monkeypatch.setattr(embed, "TEXTS_PER_REQUEST", 2)
         stub_server.state.set_embedding(dimension=2)
-        e = ExternalEmbedder(endpoint=stub_server.url, dimension=2, batch_size=2, max_parallel=2)
+        e = ExternalEmbedder(endpoint=stub_server.url, dimension=2, max_parallel=2)
         e.embed_batch(["a", "b", "c", "d", "e"])
         assert e.service.requests == stub_server.calls == 3
 
-    def test_embedder_counts_retries(self, stub_server, monkeypatch):
-        monkeypatch.setattr(retry, "time", SimpleNamespace(sleep=lambda s: None))
+    def test_embedder_counts_retries(self, stub_server, sleeps):
         stub_server.state.status = 503
-        e = ExternalEmbedder(endpoint=stub_server.url, dimension=2, max_retries=3)
+        e = ExternalEmbedder(endpoint=stub_server.url, dimension=2)
         with pytest.raises(EmbeddingServiceError, match="failed after 3 tries"):
             e.embed_batch(["alpha"])
         assert e.service.requests == stub_server.calls == 3
@@ -109,7 +105,7 @@ class TestRequestCount:
 
 def test_map_keeps_order_and_bounds_threads():
     service = retry.JsonService("http://unused.invalid/", "test service", RuntimeError, None,
-                                max_parallel=3, max_retries=1, backoff=0.0, timeout=1.0)
+                                max_parallel=3, timeout=1.0)
     guard, active, peak = threading.Lock(), [0], [0]
 
     def square(x):
@@ -176,11 +172,10 @@ class TestWhatTheTransportSends:
 
     @pytest.mark.parametrize("client", CLIENTS)
     @pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
-    def test_redirect_is_not_followed(self, either_reply, monkeypatch, client, status):
-        sleeps = _recorded_sleeps(monkeypatch)
+    def test_redirect_is_not_followed(self, either_reply, sleeps, client, status):
         either_reply.state.status = status
         either_reply.state.reply_headers = {"Location": "http://127.0.0.1:1/v1/"}
-        send, service = CLIENTS[client](either_reply.url + "v1", max_retries=3)
+        send, service = CLIENTS[client](either_reply.url + "v1")
         with pytest.raises(ERRORS[client], match=f"redirect {status} to http://127.0.0.1:1/v1/"):
             send()
         assert either_reply.calls == service.requests == 1
@@ -221,24 +216,44 @@ def _serve_then_close(listener, served):
             served.append(body)
 
 
-def test_connection_closed_by_the_server_is_reopened_without_a_retry(monkeypatch):
-    sleeps = _recorded_sleeps(monkeypatch)
+@contextmanager
+def _keep_alive_server():
+    """(endpoint URL, request bodies served) of a `_serve_then_close` server."""
     listener = socket.create_server(("127.0.0.1", 0))
     served = []
     thread = threading.Thread(target=_serve_then_close, args=(listener, served), daemon=True)
     thread.start()
+    host, port = listener.getsockname()
     try:
-        host, port = listener.getsockname()
-        client = LlmClient(LlmClientConfig(endpoint=f"http://{host}:{port}/", model="m", max_retries=3))
-        assert [client.complete(f"prompt {i}") for i in range(3)] == ["ok"] * 3
-        for conn in client.service._idle:  # the last one, which the server has closed too
-            conn.close()
+        yield f"http://{host}:{port}/", served
     finally:
         listener.shutdown(socket.SHUT_RDWR)  # wakes the blocked accept
         listener.close()
         thread.join(timeout=10)
     assert not thread.is_alive()
+
+
+def test_connection_closed_by_the_server_is_reopened_without_a_retry(sleeps):
+    with _keep_alive_server() as (url, served):
+        client = LlmClient(LlmClientConfig(endpoint=url, model="m"))
+        assert [client.complete(f"prompt {i}") for i in range(3)] == ["ok"] * 3
+        client.service.close()  # the last connection, which the server has closed too
     assert len(served) == client.network_calls == 3
+    assert sleeps == []
+
+
+def test_closed_service_leaves_no_open_socket_and_reopens(sleeps):
+    with warnings.catch_warnings(record=True) as caught, _keep_alive_server() as (url, served):
+        warnings.simplefilter("always", ResourceWarning)
+        client = LlmClient(LlmClientConfig(endpoint=url, model="m"))
+        assert client.complete("before") == "ok"
+        client.service.close()
+        assert client.complete("after") == "ok"
+        client.service.close()
+        del client
+        gc.collect()
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+    assert len(served) == 2
     assert sleeps == []
 
 
@@ -260,11 +275,11 @@ class TestProxy:
         want = "Basic " + base64.b64encode(b"user:p@ss").decode("ascii")
         assert either_reply.state.headers["Proxy-Authorization"] == want
 
-    def test_https_goes_through_a_tunnel(self, either_reply, monkeypatch):
+    def test_https_goes_through_a_tunnel(self, either_reply, monkeypatch, sleeps):
         # the stub refuses the tunnel; what it was asked for is recorded
         _proxy_env(monkeypatch, HTTPS_PROXY=either_reply.url.replace("http://", "http://user:pw@"))
-        send, _ = _chat("https://narrative.invalid/v1", max_retries=1)
-        with pytest.raises(LlmRequestError, match="failed after 1 tries"):
+        send, _ = _chat("https://narrative.invalid/v1")
+        with pytest.raises(LlmRequestError, match="failed after 3 tries"):
             send()
         assert either_reply.state.path == "narrative.invalid:443"
         assert either_reply.state.headers["Proxy-Authorization"] == "Basic " + base64.b64encode(
@@ -298,7 +313,7 @@ class TestProxy:
     (True, "127.0.0.1", False),  # the certificate names localhost only
     (False, "localhost", False),
 ])
-def test_https_verifies_the_certificate_and_the_host(tls_stub_server, monkeypatch, tls_cert,
+def test_https_verifies_the_certificate_and_the_host(tls_stub_server, monkeypatch, sleeps, tls_cert,
                                                      trusted, host, answered):
     # the CA store is read when the client is built; REQUESTS_CA_BUNDLE is what an
     # earlier requests-based transport read, so this test also runs against it
@@ -309,7 +324,7 @@ def test_https_verifies_the_certificate_and_the_host(tls_stub_server, monkeypatc
         monkeypatch.setenv("REQUESTS_CA_BUNDLE", str(tls_cert))
     _proxy_env(monkeypatch)
     port = tls_stub_server.server.server_address[1]
-    client = LlmClient(LlmClientConfig(endpoint=f"https://{host}:{port}/", model="m", max_retries=1))
+    client = LlmClient(LlmClientConfig(endpoint=f"https://{host}:{port}/", model="m"))
     if answered:
         assert client.complete("hello") == "ok"
         assert tls_stub_server.calls == 1

@@ -45,7 +45,7 @@ class TestTextClassifier:
         stub_server.state.set_raw(
             lambda payload: {"vectors": [[1.0 if "surge" in t else -1.0, 0.5] for t in payload["texts"]]}
         )
-        embedder = ExternalEmbedder(endpoint=stub_server.url, dimension=2, backoff=0.01)
+        embedder = ExternalEmbedder(endpoint=stub_server.url, dimension=2)
         prompts = [f"markets {'surge' if i % 2 else 'plunge'} on day {i}" for i in range(20)]
         labels = [i % 2 for i in range(20)]
         clf = fit_text_classifier(prompts, labels, embedder)
