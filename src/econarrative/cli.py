@@ -278,9 +278,12 @@ def _cmd_experiment(args) -> int:
         raise UsageError(f"configs named {shared[0]!r} would both write {out_root / shared[0]}")
 
     def run_one(path: Path) -> str:
-        config = json.loads(path.read_text("utf-8"))
         target_dir = out_root / path.stem if len(configs) > 1 else out_root
-        run_experiment(config, out_dir=target_dir)
+        try:
+            config = json.loads(path.read_text("utf-8"))
+            run_experiment(config, out_dir=target_dir)
+        except Exception as exc:  # name the file; main reports the error
+            raise ValueError(f"{path}: {exc}") from exc
         logger.info("experiment %s -> %s", path.name, target_dir)
         return config_hash(config)
 

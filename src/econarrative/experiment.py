@@ -319,7 +319,7 @@ MODEL_KEYS = {"type": (str, REQUIRED), "name": (str, None)}
 MODELS = {
     "baseline": (None, _baseline_model, {"kind": (BASELINE_KINDS, REQUIRED)}),
     **{kind: ("classification" if kind == "logistic" else "regression", _column_model,
-              {"inputs": (INPUTS, "TF"), "lam": (float, lam)})
+              {"inputs": (INPUTS, "TF"), **({"lam": (float, lam)} if lam else {})})
        for kind, lam in DEFAULT_LAM.items()},
     "darnn": ("regression", _darnn_model, {
         "inputs": (("TF",), "TF"), "m": (int, 32), "p": (int, 32), "seed": (int, 0),
@@ -371,7 +371,8 @@ def _keys(node: dict, table: dict, where: str, section: str = "") -> dict:
 
 def _section(node, section: str) -> dict:
     if not isinstance(node, dict):
-        raise ValueError(f"config section {section!r} must be an object")
+        raise ValueError(f"config section {section!r} must be an object" if section
+                         else "the top level must be an object")
     table = SCHEMA[section]
     if isinstance(next(iter(table.values())), dict):  # a data spec
         table = next((keys for source, keys in table.items() if source in node),

@@ -13,7 +13,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from datetime import date, timedelta
+from datetime import date
 from functools import lru_cache
 from importlib import resources
 from operator import itemgetter
@@ -153,13 +153,6 @@ class AlignedDataset:
     @property
     def tweets(self) -> tuple[tuple[TweetRecord, ...], ...]:
         return self.per_day("records")
-
-
-@dataclass(frozen=True)
-class Block:
-    start: date
-    end: date
-    sample_count: int
 
 
 @lru_cache(maxsize=1)
@@ -385,32 +378,6 @@ def distinct_index(texts: Sequence[str]) -> tuple[list[str], list[int]]:
     first: dict[str, int] = {}
     index = [first.setdefault(text, len(first)) for text in texts]
     return list(first), index
-
-
-def blocking_split(series: FinancialSeries, boundaries: Sequence[date]) -> list[Block]:
-    """Partition a series into contiguous date blocks at the given cut dates.
-
-    Each boundary starts a new block; block k covers [b_k, b_{k+1}).
-    Concatenating the blocks in order reproduces the series exactly.
-    """
-    if not series.dates:
-        raise IngestError("cannot split an empty series")
-    bounds = list(boundaries)
-    if bounds != sorted(bounds) or len(set(bounds)) != len(bounds):
-        raise IngestError("boundaries must be sorted and distinct")
-    s_start, s_end = series.range()
-    for b in bounds:
-        if not (s_start < b <= s_end):
-            raise IngestError(f"boundary {b} outside series range ({s_start}..{s_end})")
-    edges = [s_start] + bounds + [None]  # None marks the open tail
-    blocks: list[Block] = []
-    for i in range(len(edges) - 1):
-        lo = edges[i]
-        hi = edges[i + 1]
-        inside = [d for d in series.dates if d >= lo and (hi is None or d < hi)]
-        block_end = (hi - timedelta(days=1)) if hi is not None else s_end
-        blocks.append(Block(start=lo, end=block_end, sample_count=len(inside)))
-    return blocks
 
 
 def train_size(n: int, train_fraction: float) -> int:

@@ -10,7 +10,7 @@ import numpy as np
 from .linear import LINEAR_PENALTIES, LinearModel, fit_linear
 from .logistic import LogisticModel, fit_logistic
 
-# model type -> penalty weight when the config gives no `lam`
+# model type -> penalty weight when the config gives no `lam`; 0.0: no penalty, no `lam` key
 DEFAULT_LAM = {"logistic": 0.01, "linear": 0.0, "ridge": 1.0, "lasso": 1.0}
 
 

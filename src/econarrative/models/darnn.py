@@ -345,7 +345,7 @@ def train_darnn(
         raise ValueError("epochs must be >= 1")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size!r}")
-    if learning_rate < 0:  # 0 leaves the parameters as they are
+    if not learning_rate >= 0:  # 0 leaves the parameters as they are; False for NaN
         raise ValueError(f"learning_rate must be >= 0, got {learning_rate!r}")
     X = np.asarray(drivers, dtype=float)
     Y = np.asarray(target_history, dtype=float)

@@ -65,8 +65,10 @@ def fit_linear(X, y, reg: str = "none", lam: float = 0.0) -> LinearModel:
     """Fit y ~ Xw + b under the requested penalty."""
     if reg not in ("none", "l1", "l2"):
         raise ValueError(f"unknown regularization {reg!r}")
-    if lam < 0:
-        raise ValueError("lam must be non-negative")
+    if not 0.0 <= lam < float("inf"):  # False for NaN too
+        raise ValueError(f"lam must be finite and >= 0, got {lam!r}")
+    if reg == "none" and lam:
+        raise ValueError(f"lam {lam!r} does nothing without a penalty: fit reg='l1' or 'l2'")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2:
@@ -92,14 +94,11 @@ def _fit_closed_form(X, y, reg, lam) -> LinearModel:
     A[:d, d] = X.sum(axis=0)
     A[d, :d] = X.sum(axis=0)
     A[d, d] = n
-    if reg == "l2" and lam > 0:
+    if lam > 0:  # reg is 'l2': fit_linear refuses a nonzero lam without a penalty
         A[:d, :d] += lam * np.eye(d)
     rhs = np.concatenate([X.T @ y, [y.sum()]])
-    if reg == "none" or lam == 0:
-        if np.linalg.cond(A) > 1e12:
-            raise SingularSystemError(
-                "normal equations are singular; refit with reg='l2' and lam > 0"
-            )
+    if lam == 0 and np.linalg.cond(A) > 1e12:
+        raise SingularSystemError("normal equations are singular; refit with reg='l2' and lam > 0")
     solution = np.linalg.solve(A, rhs)
     return LinearModel(weights=solution[:d], bias=float(solution[d]), regularization=reg, lam=lam)
 

@@ -56,8 +56,8 @@ def fit_logistic(X, y, lam: float = 0.01) -> LogisticModel:
     n, d = X.shape
     if set(np.unique(y)) != {0.0, 1.0}:
         raise ValueError("labels must contain both classes 0 and 1")
-    if lam < 0:
-        raise ValueError("lam must be non-negative")
+    if not 0.0 <= lam < float("inf"):  # False for NaN too
+        raise ValueError(f"lam must be finite and >= 0, got {lam!r}")
 
     tol, max_iter = GRAD_TOL, MAX_ITER
     w = np.zeros(d)

@@ -219,10 +219,6 @@ class LlmClient:
         self._locks: dict[str, threading.Lock] = {}
         self._locks_guard = threading.Lock()
 
-    @property
-    def network_calls(self) -> int:
-        return self.service.requests
-
     # -- cache ---------------------------------------------------------
 
     def cache_key(self, prompt_text: str) -> str:

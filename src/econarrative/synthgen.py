@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from datetime import date, timedelta
 from functools import lru_cache
 from importlib import resources
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -57,11 +56,8 @@ class SynthConfig:
 
 
 @lru_cache(maxsize=1)
-def load_wordlist(path: str | None = None) -> tuple[str, ...]:
-    if path is None:
-        raw = resources.files("econarrative.assets").joinpath("wordlist.txt").read_text("utf-8")
-    else:
-        raw = Path(path).read_text("utf-8")
+def load_wordlist() -> tuple[str, ...]:
+    raw = resources.files("econarrative.assets").joinpath("wordlist.txt").read_text("utf-8")
     words = tuple(w.strip() for w in raw.splitlines() if w.strip())
     if not words:
         raise ValueError("wordlist is empty")

@@ -306,7 +306,6 @@ class TestOneFitPath:
         ("logistic", "direction-change", None),
         ("logistic", "direction-change", 0.1),
         ("linear", "pct-change", None),
-        ("linear", "pct-change", 0.5),
         ("ridge", "pct-change", None),
         ("ridge", "pct-change", 3.0),
         ("lasso", "pct-change", None),
@@ -339,6 +338,16 @@ class TestOneFitPath:
 
         assert len(expected) == report.n_test > 50
         assert _csv_rows(tmp_path / "cli" / "predictions.csv") == expected
+
+    def test_linear_model_refuses_lam(self, tmp_path, capsys):
+        series = _write_walk_csv(tmp_path / "series.csv")
+        assert main(["features", "--series", str(series), "--kind", "none", "--task", "pct-change",
+                     "--out", str(tmp_path)]) == 0
+        code = main(["train", "--features", str(tmp_path / "features.csv"), "--model", "linear",
+                     "--lam", "0.5", "--out", str(tmp_path / "model")])
+        assert code == 2
+        assert "lam 0.5 does nothing without a penalty" in capsys.readouterr().err
+        assert not (tmp_path / "model" / "model.json").exists()
 
     def test_default_features_fit_a_logistic_model(self, tmp_path):
         series, tweets = _planted_inputs(tmp_path)
@@ -451,6 +460,30 @@ class TestExperimentCommand:
         code = main(["experiment", "--config", str(tmp_path / "none.json"),
                      "--out", str(tmp_path / "o")])
         assert code == 2
+
+    def test_invalid_json_error_names_the_file(self, tmp_path, capsys):
+        config = tmp_path / "broken.json"
+        config.write_text('{"seed": }')
+        assert main(["experiment", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert f"error: {config}: Expecting value: line 1 column 10 (char 9)" in capsys.readouterr().err
+
+    def test_failing_config_among_several_is_named(self, tmp_path, capsys):
+        good = self._config(tmp_path)
+        typo = tmp_path / "typo.json"
+        config = json.loads(good.read_text())
+        config["models"] = [{"type": "up"}]
+        typo.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["experiment", "--config", str(good), "--config", str(typo), "--out", str(out)]) == 2
+        assert f"error: {typo}: stage 'config': unknown model type 'up'" in capsys.readouterr().err
+        assert (out / "exp_7" / "report.json").exists()
+
+    def test_top_level_that_is_not_an_object_is_named(self, tmp_path, capsys):
+        config = tmp_path / "list.json"
+        config.write_text("[]")
+        assert main(["experiment", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {config}: stage 'config': the top level must be an object" in err
 
 
 class TestLlmAnalyzeCommand:

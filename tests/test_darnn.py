@@ -169,6 +169,7 @@ class TestTraining:
         ("batch_size", 0, "batch_size must be >= 1, got 0"),  # was range()'s zero step
         ("batch_size", -4, "batch_size must be >= 1, got -4"),
         ("learning_rate", -1.0, "learning_rate must be >= 0, got -1.0"),  # was gradient ascent
+        ("learning_rate", float("nan"), "learning_rate must be >= 0, got nan"),  # was NaN parameters
     ])
     def test_batch_size_and_learning_rate_validated(self, setting, value, message):
         model, X, Y, labels = _instance(0)

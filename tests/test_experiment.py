@@ -200,6 +200,7 @@ class TestStages:
             ({"name": "m", "type": "logistic", "epochs": 3}, "epochs"),
             ({"name": "m", "type": "baseline", "kind": "up", "inputs": "F"}, "inputs"),
             ({"name": "m", "type": "baseline", "kind": "up", "lam": 1.0}, "lam"),
+            ({"name": "m", "type": "linear", "lam": 5.0}, "lam"),  # no penalty to weigh
         ],
     )
     def test_unknown_model_key_rejected_in_config_stage(self, tmp_path, model, key):
@@ -527,7 +528,7 @@ class TestRegressionModels:
             "models": [
                 {"name": "ridge", "type": "ridge", "inputs": "TF", "lam": 1.0},
                 {"name": "lasso", "type": "lasso", "inputs": "TF", "lam": 0.5},
-                {"name": "linear-f", "type": "linear", "inputs": "F", "lam": 0.0},
+                {"name": "linear-f", "type": "linear", "inputs": "F"},
                 {"name": "as-prev", "type": "baseline", "kind": "as-previous"},
                 {"name": "train-mean", "type": "baseline", "kind": "train-mean"},
             ],
@@ -588,6 +589,13 @@ class TestRegressionModels:
         with pytest.raises(ExperimentError, match=re.escape(message)) as err:
             run_experiment(config)
         assert err.value.stage == "model:rnn"
+
+    def test_penalty_that_is_not_finite_fails_naming_the_model(self):
+        config = self._config()
+        config["models"] = json.loads('[{"name": "ridge", "type": "ridge", "lam": NaN}]')  # JSON reads NaN
+        with pytest.raises(ExperimentError, match="lam must be finite and >= 0, got nan") as err:
+            run_experiment(config)
+        assert err.value.stage == "model:ridge"
 
     def test_darnn_rejects_embedding_drivers(self):
         config = self._config()

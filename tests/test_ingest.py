@@ -13,7 +13,6 @@ from econarrative.ingest import (
     TweetCorpus,
     TweetRecord,
     align,
-    blocking_split,
     distinct_index,
     load_series,
     load_tweets,
@@ -412,50 +411,6 @@ class TestAlign:
         corpus = _corpus(TweetRecord("1", date(2030, 1, 1), "future", 2000))
         with pytest.raises(IngestError, match="overlap"):
             align(corpus, _series(*self.CAL))
-
-
-class TestBlockingSplit:
-    def _ten_points(self):
-        return _series(*((date(2021, 1, i + 1), float(i)) for i in range(10)))
-
-    def test_boundary_after_point_4(self):
-        series = self._ten_points()
-        blocks = blocking_split(series, [date(2021, 1, 5)])
-        assert [b.sample_count for b in blocks] == [4, 6]
-
-    def test_no_boundaries_identity(self):
-        series = self._ten_points()
-        blocks = blocking_split(series, [])
-        assert len(blocks) == 1
-        assert blocks[0].sample_count == 10
-        assert blocks[0].start == date(2021, 1, 1)
-        assert blocks[0].end == date(2021, 1, 10)
-
-    def test_partition_reproduces_series(self):
-        series = self._ten_points()
-        blocks = blocking_split(series, [date(2021, 1, 3), date(2021, 1, 8)])
-        assert sum(b.sample_count for b in blocks) == len(series)
-        rebuilt = []
-        for block in blocks:
-            rebuilt.extend(p for p in series.points if block.start <= p[0] <= block.end)
-        assert tuple(rebuilt) == series.points
-
-    def test_unsorted_boundaries_rejected(self):
-        with pytest.raises(IngestError, match="sorted"):
-            blocking_split(self._ten_points(), [date(2021, 1, 8), date(2021, 1, 3)])
-
-    def test_policy_rate_regime_block_count(self):
-        # calendar-daily series spanning 2007..2020 split at the two
-        # regime edges; the middle (zero-rate era) block holds 2207 days
-        start, end = date(2007, 1, 1), date(2020, 12, 31)
-        days = []
-        d = start
-        while d <= end:
-            days.append(d)
-            d = d.fromordinal(d.toordinal() + 1)
-        series = FinancialSeries("FFR", tuple(days), (1.0,) * len(days))
-        blocks = blocking_split(series, [date(2008, 12, 16), date(2015, 1, 1)])
-        assert blocks[1].sample_count == 2207
 
 
 class TestChronoSplit:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,18 @@ class TestClosedForm:
             fit_linear(np.array([[1.0]]), np.array([1.0]))
         with pytest.raises(ValueError, match="non-finite"):
             fit_linear(np.array([[np.nan], [1.0]]), np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("reg", ["none", "l1", "l2"])
+    @pytest.mark.parametrize("lam", [-0.1, float("nan"), float("inf")])
+    def test_penalty_that_is_negative_or_not_finite_rejected(self, reg, lam):
+        X = np.array([[1.0], [2.0], [4.0]])
+        with pytest.raises(ValueError, match=re.escape(f"lam must be finite and >= 0, got {lam!r}")):
+            fit_linear(X, np.array([2.0, 4.0, 7.0]), reg=reg, lam=lam)
+
+    def test_penalty_weight_without_a_penalty_rejected(self):
+        X = np.array([[1.0], [2.0], [4.0]])
+        with pytest.raises(ValueError, match="lam 0.5 does nothing without a penalty"):
+            fit_linear(X, np.array([2.0, 4.0, 7.0]), lam=0.5)
 
 
 class TestRidgeCrossCheck:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,14 @@ class TestFitLogistic:
         y = np.array([0.0, 1.0])
         with pytest.raises(ConvergenceError):
             fit_logistic(X, y, lam=0.0)
+
+    @pytest.mark.parametrize("lam", [-0.1, float("nan"), float("inf")])
+    def test_penalty_that_is_negative_or_not_finite_rejected(self, monkeypatch, lam):
+        monkeypatch.setattr(logistic, "MAX_ITER", 200)  # a fit that slips past the check ends soon
+        X = np.array([[-2.0], [-1.0], [1.0], [2.0]])
+        y = np.array([0.0, 1.0, 0.0, 1.0])
+        with pytest.raises(ValueError, match=re.escape(f"lam must be finite and >= 0, got {lam!r}")):
+            fit_logistic(X, y, lam=lam)
 
 
 def test_sigmoid_saturates_safely():

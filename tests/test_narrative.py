@@ -210,7 +210,7 @@ class TestClientCache:
         path.parent.mkdir(parents=True)
         path.write_text(entry, encoding="utf-8")
         analysis = client.request_analysis(prompt)
-        assert stub_server.calls == client.network_calls == 1
+        assert stub_server.calls == client.service.requests == 1
         doc = json.loads(path.read_text(encoding="utf-8"))
         assert doc["tweet_analysis"] == analysis.tweet_analysis
         assert client.request_analysis(prompt) == analysis
@@ -277,7 +277,7 @@ class TestClientCache:
         analyses = client.request_analyses(prompts)
         assert len(analyses) == 6
         assert stub_server.calls == 6
-        assert client.network_calls == 6
+        assert client.service.requests == 6
 
     def test_network_calls_counted_under_contention(self):
         reply = json.dumps({"choices": [{"message": {"content": "ok"}}]}).encode("utf-8")
@@ -296,21 +296,21 @@ class TestClientCache:
                     future.result(timeout=60)
         finally:
             sys.setswitchinterval(interval)
-        assert client.network_calls == threads * calls
+        assert client.service.requests == threads * calls
 
     def test_client_error_is_not_retried(self, stub_server, tmp_path, sleeps):
         stub_server.state.status = 400
         client = self._client(stub_server, tmp_path)
         with pytest.raises(LlmRequestError, match="client error 400"):
             client.complete("hello")
-        assert stub_server.calls == client.network_calls == 1
+        assert stub_server.calls == client.service.requests == 1
         assert sleeps == []
 
     def test_body_that_is_not_json_fails_before_sending(self, stub_server, tmp_path, sleeps):
         client = self._client(stub_server, tmp_path)
         with pytest.raises(LlmRequestError, match="body is not JSON: Out of range float"):
             client.service.post({"x": float("nan")}, lambda reply: reply)
-        assert stub_server.calls == client.network_calls == 0
+        assert stub_server.calls == client.service.requests == 0
         assert sleeps == []
 
     def test_reply_that_is_not_an_object_is_retried(self, stub_server, tmp_path, sleeps):
@@ -318,7 +318,7 @@ class TestClientCache:
         client = self._client(stub_server, tmp_path)
         with pytest.raises(LlmRequestError, match="failed after 3 tries"):
             client.complete("hello")
-        assert stub_server.calls == client.network_calls == 3
+        assert stub_server.calls == client.service.requests == 3
         assert sleeps == [retry.BACKOFF_S, 2 * retry.BACKOFF_S]
 
     def test_server_error_retried_without_a_final_sleep(self, stub_server, tmp_path, sleeps):
@@ -326,7 +326,7 @@ class TestClientCache:
         client = self._client(stub_server, tmp_path)
         with pytest.raises(LlmRequestError, match="failed after 3 tries: server error 503"):
             client.complete("hello")
-        assert stub_server.calls == client.network_calls == 3
+        assert stub_server.calls == client.service.requests == 3
         assert sleeps == [retry.BACKOFF_S, 2 * retry.BACKOFF_S]
 
 

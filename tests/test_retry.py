@@ -238,7 +238,7 @@ def test_connection_closed_by_the_server_is_reopened_without_a_retry(sleeps):
         client = LlmClient(LlmClientConfig(endpoint=url, model="m"))
         assert [client.complete(f"prompt {i}") for i in range(3)] == ["ok"] * 3
         client.service.close()  # the last connection, which the server has closed too
-    assert len(served) == client.network_calls == 3
+    assert len(served) == client.service.requests == 3
     assert sleeps == []
 
 

@@ -4,6 +4,7 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
+from econarrative import synthgen
 from econarrative.harness import make_labels
 from econarrative.sentiment import score
 from econarrative.synthgen import (
@@ -47,11 +48,12 @@ class TestRandomTexts:
         counts = Counter(r.date for r in corpus.records)
         assert all(c == 3 for c in counts.values())
 
-    def test_empty_wordlist_rejected(self, tmp_path):
-        path = tmp_path / "words.txt"
-        path.write_text("\n \n", encoding="utf-8")
+    def test_empty_wordlist_rejected(self, tmp_path, monkeypatch):
+        (tmp_path / "wordlist.txt").write_text("\n \n", encoding="utf-8")
+        monkeypatch.setattr(synthgen.resources, "files", lambda package: tmp_path)
+        load_wordlist.cache_clear()  # the bundled list may be cached; a raise caches nothing
         with pytest.raises(ValueError, match="wordlist is empty"):
-            load_wordlist(str(path))
+            load_wordlist()
 
     def test_bundled_wordlist_loads(self):
         words = load_wordlist()
