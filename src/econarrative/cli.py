@@ -16,10 +16,9 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__, ingest, sentiment, synthgen
-from .experiment import (FINANCIAL_FEATURES, MODELS, TEXT_FEATURES, config_hash, prepare,
-                         run_experiment)
+from .experiment import FINANCIAL_FEATURES, TEXT_FEATURES, config_hash, prepare, run_experiment
 from .harness import TASKS, EntryError, evaluate
-from .models import LinearModel, LogisticModel, Standardized, fit_columns, model_from_doc, model_to_doc
+from .models import Standardized, fit_columns, model_from_doc, model_to_doc
 from .models.baselines import BASELINE_KINDS
 from .models.columns import DEFAULT_LAM
 
@@ -129,19 +128,21 @@ def _cmd_train(args) -> int:
     out = Path(args.out)
     dates, X, labels = _load_features_csv(args.features)
     model_cfg = {"type": args.model} if args.lam is None else {"type": args.model, "lam": args.lam}
-    task = MODELS[args.model][0]
-    _write_json(out / "model.json", model_to_doc(fit_columns(model_cfg, X, labels), task=task))
+    _write_json(out / "model.json", model_to_doc(fit_columns(model_cfg, X, labels)))
     logger.info("trained %s on %d rows", args.model, len(dates))
     return 0
 
 
 def _cmd_predict(args) -> int:
     out = Path(args.out)
-    model = model_from_doc(json.loads(Path(args.model).read_text("utf-8")))
-    if isinstance(model, (LinearModel, LogisticModel)):  # schema 1: `train` fitted the raw columns
-        model = Standardized(model)
-    if not isinstance(model, Standardized):
-        raise ValueError(f"predict applies logistic and linear models, not {type(model).__name__}")
+    try:  # name the file in every error; main reports it
+        model = model_from_doc(json.loads(Path(args.model).read_text("utf-8")))
+        if not isinstance(model, Standardized):
+            raise ValueError(f"predict applies logistic and linear models, not {type(model).__name__}")
+    except KeyError as exc:
+        raise ValueError(f"{args.model}: missing key {exc}") from exc
+    except Exception as exc:
+        raise ValueError(f"{args.model}: {exc}") from exc
     dates, X, _ = _load_features_csv(args.features)
     with (out / "predictions.csv").open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

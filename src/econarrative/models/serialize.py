@@ -1,4 +1,5 @@
-"""Versioned JSON serialization of trained models.
+"""Versioned JSON serialization of trained models: a standardised column
+model or an attention RNN.
 
 Parameter tensors travel as base64-encoded little-endian float64 bytes
 so documents round-trip bit-exactly.
@@ -10,12 +11,10 @@ import base64
 
 import numpy as np
 
-from ..embed import HashingEmbedder
 from .columns import Standardized
 from .darnn import AttentionRnn
 from .linear import LinearModel
 from .logistic import LogisticModel
-from .textclf import TextClassifier
 
 SCHEMA_VERSION = 2
 
@@ -30,69 +29,47 @@ def _decode(doc: dict) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").reshape(doc["shape"]).copy()
 
 
-def model_to_doc(model, kind: str = "F", task: str | None = None, horizon: int | None = None) -> dict:
-    """Serialize a trained predictor with its role metadata."""
+def model_to_doc(model: Standardized | AttentionRnn) -> dict:
+    """Serialize a standardised column model or an attention RNN."""
+    doc = {"schema": SCHEMA_VERSION}
     if isinstance(model, Standardized):
-        doc = model_to_doc(model.model, kind, task, horizon)
+        column = model.model
+        if isinstance(column, LinearModel):
+            doc["architecture"] = "linear"
+            doc["config"] = {"regularization": column.regularization, "lam": column.lam}
+        else:
+            doc["architecture"] = "logistic"
+            doc["config"] = {"threshold": column.threshold}
+        doc["parameters"] = {"weights": _encode(column.weights), "bias": _encode(np.array(column.bias))}
         doc["transform"] = {"mean": _encode(model.mean), "scale": _encode(model.scale)}
-        return doc
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "kind": kind,
-        "task": task,
-        "horizon": horizon,
-    }
-    if isinstance(model, LinearModel):
-        doc["architecture"] = "linear"
-        doc["config"] = {"regularization": model.regularization, "lam": model.lam}
-        doc["parameters"] = {"weights": _encode(model.weights), "bias": _encode(np.array(model.bias))}
-        doc["shapes"] = {"features": int(model.weights.shape[0])}
-    elif isinstance(model, LogisticModel):
-        doc["architecture"] = "logistic"
-        doc["config"] = {"threshold": model.threshold}
-        doc["parameters"] = {"weights": _encode(model.weights), "bias": _encode(np.array(model.bias))}
-        doc["shapes"] = {"features": int(model.weights.shape[0])}
     elif isinstance(model, AttentionRnn):
         doc["architecture"] = "attention-rnn"
         doc["config"] = {"seed": model.seed}
         doc["shapes"] = {"T": model.T, "n": model.n, "m": model.m, "p": model.p}
         doc["parameters"] = {k: _encode(v) for k, v in sorted(model.params.items())}
-    elif isinstance(model, TextClassifier):
-        if not isinstance(model.embedder, HashingEmbedder):
-            raise ValueError("only reference-hash embedders serialize; external services do not")
-        doc["architecture"] = "text-classifier"
-        doc["config"] = {
-            "embedder": {"dimension": model.embedder.dimension, "seed": model.embedder.seed},
-            "threshold": model.head.threshold,
-        }
-        doc["shapes"] = {"features": int(model.head.weights.shape[0])}
-        doc["parameters"] = {
-            "weights": _encode(model.head.weights),
-            "bias": _encode(np.array(model.head.bias)),
-        }
     else:
         raise TypeError(f"cannot serialize {type(model).__name__}")
     return doc
 
 
-def model_from_doc(doc: dict):
+def model_from_doc(doc: dict) -> Standardized | AttentionRnn:
     """Rebuild what model_to_doc wrote. Schema 2 added the `transform` of a
-    standardised column model; a doc without one, as every schema 1 doc,
-    reads as the bare model it holds."""
+    column model; a column doc without one, as every schema 1 doc, reads
+    with the identity transform, mean 0 and scale 1."""
     if doc.get("schema") not in (1, SCHEMA_VERSION):
         raise ValueError(f"unsupported schema version {doc.get('schema')!r}")
     arch = doc.get("architecture")
     params = doc.get("parameters", {})
     if arch in ("linear", "logistic"):
         weights, bias = _decode(params["weights"]), float(_decode(params["bias"]))
+        config = doc["config"]
         if arch == "linear":
-            config = doc["config"]
             model = LinearModel(weights, bias, config["regularization"], config["lam"])
         else:
-            model = LogisticModel(weights, bias, doc["config"].get("threshold", 0.5))
+            model = LogisticModel(weights, bias, config.get("threshold", 0.5))
         transform = doc.get("transform")
         if transform is None:
-            return model
+            return Standardized(model)
         return Standardized(model, _decode(transform["mean"]), _decode(transform["scale"]))
     if arch == "attention-rnn":
         shapes = doc["shapes"]
@@ -101,15 +78,4 @@ def model_from_doc(doc: dict):
         )
         model.params = {k: _decode(v) for k, v in params.items()}
         return model
-    if arch == "text-classifier":
-        emb_cfg = doc["config"]["embedder"]
-        head = LogisticModel(
-            weights=_decode(params["weights"]),
-            bias=float(_decode(params["bias"])),
-            threshold=doc["config"].get("threshold", 0.5),
-        )
-        return TextClassifier(
-            embedder=HashingEmbedder(dimension=emb_cfg["dimension"], seed=emb_cfg["seed"]),
-            head=head,
-        )
     raise ValueError(f"unknown architecture {arch!r}")

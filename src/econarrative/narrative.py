@@ -58,24 +58,8 @@ class LlmRequestError(RuntimeError):
 
 @dataclass(frozen=True)
 class AnalysisPrompt:
-    instruction: str
-    financial_block: str
-    tweet_block: str
-    target: str
+    text: str
     window: tuple[date, date]
-
-    @property
-    def text(self) -> str:
-        return (
-            f"{self.instruction}\n"
-            f"\n"
-            f"Input:\n"
-            f"{self.financial_block}\n"
-            f"\n"
-            f"{self.tweet_block}\n"
-            f"\n"
-            f"Output:\n"
-        )
 
 
 @dataclass(frozen=True)
@@ -153,13 +137,11 @@ def build_analysis_prompt(
     )
 
     window = (min(tweet_dates[0], value_dates[0]), max(tweet_dates[-1], value_dates[-1]))
-    return AnalysisPrompt(
-        instruction=instruction,
-        financial_block=_financial_block(values_by_date, value_dates),
-        tweet_block=_tweet_block(tweets_by_date, tweet_dates),
-        target=target,
-        window=window,
+    text = (
+        f"{instruction}\n\nInput:\n{_financial_block(values_by_date, value_dates)}\n\n"
+        f"{_tweet_block(tweets_by_date, tweet_dates)}\n\nOutput:\n"
     )
+    return AnalysisPrompt(text=text, window=window)
 
 
 ANALYSIS_TAG_RE = re.compile(

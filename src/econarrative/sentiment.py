@@ -111,9 +111,10 @@ def daily_sentiment_column(dataset: AlignedDataset) -> np.ndarray:
 def word_frequency_timeline(
     corpus: TweetCorpus, term: str, granularity: str = "month"
 ) -> list[tuple[str, int]]:
-    """Case-insensitive token counts of `term` per period, zero-filled."""
-    if not term:
-        raise ValueError("term must be non-empty")
+    """Case-insensitive token counts of `term` per period, zero-filled.
+    The term must be one token, as `tokenize` splits text."""
+    if tokenize(term) != [term.lower()]:
+        raise ValueError(f"term {term!r} is not one token, so no tweet token can match it")
     if granularity not in ("month", "day"):
         raise ValueError("granularity must be 'month' or 'day'")
     term = term.lower()

@@ -202,6 +202,16 @@ class TestPipelineCommands:
         assert body[0] == "period,count"
         assert body[1:] == ["2021-01,1", "2021-02,3"]
 
+    def test_analyze_freq_refuses_a_term_of_two_tokens(self, tmp_path, capsys, write_jsonl):
+        tweets = write_jsonl(
+            [{"id": "1", "date": "2021-01-04", "text": "markets rally", "followers": 100}]
+        )
+        out = tmp_path / "o"
+        assert main(["analyze", "freq", "--tweets", str(tweets), "--term", "markets rally",
+                     "--out", str(out)]) == 2
+        assert "error: term 'markets rally' is not one token" in capsys.readouterr().err
+        assert not list(out.glob("freq_*"))
+
     def test_analyze_sent_hist(self, tmp_path, write_jsonl):
         tweets = write_jsonl(
             [{"id": "1", "date": "2021-01-04", "text": "great win", "followers": 100}]
@@ -212,6 +222,16 @@ class TestPipelineCommands:
         body = (out / "sentiment_histogram.csv").read_text().splitlines()
         assert body[0] == "bin_low,bin_high,count"
         assert sum(int(line.rsplit(",", 1)[1]) for line in body[1:]) == 1
+
+
+def _without_config(doc):
+    del doc["config"]
+    return json.dumps(doc)
+
+
+def _mean_of_three(doc):
+    doc["transform"]["mean"]["shape"] = [3]  # its bytes hold two values
+    return json.dumps(doc)
 
 
 class TestBadInput:
@@ -250,6 +270,22 @@ class TestBadInput:
                     "--features", str(features), "--out", str(tmp_path / "p")]
         assert main(args) == 2
         assert f"feature file {features} line 4: {problem}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spoil, problem", [
+        (lambda doc: "{\n", "Expecting property name enclosed in double quotes: line 2 column 1"),
+        (_without_config, "missing key 'config'"),
+        (_mean_of_three, "cannot reshape array of size 2 into shape (3,)"),
+    ])
+    def test_predict_errors_name_the_model_file(self, tmp_path, capsys, spoil, problem):
+        features = tmp_path / "features.csv"
+        features.write_text("date,x0,x1,label\n2021-01-04,0.1,0.2,increase\n"
+                            "2021-01-05,0.3,0.4,decrease\n", encoding="utf-8")
+        assert main(["train", "--features", str(features), "--out", str(tmp_path / "m")]) == 0
+        model = tmp_path / "m" / "model.json"
+        model.write_text(spoil(json.loads(model.read_text("utf-8"))), encoding="utf-8")
+        assert main(["predict", "--model", str(model), "--features", str(features),
+                     "--out", str(tmp_path / "p")]) == 2
+        assert f"error: {model}: {problem}" in capsys.readouterr().err
 
     def test_evaluate_names_the_line_of_a_non_numeric_value(self, tmp_path, capsys):
         predictions = tmp_path / "predictions.csv"
@@ -357,6 +393,15 @@ class TestOneFitPath:
                      "--out", str(tmp_path / "model")]) == 0
         doc = json.loads((tmp_path / "model" / "model.json").read_text())
         assert (doc["architecture"], doc["schema"]) == ("logistic", 2)
+
+    def test_train_writes_only_the_keys_predict_reads(self, tmp_path):
+        series = _write_walk_csv(tmp_path / "series.csv")
+        assert main(["features", "--series", str(series), "--kind", "none",
+                     "--out", str(tmp_path)]) == 0
+        assert main(["train", "--features", str(tmp_path / "features.csv"),
+                     "--out", str(tmp_path / "model")]) == 0
+        doc = json.loads((tmp_path / "model" / "model.json").read_text())
+        assert set(doc) == {"schema", "architecture", "config", "parameters", "transform"}
 
     def test_predict_rejects_features_of_another_width(self, tmp_path, capsys):
         series = _write_walk_csv(tmp_path / "series.csv")

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from econarrative.models import (
-    LinearModel,
-    LogisticModel,
     Standardized,
     fit_columns,
     fit_linear,
@@ -63,7 +61,7 @@ class TestFitColumns:
 class TestStandardizedDocs:
     def test_round_trip_bit_exact(self):
         fitted = fit_columns({"type": "lasso", "lam": 0.5}, X, VALUES)
-        doc = json.loads(json.dumps(model_to_doc(fitted, task="regression")))
+        doc = json.loads(json.dumps(model_to_doc(fitted)))
         assert doc["schema"] == 2
         assert set(doc["transform"]) == {"mean", "scale"}
         restored = model_from_doc(doc)
@@ -81,10 +79,12 @@ class TestStandardizedDocs:
         fit_logistic(X, np.array([1.0, 0.0] * 20), lam=0.1),
         fit_linear(X, np.array(VALUES), reg="l2", lam=1.0),
     ])
-    def test_schema_one_doc_reads_as_the_bare_model(self, model):
-        doc = model_to_doc(model, task="regression")
-        assert "transform" not in doc
+    def test_schema_one_doc_reads_with_the_identity_transform(self, model):
+        doc = model_to_doc(Standardized(model))
+        del doc["transform"]
         doc["schema"] = 1
         restored = model_from_doc(doc)
-        assert isinstance(restored, (LinearModel, LogisticModel))
-        assert np.array_equal(restored.weights, model.weights)
+        assert isinstance(restored, Standardized)
+        assert isinstance(restored.model, type(model))
+        assert (restored.mean, restored.scale) == (0.0, 1.0)
+        assert np.array_equal(restored.model.weights, model.weights)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from datetime import date
 
 import numpy as np
@@ -223,6 +224,13 @@ class TestWordFrequency:
     def test_empty_term_rejected(self):
         with pytest.raises(ValueError):
             word_frequency_timeline(_corpus([]), "")
+
+    @pytest.mark.parametrize("term", ["markets rally", "U.S.", " debt "])
+    def test_term_of_more_than_one_token_rejected(self, term):
+        # none of these can equal a token, so the timeline would be all zeros
+        corpus = _corpus([TweetRecord("1", date(2011, 7, 1), "markets rally on U.S. debt", 1000)])
+        with pytest.raises(ValueError, match=f"term {re.escape(repr(term))} is not one token"):
+            word_frequency_timeline(corpus, term)
 
 
 class TestSentimentHistogram:

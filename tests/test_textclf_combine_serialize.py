@@ -7,6 +7,7 @@ from econarrative import experiment
 from econarrative.embed import ExternalEmbedder, HashingEmbedder
 from econarrative.experiment import ExperimentError, prepare
 from econarrative.models import (
+    Standardized,
     fit_linear,
     fit_logistic,
     fit_text_classifier,
@@ -124,8 +125,8 @@ class TestSerialization:
     def test_linear_round_trip_bit_exact(self):
         rng = np.random.default_rng(1)
         model = fit_linear(rng.normal(size=(20, 3)), rng.normal(size=20), reg="l2", lam=0.5)
-        doc = json.loads(json.dumps(model_to_doc(model, kind="F", task="next-value", horizon=1)))
-        restored = model_from_doc(doc)
+        doc = json.loads(json.dumps(model_to_doc(Standardized(model))))
+        restored = model_from_doc(doc).model
         assert np.array_equal(restored.weights, model.weights)
         assert restored.bias == model.bias
         assert restored.lam == 0.5
@@ -134,31 +135,28 @@ class TestSerialization:
         X = np.array([[-1.0], [1.0], [-2.0], [2.0]])
         y = np.array([0.0, 1.0, 0.0, 1.0])
         model = fit_logistic(X, y, lam=0.1)
-        restored = model_from_doc(model_to_doc(model))
+        restored = model_from_doc(model_to_doc(Standardized(model))).model
         assert np.array_equal(restored.weights, model.weights)
         assert restored.predict_proba(X) == pytest.approx(model.predict_proba(X))
 
     def test_attention_rnn_round_trip_bit_exact(self):
         model = AttentionRnn.init(T=4, n=2, m=5, p=6, seed=13)
-        doc = json.loads(json.dumps(model_to_doc(model, kind="TF")))
+        doc = json.loads(json.dumps(model_to_doc(model)))
         restored = model_from_doc(doc)
         assert all(np.array_equal(restored.params[k], model.params[k]) for k in model.params)
         rng = np.random.default_rng(0)
         X, Y = rng.normal(size=(3, 4, 2)), rng.normal(size=(3, 4))
         assert np.array_equal(restored.predict(X, Y), model.predict(X, Y))
 
-    def test_text_classifier_round_trip(self):
-        embedder = HashingEmbedder(dimension=32, seed=4)
-        clf = fit_text_classifier(["surge up", "plunge down"], [1, 0], embedder)
-        restored = model_from_doc(model_to_doc(clf, kind="T"))
-        prompts = ["surge there", "plunge here"]
-        assert np.array_equal(restored.predict(prompts), clf.predict(prompts))
-
     def test_unknown_schema_rejected(self):
         with pytest.raises(ValueError, match="schema"):
             model_from_doc({"schema": 99})
 
-    def test_metadata_travels(self):
+    def test_a_bare_column_model_is_refused(self):
         model = fit_linear(np.array([[1.0], [2.0]]), np.array([1.0, 2.0]), reg="l2", lam=1.0)
-        doc = model_to_doc(model, kind="TF", task="pct-change", horizon=7)
-        assert (doc["kind"], doc["task"], doc["horizon"]) == ("TF", "pct-change", 7)
+        with pytest.raises(TypeError, match="cannot serialize LinearModel"):
+            model_to_doc(model)
+
+    def test_text_classifier_doc_is_an_unknown_architecture(self):
+        with pytest.raises(ValueError, match="unknown architecture 'text-classifier'"):
+            model_from_doc({"schema": 2, "architecture": "text-classifier"})
