@@ -20,7 +20,7 @@ from .experiment import FINANCIAL_FEATURES, TEXT_FEATURES, config_hash, prepare,
 from .harness import TASKS, EntryError, evaluate
 from .models import Standardized, fit_columns, model_from_doc, model_to_doc
 from .models.baselines import BASELINE_KINDS
-from .models.columns import DEFAULT_LAM
+from .models.columns import COLUMN_MODELS
 
 logger = logging.getLogger("econarrative")
 
@@ -98,7 +98,7 @@ def _cmd_features(args) -> int:
 def _load_features_csv(path: str):
     import numpy as np
 
-    dates, rows, labels = [], [], []
+    dates, rows, labels, lines = [], [], [], []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -119,16 +119,21 @@ def _load_features_csv(path: str):
             dates.append(record[0])
             rows.append(row)
             labels.append(record[-1])
+            lines.append(reader.line_num)
     if not rows:
         raise ValueError(f"feature file {path} has no data rows")
-    return dates, np.array(rows), labels
+    return dates, np.array(rows), labels, lines
 
 
 def _cmd_train(args) -> int:
     out = Path(args.out)
-    dates, X, labels = _load_features_csv(args.features)
+    dates, X, labels, lines = _load_features_csv(args.features)
     model_cfg = {"type": args.model} if args.lam is None else {"type": args.model, "lam": args.lam}
-    _write_json(out / "model.json", model_to_doc(fit_columns(model_cfg, X, labels)))
+    try:
+        model = fit_columns(model_cfg, X, labels)
+    except EntryError as exc:
+        raise ValueError(f"feature file {args.features} line {lines[exc.index]}: {exc}") from None
+    _write_json(out / "model.json", model_to_doc(model))
     logger.info("trained %s on %d rows", args.model, len(dates))
     return 0
 
@@ -143,7 +148,7 @@ def _cmd_predict(args) -> int:
         raise ValueError(f"{args.model}: missing key {exc}") from exc
     except Exception as exc:
         raise ValueError(f"{args.model}: {exc}") from exc
-    dates, X, _ = _load_features_csv(args.features)
+    dates, X, _, _ = _load_features_csv(args.features)
     with (out / "predictions.csv").open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["date", "prediction"])
@@ -334,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="fit a model on a feature CSV", parents=[verbose])
     p.add_argument("--features", required=True)
-    p.add_argument("--model", default="logistic", choices=list(DEFAULT_LAM))
+    p.add_argument("--model", default="logistic", choices=list(COLUMN_MODELS))
     p.add_argument("--lam", type=float, help="penalty weight (default: the experiment's)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train)

@@ -28,7 +28,7 @@ from .harness import (HORIZONS, REGRESSION_TASKS, TASKS, LabelSeries, evaluate, 
 from .ingest import AlignedDataset, FinancialSeries, TweetCorpus
 from .models import financial_baseline, fit_columns, train_darnn
 from .models.baselines import BASELINE_KINDS, BASELINE_TASKS, WEEK
-from .models.columns import DEFAULT_LAM
+from .models.columns import COLUMN_MODELS
 from .models.darnn import AttentionRnn, DivergenceError
 
 
@@ -255,7 +255,7 @@ def _darnn_model(model_cfg: dict, matrix: FeatureMatrix, n_train: int, *_) -> li
         seed=model_cfg["seed"],
         batch_size=model_cfg["batch_size"],
     )
-    raw = trained.predict(drivers[n_train:], history[n_train:])
+    raw = trained.forward(drivers[n_train:], history[n_train:])
     with np.errstate(over="ignore", invalid="ignore"):
         # finite weights can still overflow the forward pass or the MSE
         scorable = np.isfinite(raw * raw).all()
@@ -318,9 +318,9 @@ MODEL_KEYS = {"type": (str, REQUIRED), "name": (str, None)}
 # MODEL_KEYS, in SCHEMA's form)
 MODELS = {
     "baseline": (None, _baseline_model, {"kind": (BASELINE_KINDS, REQUIRED)}),
-    **{kind: ("classification" if kind == "logistic" else "regression", _column_model,
+    **{kind: ("classification" if reg is None else "regression", _column_model,
               {"inputs": (INPUTS, "TF"), **({"lam": (float, lam)} if lam else {})})
-       for kind, lam in DEFAULT_LAM.items()},
+       for kind, (reg, lam) in COLUMN_MODELS.items()},
     "darnn": ("regression", _darnn_model, {
         "inputs": (("TF",), "TF"), "m": (int, 32), "p": (int, 32), "seed": (int, 0),
         "epochs": (int, 100), "lr": (float, 1e-3), "batch_size": (int, 32),

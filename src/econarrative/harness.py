@@ -106,7 +106,14 @@ class EntryError(ValueError):
         self.index = index
 
 
-def _number(what: str, i: int, value) -> float:
+def check_entry(what: str, i: int, value, regression: bool):
+    """Entry `i`, a prediction or label, as `evaluate` scores it: a float for
+    regression, else "increase" or "decrease". Anything else is an EntryError
+    naming the entry's index and value."""
+    if not regression:
+        if value not in DIRECTIONS:
+            raise EntryError(f"{what} {i} is {value!r}, not 'increase' or 'decrease'", i)
+        return value
     try:
         return float(value)
     except (TypeError, ValueError):
@@ -132,7 +139,8 @@ def evaluate(predictions: Sequence, labels: Sequence, task: str) -> MetricsRepor
     if task in REGRESSION_TASKS:
         squares = []
         for i, (p, y) in enumerate(pairs):
-            p, y = _number("prediction", i, p), _number("label", i, y)
+            p = check_entry("prediction", i, p, regression=True)
+            y = check_entry("label", i, y, regression=True)
             try:
                 squares.append((p - y) ** 2)
             except OverflowError:
@@ -141,8 +149,7 @@ def evaluate(predictions: Sequence, labels: Sequence, task: str) -> MetricsRepor
         return MetricsReport(task=task, n=len(pairs), mse=mse)
     for i, pair in enumerate(pairs):
         for what, value in zip(("prediction", "label"), pair):
-            if value not in DIRECTIONS:
-                raise EntryError(f"{what} {i} is {value!r}, not 'increase' or 'decrease'", i)
+            check_entry(what, i, value, regression=False)
     correct = sum(1 for p, y in pairs if p == y)
     tp = sum(1 for p, y in pairs if p == "increase" and y == "increase")
     fp = sum(1 for p, y in pairs if p == "increase" and y == "decrease")

@@ -1,14 +1,13 @@
 from .baselines import financial_baseline
 from .columns import Standardized, fit_columns
 from .darnn import AttentionRnn, gradient_check, train_darnn
-from .linear import LINEAR_PENALTIES, LinearModel, fit_linear, linear_objective
+from .linear import LinearModel, fit_linear, linear_objective
 from .logistic import LogisticModel, fit_logistic, logistic_objective
 from .serialize import model_from_doc, model_to_doc
 from .textclf import TextClassifier, fit_text_classifier
 
 __all__ = [
     "AttentionRnn",
-    "LINEAR_PENALTIES",
     "LinearModel",
     "LogisticModel",
     "Standardized",

@@ -7,11 +7,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linear import LINEAR_PENALTIES, LinearModel, fit_linear
+from ..harness import check_entry
+from .linear import LinearModel, fit_linear
 from .logistic import LogisticModel, fit_logistic
 
-# model type -> penalty weight when the config gives no `lam`; 0.0: no penalty, no `lam` key
-DEFAULT_LAM = {"logistic": 0.01, "linear": 0.0, "ridge": 1.0, "lasso": 1.0}
+# model type -> (fit_linear's `reg`, None for logistic; default `lam`, 0.0: no `lam` key)
+COLUMN_MODELS = {"logistic": (None, 0.01), "linear": ("none", 0.0), "ridge": ("l2", 1.0),
+                 "lasso": ("l1", 1.0)}
 
 
 @dataclass(frozen=True)
@@ -37,17 +39,18 @@ class Standardized:
 
 def fit_columns(model_cfg: dict, X, labels) -> Standardized:
     """Fit `model_cfg["type"]` on X standardised by its own column mean and
-    std (a zero std becomes 1); labels are 'increase'/'decrease' or numbers."""
-    kind = model_cfg["type"]
+    std (a zero std becomes 1). Labels are 'increase'/'decrease' for
+    logistic and numbers otherwise, read as `evaluate` reads them: any other
+    label is an EntryError naming its index and value."""
+    reg, lam = COLUMN_MODELS[model_cfg["type"]]
+    lam = model_cfg.get("lam", lam)
+    y = np.array([check_entry("label", i, v, regression=reg is not None) for i, v in enumerate(labels)])
     X = np.asarray(X, dtype=float)
     mean, std = X.mean(axis=0), X.std(axis=0)
     scale = np.where(std > 0, std, 1.0)
     Z = (X - mean) / scale
-    lam = model_cfg.get("lam", DEFAULT_LAM[kind])
-    if kind == "logistic":
-        y = np.array([1.0 if v == "increase" else 0.0 for v in labels])
-        model = fit_logistic(Z, y, lam=lam)
+    if reg is None:
+        model = fit_logistic(Z, (y == "increase").astype(float), lam=lam)
     else:
-        y = np.array([float(v) for v in labels])
-        model = fit_linear(Z, y, reg=LINEAR_PENALTIES[kind], lam=lam)
+        model = fit_linear(Z, y, reg=reg, lam=lam)
     return Standardized(model, mean, scale)

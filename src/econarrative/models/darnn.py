@@ -105,7 +105,6 @@ class AttentionRnn:
     n: int
     m: int
     p: int
-    seed: int
     params: dict[str, np.ndarray]
     epoch_mse: list[float] = field(default_factory=list)
 
@@ -147,18 +146,7 @@ class AttentionRnn:
             "out_v": uniform((p,), p),
             "out_c": np.zeros(1),
         }
-        return cls(T=T, n=n, m=m, p=p, seed=seed, params=params)
-
-    def copy(self) -> "AttentionRnn":
-        return AttentionRnn(
-            T=self.T,
-            n=self.n,
-            m=self.m,
-            p=self.p,
-            seed=self.seed,
-            params={k: v.copy() for k, v in self.params.items()},
-            epoch_mse=list(self.epoch_mse),
-        )
+        return cls(T=T, n=n, m=m, p=p, params=params)
 
     # -- forward ---------------------------------------------------------
 
@@ -178,7 +166,7 @@ class AttentionRnn:
             return self._forward(X, Y, want_cache)
 
     def _forward(self, X, Y, want_cache: bool):
-        B, T, n = X.shape
+        B, T = X.shape[:2]
         m, p = self.m, self.p
         P = self.params
 
@@ -191,12 +179,10 @@ class AttentionRnn:
         s = np.zeros((*lead, B, m))
         H = np.zeros((*lead, B, T, m))
         enc_steps = []
-        alphas = np.zeros((*lead, B, T, n))
         for t in range(T):
             alpha, att = _attend(P["att_in_W"], P["att_in_v"], h, s, att_in_proj)
             h, s, cell = _lstm(P["enc_W"], P["enc_b"], h, s, alpha * X[:, t, :])
             enc_steps.append((att, cell))
-            alphas[..., t, :] = alpha
             H[..., t, :] = h
 
         att_tm_proj = np.einsum("...mj,...btj->...btm", P["att_tm_U"], H)   # (B, T, m)
@@ -204,7 +190,6 @@ class AttentionRnn:
         dh = np.zeros((*lead, B, p))
         ds = np.zeros((*lead, B, p))
         dec_steps = []
-        betas = np.zeros((*lead, B, T, T))
         context = np.zeros((*lead, B, m))
         for t in range(T):
             beta, att = _attend(P["att_tm_W"], P["att_tm_v"], dh, ds, att_tm_proj)
@@ -214,7 +199,6 @@ class AttentionRnn:
             y_mix = (mix_in @ P["mix_w"][..., None])[..., 0] + P["mix_b"]  # (B,)
             dh, ds, cell = _lstm(P["dec_W"], P["dec_b"], dh, ds, y_mix[..., None])
             dec_steps.append((att, mix_in, cell))
-            betas[..., t, :] = beta
 
         final_in = np.concatenate([dh, context], axis=-1)          # (B, p+m)
         q = final_in @ P["out_W"].swapaxes(-1, -2) + P["out_b"][..., None, :]  # (B, p)
@@ -225,12 +209,9 @@ class AttentionRnn:
         cache = {
             "X": X, "att_in_proj": att_in_proj, "enc_steps": enc_steps, "H": H,
             "att_tm_proj": att_tm_proj, "dec_steps": dec_steps,
-            "final_in": final_in, "q": q, "alphas": alphas, "betas": betas,
+            "final_in": final_in, "q": q,
         }
         return y_hat, cache
-
-    def predict(self, X, Y) -> np.ndarray:
-        return self.forward(X, Y)
 
     # -- backward --------------------------------------------------------
 
@@ -288,7 +269,7 @@ class AttentionRnn:
                 g_context = g_context + g_context_out
 
             g_beta = np.einsum("bm,btm->bt", g_context, H)
-            g_H += cache["betas"][:, t, :, None] * g_context[:, None, :]
+            g_H += att[2][:, :, None] * g_context[:, None, :]  # att[2]: the step's beta
             g_proj, g_z = _attend_backward(
                 P["att_tm_W"], P["att_tm_v"], grads["att_tm_W"], grads["att_tm_v"], att, g_beta
             )
@@ -350,8 +331,7 @@ def train_darnn(
     X = np.asarray(drivers, dtype=float)
     Y = np.asarray(target_history, dtype=float)
     labels = np.asarray(labels, dtype=float)
-    trained = model.copy()
-    trained.epoch_mse = []
+    trained = replace(model, params={k: v.copy() for k, v in model.params.items()}, epoch_mse=[])
     rng = np.random.default_rng(seed)
     n_samples = X.shape[0]
     for epoch in range(1, epochs + 1):

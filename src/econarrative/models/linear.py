@@ -21,9 +21,6 @@ from .logistic import ConvergenceError
 CD_TOL = 1e-8
 CD_MAX_SWEEPS = 100_000
 
-# model type -> penalty passed to fit_linear as `reg`
-LINEAR_PENALTIES = {"linear": "none", "ridge": "l2", "lasso": "l1"}
-
 
 class SingularSystemError(np.linalg.LinAlgError):
     pass

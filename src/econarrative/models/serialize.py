@@ -8,6 +8,7 @@ so documents round-trip bit-exactly.
 from __future__ import annotations
 
 import base64
+import binascii
 
 import numpy as np
 
@@ -24,8 +25,11 @@ def _encode(arr: np.ndarray) -> dict:
     return {"shape": list(arr.shape), "data": base64.b64encode(arr.tobytes()).decode("ascii")}
 
 
-def _decode(doc: dict) -> np.ndarray:
-    raw = base64.b64decode(doc["data"])
+def _decode(name: str, doc: dict) -> np.ndarray:
+    try:
+        raw = base64.b64decode(doc["data"], validate=True)
+    except binascii.Error:
+        raise ValueError(f"tensor {name!r}: data is not base64") from None
     return np.frombuffer(raw, dtype="<f8").reshape(doc["shape"]).copy()
 
 
@@ -44,7 +48,6 @@ def model_to_doc(model: Standardized | AttentionRnn) -> dict:
         doc["transform"] = {"mean": _encode(model.mean), "scale": _encode(model.scale)}
     elif isinstance(model, AttentionRnn):
         doc["architecture"] = "attention-rnn"
-        doc["config"] = {"seed": model.seed}
         doc["shapes"] = {"T": model.T, "n": model.n, "m": model.m, "p": model.p}
         doc["parameters"] = {k: _encode(v) for k, v in sorted(model.params.items())}
     else:
@@ -55,13 +58,16 @@ def model_to_doc(model: Standardized | AttentionRnn) -> dict:
 def model_from_doc(doc: dict) -> Standardized | AttentionRnn:
     """Rebuild what model_to_doc wrote. Schema 2 added the `transform` of a
     column model; a column doc without one, as every schema 1 doc, reads
-    with the identity transform, mean 0 and scale 1."""
+    with the identity transform, mean 0 and scale 1. The `config` of an older
+    attention-RNN doc, the seed of its initial weights, is not read."""
+    if not isinstance(doc, dict):
+        raise ValueError("the top level must be an object")
     if doc.get("schema") not in (1, SCHEMA_VERSION):
         raise ValueError(f"unsupported schema version {doc.get('schema')!r}")
     arch = doc.get("architecture")
     params = doc.get("parameters", {})
     if arch in ("linear", "logistic"):
-        weights, bias = _decode(params["weights"]), float(_decode(params["bias"]))
+        weights, bias = _decode("weights", params["weights"]), float(_decode("bias", params["bias"]))
         config = doc["config"]
         if arch == "linear":
             model = LinearModel(weights, bias, config["regularization"], config["lam"])
@@ -70,12 +76,24 @@ def model_from_doc(doc: dict) -> Standardized | AttentionRnn:
         transform = doc.get("transform")
         if transform is None:
             return Standardized(model)
-        return Standardized(model, _decode(transform["mean"]), _decode(transform["scale"]))
+        parts = {name: _decode(name, transform[name]) for name in ("mean", "scale")}
+        for name, part in parts.items():
+            if part.shape not in ((), weights.shape):  # () for the identity transform
+                raise ValueError(f"transform {name!r} has shape {part.shape}, "
+                                 f"neither () nor the weights' {weights.shape}")
+        return Standardized(model, **parts)
     if arch == "attention-rnn":
         shapes = doc["shapes"]
-        model = AttentionRnn.init(
-            T=shapes["T"], n=shapes["n"], m=shapes["m"], p=shapes["p"], seed=doc["config"]["seed"]
-        )
-        model.params = {k: _decode(v) for k, v in params.items()}
+        model = AttentionRnn.init(T=shapes["T"], n=shapes["n"], m=shapes["m"], p=shapes["p"])
+        tensors = {name: _decode(name, tensor) for name, tensor in params.items()}
+        for name in sorted(model.params.keys() | tensors.keys()):
+            if name not in tensors:
+                raise ValueError(f"missing tensor {name!r}")
+            if name not in model.params:
+                raise ValueError(f"unknown tensor {name!r}")
+            if tensors[name].shape != model.params[name].shape:
+                raise ValueError(f"tensor {name!r} has shape {tensors[name].shape}, "
+                                 f"but shapes {shapes} give {model.params[name].shape}")
+        model.params = tensors
         return model
     raise ValueError(f"unknown architecture {arch!r}")

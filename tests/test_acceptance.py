@@ -27,6 +27,7 @@ from econarrative.narrative import (
     build_integration_prompt,
     llm_predict_weekly_average,
 )
+from oracles import lasso_prox_oracle, ridge_gd_oracle
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -134,36 +135,6 @@ def test_gradient_fidelity_twenty_instances():
 
 # -- 5. optimizer cross-check -----------------------------------------------------
 
-def _ridge_gd(X, y, lam):
-    n, d = X.shape
-    Xb = np.hstack([X, np.ones((n, 1))])
-    lr = 1.0 / (np.linalg.eigvalsh(Xb.T @ Xb).max() + lam)
-    wb = np.zeros(d + 1)
-    penalty = np.concatenate([np.full(d, lam), [0.0]])
-    for _ in range(200_000):
-        grad = Xb.T @ (Xb @ wb - y) + penalty * wb
-        new = wb - lr * grad
-        if np.max(np.abs(new - wb)) < 1e-15:
-            return new[:d], new[d]
-        wb = new
-    return wb[:d], wb[d]
-
-
-def _lasso_slow(X, y, lam):
-    n, d = X.shape
-    Xb = np.hstack([X, np.ones((n, 1))])
-    lr = 1.0 / np.linalg.eigvalsh(Xb.T @ Xb).max()
-    wb = np.zeros(d + 1)
-    for _ in range(300_000):
-        grad = Xb.T @ (Xb @ wb - y)
-        new = wb - lr * grad
-        new[:d] = np.sign(new[:d]) * np.maximum(np.abs(new[:d]) - lr * lam, 0.0)
-        if np.max(np.abs(new - wb)) < 1e-15:
-            return new[:d], new[d]
-        wb = new
-    return wb[:d], wb[d]
-
-
 def test_optimizer_cross_checks():
     start = time.monotonic()
     rng = np.random.default_rng(17)
@@ -173,7 +144,7 @@ def test_optimizer_cross_checks():
         y = rng.normal(size=12)
         lam = float(rng.uniform(0.1, 2.0))
         model = fit_linear(X, y, reg="l2", lam=lam)
-        w_gd, b_gd = _ridge_gd(X, y, lam)
+        w_gd, b_gd = ridge_gd_oracle(X, y, lam)
         gap = abs(
             linear_objective(X, y, model.weights, model.bias, "l2", lam)
             - linear_objective(X, y, w_gd, b_gd, "l2", lam)
@@ -184,7 +155,7 @@ def test_optimizer_cross_checks():
         y = rng.normal(size=5)
         lam = float(rng.uniform(0.05, 1.0))
         model = fit_linear(X, y, reg="l1", lam=lam)
-        w_slow, b_slow = _lasso_slow(X, y, lam)
+        w_slow, b_slow = lasso_prox_oracle(X, y, lam)
         gap = abs(
             linear_objective(X, y, model.weights, model.bias, "l1", lam)
             - linear_objective(X, y, w_slow, b_slow, "l1", lam)

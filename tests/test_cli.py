@@ -234,6 +234,18 @@ def _mean_of_three(doc):
     return json.dumps(doc)
 
 
+def _mean_as_a_column(doc):
+    # (2, 1) broadcasts against two feature rows, so it would predict silently wrong numbers
+    doc["transform"]["mean"]["shape"] = [2, 1]
+    return json.dumps(doc)
+
+
+def _weights_not_base64(doc):
+    # b64decode without validation drops the "!!" and reads the weights as before
+    doc["parameters"]["weights"]["data"] = "!!" + doc["parameters"]["weights"]["data"]
+    return json.dumps(doc)
+
+
 class TestBadInput:
     """Malformed input files fail with exit code 2 and an error naming the
     file or column; the RuntimeWarnings pytest raises would change the message."""
@@ -275,6 +287,9 @@ class TestBadInput:
         (lambda doc: "{\n", "Expecting property name enclosed in double quotes: line 2 column 1"),
         (_without_config, "missing key 'config'"),
         (_mean_of_three, "cannot reshape array of size 2 into shape (3,)"),
+        (lambda doc: "[]", "the top level must be an object"),
+        (_weights_not_base64, "tensor 'weights': data is not base64"),
+        (_mean_as_a_column, "transform 'mean' has shape (2, 1), neither () nor the weights' (2,)"),
     ])
     def test_predict_errors_name_the_model_file(self, tmp_path, capsys, spoil, problem):
         features = tmp_path / "features.csv"
@@ -286,6 +301,21 @@ class TestBadInput:
         assert main(["predict", "--model", str(model), "--features", str(features),
                      "--out", str(tmp_path / "p")]) == 2
         assert f"error: {model}: {problem}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model, labels, problem", [
+        ("logistic", ("increase", "up", "decrease"), "label 1 is 'up', not 'increase' or 'decrease'"),
+        ("ridge", ("0.5", "up", "1.5"), "label 1 is 'up', not a number"),
+    ])
+    def test_train_names_the_line_of_a_label_it_cannot_read(self, tmp_path, capsys, model,
+                                                            labels, problem):
+        features = tmp_path / "features.csv"
+        features.write_text("date,x0,label\n" + "".join(
+            f"2021-01-0{4 + i},{0.1 * i},{label}\n" for i, label in enumerate(labels)
+        ), encoding="utf-8")
+        assert main(["train", "--features", str(features), "--model", model,
+                     "--out", str(tmp_path / "m")]) == 2
+        assert f"error: feature file {features} line 3: {problem}" in capsys.readouterr().err
+        assert not (tmp_path / "m" / "model.json").exists()
 
     def test_evaluate_names_the_line_of_a_non_numeric_value(self, tmp_path, capsys):
         predictions = tmp_path / "predictions.csv"

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from econarrative.harness import EntryError
 from econarrative.models import (
     Standardized,
     fit_columns,
@@ -56,6 +57,17 @@ class TestFitColumns:
         fitted = fit_columns({"type": "ridge"}, X, VALUES)
         with pytest.raises(ValueError, match="fitted on 3 columns, got 1"):
             fitted.predict(X[:, :1])
+
+    @pytest.mark.parametrize("kind, labels, index, problem", [
+        ("logistic", DIRECTIONS[:5] + ["up"] + DIRECTIONS[6:], 5, "'up', not 'increase' or 'decrease'"),
+        ("logistic", VALUES, 0, f"{VALUES[0]!r}, not 'increase' or 'decrease'"),
+        ("ridge", VALUES[:5] + ["up"] + VALUES[6:], 5, "'up', not a number"),
+        ("lasso", DIRECTIONS, 0, f"{DIRECTIONS[0]!r}, not a number"),
+    ])
+    def test_a_label_evaluate_cannot_read_is_refused(self, kind, labels, index, problem):
+        with pytest.raises(EntryError, match=f"label {index} is {problem}") as caught:
+            fit_columns({"type": kind}, X, labels)
+        assert caught.value.index == index
 
 
 class TestStandardizedDocs:

@@ -81,7 +81,9 @@ class TestForward:
     def test_attention_weights_are_simplexes(self):
         model, X, Y, _ = _instance(5, T=6, n=3, m=4, p=4, B=2)
         _, cache = model.forward(X, Y, want_cache=True)
-        alphas, betas = cache["alphas"], cache["betas"]
+        # each step's cache holds its attention weights as att[2]: (B, n), then (B, T)
+        alphas = np.stack([att[2] for att, _ in cache["enc_steps"]], axis=1)
+        betas = np.stack([att[2] for att, _, _ in cache["dec_steps"]], axis=1)
         assert np.all(alphas >= 0) and np.all(betas >= 0)
         assert np.allclose(alphas.sum(axis=2), 1.0)
         assert np.allclose(betas.sum(axis=2), 1.0)

@@ -1,4 +1,6 @@
+import base64
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,28 @@ from econarrative.models import (
     model_to_doc,
 )
 from econarrative.models.darnn import AttentionRnn
+
+GOLDEN_RNN = Path(__file__).parent / "goldens" / "attention_rnn_model.json"
+
+
+def _tensor(*shape):
+    return {"shape": list(shape), "data": base64.b64encode(np.zeros(shape).tobytes()).decode()}
+
+
+def _without_out_c(doc):
+    del doc["parameters"]["out_c"]
+
+
+def _with_an_extra_tensor(doc):
+    doc["parameters"]["extra"] = _tensor(1)
+
+
+def _out_c_of_two(doc):
+    doc["parameters"]["out_c"] = _tensor(2)
+
+
+def _window_of_zero(doc):
+    doc["shapes"]["T"] = 0
 
 
 class TestTextClassifier:
@@ -146,7 +170,30 @@ class TestSerialization:
         assert all(np.array_equal(restored.params[k], model.params[k]) for k in model.params)
         rng = np.random.default_rng(0)
         X, Y = rng.normal(size=(3, 4, 2)), rng.normal(size=(3, 4))
-        assert np.array_equal(restored.predict(X, Y), model.predict(X, Y))
+        assert np.array_equal(restored.forward(X, Y), model.forward(X, Y))
+
+    def test_older_attention_rnn_doc_reads_bit_exact_without_its_config(self):
+        # written by an earlier model_to_doc, which also saved the seed of the
+        # initial weights as `config`
+        golden = json.loads(GOLDEN_RNN.read_text("utf-8"))
+        assert golden["config"] == {"seed": 23}
+        restored = model_from_doc(golden)
+        assert sorted(restored.params) == sorted(golden["parameters"])
+        for name, tensor in golden["parameters"].items():
+            assert restored.params[name].astype("<f8").tobytes() == base64.b64decode(tensor["data"])
+        assert model_to_doc(restored) == {k: v for k, v in golden.items() if k != "config"}
+
+    @pytest.mark.parametrize("spoil, problem", [
+        (_without_out_c, "missing tensor 'out_c'"),
+        (_with_an_extra_tensor, "unknown tensor 'extra'"),
+        (_out_c_of_two, r"tensor 'out_c' has shape \(2,\), but shapes .* give \(1,\)"),
+        (_window_of_zero, "window length T must be >= 1"),
+    ])
+    def test_attention_rnn_doc_with_other_tensors_is_refused(self, spoil, problem):
+        doc = json.loads(GOLDEN_RNN.read_text("utf-8"))
+        spoil(doc)
+        with pytest.raises(ValueError, match=problem):
+            model_from_doc(doc)
 
     def test_unknown_schema_rejected(self):
         with pytest.raises(ValueError, match="schema"):
