@@ -16,10 +16,9 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__, ingest, sentiment, synthgen
-from .experiment import FINANCIAL_FEATURES, TEXT_FEATURES, config_hash, prepare, run_experiment
+from .experiment import prepare, run_experiment
 from .harness import TASKS, EntryError, evaluate
 from .models import Standardized, fit_columns, model_from_doc, model_to_doc
-from .models.baselines import BASELINE_KINDS
 from .models.columns import COLUMN_MODELS
 
 logger = logging.getLogger("econarrative")
@@ -30,7 +29,9 @@ class UsageError(argparse.ArgumentTypeError):
 
 
 def _setup_logging(out_dir: Path | None, verbosity: int) -> None:
-    handlers: list[logging.Handler] = [logging.StreamHandler(sys.stderr)]
+    stderr = logging.StreamHandler(sys.stderr)
+    stderr.addFilter(lambda record: not hasattr(record, "printed"))  # main prints those itself
+    handlers: list[logging.Handler] = [stderr]
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         handlers.append(logging.FileHandler(out_dir / "run.log", encoding="utf-8"))
@@ -44,6 +45,15 @@ def _setup_logging(out_dir: Path | None, verbosity: int) -> None:
 
 def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+
+def _on_config(path: Path, action):
+    """`action(config)` on the JSON config at `path`; every error it raises
+    starts with the path."""
+    try:
+        return action(json.loads(path.read_text("utf-8")))
+    except Exception as exc:  # main reports the error
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 # -- subcommand implementations -------------------------------------------
@@ -77,12 +87,7 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_features(args) -> int:
     out = Path(args.out)
-    text = {"path": args.tweets, "min_followers": args.min_followers} if args.tweets else None
-    _, matrix = prepare({
-        "data": {"series": {"path": args.series, "column": args.column}, "text": text},
-        "task": {"kind": args.task, "horizon": args.horizon},
-        "features": {"text": args.kind, "financial": args.financial, "window": args.window},
-    })
+    _, matrix = _on_config(Path(args.config), prepare)
     with (out / "features.csv").open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         width = matrix.X.shape[1]
@@ -133,6 +138,8 @@ def _cmd_train(args) -> int:
         model = fit_columns(model_cfg, X, labels)
     except EntryError as exc:
         raise ValueError(f"feature file {args.features} line {lines[exc.index]}: {exc}") from None
+    except Exception as exc:
+        raise ValueError(f"feature file {args.features}: {exc}") from exc
     _write_json(out / "model.json", model_to_doc(model))
     logger.info("trained %s on %d rows", args.model, len(dates))
     return 0
@@ -171,24 +178,12 @@ def _cmd_evaluate(args) -> int:
         report = evaluate(predictions, labels, args.task)
     except EntryError as exc:
         raise ValueError(f"{args.predictions} line {lines[exc.index]}: {exc}") from None
+    except Exception as exc:
+        raise ValueError(f"{args.predictions}: {exc}") from exc
     payload = report.to_dict()
     print(json.dumps(payload, sort_keys=True, indent=2))
     if args.out:
         _write_json(Path(args.out) / "metrics.json", payload)
-    return 0
-
-
-def _cmd_baseline(args) -> int:
-    config = {
-        "seed": 0,
-        "data": {"series": {"path": args.series, "column": args.column}},
-        "task": {"kind": args.task, "horizon": args.horizon},
-        "features": {"text": "none", "financial": "value-window", "window": 7},
-        "models": [{"name": args.kind, "type": "baseline", "kind": args.kind}],
-        "eval": {"train_fraction": args.train_fraction},
-    }
-    report = run_experiment(config, out_dir=args.out)
-    print(json.dumps(report.models[0], sort_keys=True, indent=2))
     return 0
 
 
@@ -285,13 +280,9 @@ def _cmd_experiment(args) -> int:
 
     def run_one(path: Path) -> str:
         target_dir = out_root / path.stem if len(configs) > 1 else out_root
-        try:
-            config = json.loads(path.read_text("utf-8"))
-            run_experiment(config, out_dir=target_dir)
-        except Exception as exc:  # name the file; main reports the error
-            raise ValueError(f"{path}: {exc}") from exc
+        report = _on_config(path, lambda config: run_experiment(config, out_dir=target_dir))
         logger.info("experiment %s -> %s", path.name, target_dir)
-        return config_hash(config)
+        return report.config_hash
 
     if args.jobs > 1 and len(configs) > 1:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
@@ -324,16 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_ingest)
 
-    p = sub.add_parser("features", help="emit a per-date feature matrix", parents=[verbose])
-    p.add_argument("--tweets")
-    p.add_argument("--series", required=True)
-    p.add_argument("--column", default="value")
-    p.add_argument("--kind", default="sentiment-window", choices=TEXT_FEATURES)
-    p.add_argument("--financial", default="value-window", choices=FINANCIAL_FEATURES)
-    p.add_argument("--window", type=int, default=7)
-    p.add_argument("--task", default="direction-change", choices=TASKS)
-    p.add_argument("--horizon", type=int, default=1)
-    p.add_argument("--min-followers", type=int, default=0)
+    p = sub.add_parser("features", help="emit an experiment config's feature matrix",
+                       parents=[verbose])
+    p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_features)
 
@@ -355,16 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", default="direction-change", choices=TASKS)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_evaluate)
-
-    p = sub.add_parser("baseline", help="run one rule baseline over a series", parents=[verbose])
-    p.add_argument("--kind", required=True, choices=BASELINE_KINDS)
-    p.add_argument("--series", required=True)
-    p.add_argument("--column", default="value")
-    p.add_argument("--task", default="direction-change", choices=TASKS)
-    p.add_argument("--horizon", type=int, default=1)
-    p.add_argument("--train-fraction", type=float, default=0.8)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_baseline)
 
     p = sub.add_parser("synth", help="generate synthetic corpora or series", parents=[verbose])
     p.add_argument("--kind", required=True, choices=["random-texts", "narratives", "shuffled", "walk"])
@@ -430,7 +404,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:
-        logger.error("%s", exc)
+        logger.error("%s", exc, extra={"printed": True})  # for run.log
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import shlex
 from datetime import date
 from pathlib import Path
 
@@ -11,10 +12,11 @@ from econarrative.experiment import run_experiment
 from econarrative.models import AttentionRnn, model_to_doc
 
 GOLDENS = Path(__file__).parent / "goldens"
+README = Path(__file__).parent.parent / "README.md"
 
 SUBCOMMANDS = [
     "ingest", "features", "train", "predict", "evaluate",
-    "baseline", "synth", "analyze", "llm-analyze", "experiment",
+    "synth", "analyze", "llm-analyze", "experiment",
 ]
 
 
@@ -29,6 +31,14 @@ def _write_walk_csv(path, n=60):
         lines.append(f"{d.isoformat()},{value:.4f}")
         d = d.fromordinal(d.toordinal() + 1)
     path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _series_config(path, series, **sections):
+    """An experiment config file at `path` over the series file `series`, with
+    no text unless `sections` give the `data` section's other keys."""
+    data = {"series": {"path": str(series)}, **sections.pop("data", {})}
+    path.write_text(json.dumps({"data": data, **sections}), encoding="utf-8")
     return path
 
 
@@ -47,12 +57,20 @@ class TestParser:
         assert main(["synth", "--kind", "walk", "--out", "x", "--bogus"]) == 1
 
     @pytest.mark.parametrize("argv", [
+        ["features", "--out", "o"],  # --config is required
+        ["features", "--config", "c", "--series", "s", "--out", "o"],
+        ["features", "--config", "c", "--kind", "none", "--out", "o"],
+        ["baseline", "--kind", "up", "--series", "s", "--out", "o"],
+    ])
+    def test_removed_and_missing_options_are_usage_errors(self, argv):
+        assert main(argv) == 1
+
+    @pytest.mark.parametrize("argv", [
         ["ingest", "--out", "o"],
-        ["features", "--series", "s", "--out", "o"],
+        ["features", "--config", "c", "--out", "o"],
         ["train", "--features", "f", "--out", "o"],
         ["predict", "--model", "m", "--features", "f", "--out", "o"],
         ["evaluate", "--predictions", "p"],
-        ["baseline", "--kind", "up", "--series", "s", "--out", "o"],
         ["synth", "--kind", "walk", "--out", "o"],
         ["analyze", "freq", "--tweets", "t", "--term", "x", "--out", "o"],
         ["analyze", "sent-hist", "--tweets", "t", "--out", "o"],
@@ -71,6 +89,27 @@ class TestParser:
         parser = build_parser()
         actions = [a for a in parser._subparsers._group_actions][0]
         assert sorted(actions.choices) == sorted(SUBCOMMANDS)
+
+
+def _readme_commands():
+    """Each `econarrative` command line of README's "Command line" block,
+    with its continuation lines joined."""
+    section = README.read_text("utf-8").split("## Command line", 1)[1]
+    block = section.split("```", 2)[1]
+    return [line for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("econarrative ")]
+
+
+class TestReadme:
+    @pytest.mark.parametrize("line", _readme_commands())
+    def test_command_line_parses(self, line):
+        try:
+            build_parser().parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
+
+    def test_every_subcommand_is_shown(self):
+        assert {shlex.split(line)[1] for line in _readme_commands()} == set(SUBCOMMANDS)
 
 
 class TestSynth:
@@ -117,8 +156,9 @@ class TestPipelineCommands:
     def test_features_train_predict_evaluate_chain(self, tmp_path):
         series = _write_walk_csv(tmp_path / "series.csv")
         feat_dir = tmp_path / "features"
-        assert main(["features", "--series", str(series), "--kind", "none",
-                     "--financial", "direction-window", "--out", str(feat_dir)]) == 0
+        config = _series_config(tmp_path / "exp.json", series,
+                                features={"financial": "direction-window"})
+        assert main(["features", "--config", str(config), "--out", str(feat_dir)]) == 0
         features = feat_dir / "features.csv"
         assert features.exists()
 
@@ -146,7 +186,11 @@ class TestPipelineCommands:
         assert main(["evaluate", "--predictions", str(joined),
                      "--task", "direction-change"]) == 0
 
-    def test_features_with_embedding_kind(self, tmp_path, write_jsonl):
+    @pytest.mark.parametrize("embedding, width", [
+        ({}, 16),  # the default dimension
+        ({"dimension": 8, "mode": "individual-concat", "k": 3}, 24),  # k * dimension
+    ])
+    def test_features_with_embedding_kind(self, tmp_path, write_jsonl, embedding, width):
         tweets = write_jsonl(
             [
                 {"id": str(i), "date": f"2021-01-{4 + i % 20:02d}",
@@ -155,36 +199,54 @@ class TestPipelineCommands:
             ]
         )
         series = _write_walk_csv(tmp_path / "series.csv", n=25)
+        config = _series_config(tmp_path / "exp.json", series, data={"text": {"path": str(tweets)}},
+                                features={"text": "embedding", "embedding": embedding})
         out = tmp_path / "emb"
-        assert main(["features", "--tweets", str(tweets), "--series", str(series),
-                     "--kind", "embedding", "--out", str(out)]) == 0
-        header = (out / "features.csv").read_text().splitlines()[0]
-        # 16 embedding columns (default dimension) + 7 value-window columns
-        assert header.count("x") == 23
+        assert main(["features", "--config", str(config), "--out", str(out)]) == 0
+        header = (out / "features.csv").read_text().splitlines()[0].split(",")
+        # the embedding columns + 7 value-window columns
+        assert header == ["date"] + [f"x{i}" for i in range(width + 7)] + ["label"]
+
+    @pytest.mark.parametrize("content, problem", [
+        ('{"data": }', "Expecting value: line 1 column 10 (char 9)"),
+        (None, "stage 'config': unknown config key 'windw' in section 'features'"),
+    ])
+    def test_features_config_errors_name_the_file(self, tmp_path, capsys, content, problem):
+        series = _write_walk_csv(tmp_path / "series.csv")
+        config = _series_config(tmp_path / "exp.json", series, features={"windw": 3})
+        if content is not None:
+            config.write_text(content, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["features", "--config", str(config), "--out", str(out)]) == 2
+        assert f"error: {config}: {problem}" in capsys.readouterr().err
+        assert not (out / "features.csv").exists()
 
     def test_features_rejects_a_horizon_the_experiment_rejects(self, tmp_path, capsys):
         series = _write_walk_csv(tmp_path / "series.csv")
+        config = _series_config(tmp_path / "exp.json", series, task={"horizon": 3})
         out = tmp_path / "out"
-        assert main(["features", "--series", str(series), "--kind", "none", "--horizon", "3",
-                     "--out", str(out)]) == 2
-        assert "stage 'config': 'horizon' in section 'task' must be one of 1, 7, 30, got 3" in (
-            capsys.readouterr().err)
+        assert main(["features", "--config", str(config), "--out", str(out)]) == 2
+        assert (f"{config}: stage 'config': 'horizon' in section 'task' must be one of 1, 7, 30, "
+                "got 3") in capsys.readouterr().err
         assert not (out / "features.csv").exists()
 
     def test_baseline_on_a_task_it_cannot_predict_fails_at_config(self, tmp_path, capsys):
         out = tmp_path / "out"
         # the missing series shows the check runs before any file is read
-        assert main(["baseline", "--kind", "up", "--task", "next-value",
-                     "--series", str(tmp_path / "missing.csv"), "--out", str(out)]) == 2
+        config = _series_config(tmp_path / "exp.json", tmp_path / "missing.csv",
+                                task={"kind": "next-value"},
+                                models=[{"type": "baseline", "kind": "up"}])
+        assert main(["experiment", "--config", str(config), "--out", str(out)]) == 2
         assert ("stage 'config': 'up' baselines only fit classification tasks, not 'next-value'"
                 in capsys.readouterr().err)
 
-    def test_baseline_command(self, tmp_path, capsys):
+    def test_baseline_experiment(self, tmp_path):
         series = _write_walk_csv(tmp_path / "series.csv")
+        config = _series_config(tmp_path / "exp.json", series,
+                                models=[{"type": "baseline", "kind": "up"}])
         out = tmp_path / "out"
-        assert main(["baseline", "--kind", "up", "--series", str(series),
-                     "--out", str(out)]) == 0
-        payload = json.loads(capsys.readouterr().out)
+        assert main(["experiment", "--config", str(config), "--out", str(out)]) == 0
+        [payload] = json.loads((out / "report.json").read_text())["models"]
         assert payload["name"] == "up"
         assert 0.0 <= payload["accuracy"] <= 1.0
 
@@ -333,6 +395,22 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert f"{predictions} line 3: prediction 1 is 'up', not 'increase' or 'decrease'" in err
 
+    def test_train_names_the_file_of_labels_it_cannot_fit(self, tmp_path, capsys):
+        features = tmp_path / "features.csv"
+        features.write_text("date,x0,label\n" + "".join(
+            f"2021-01-0{4 + i},{0.1 * i},increase\n" for i in range(3)
+        ), encoding="utf-8")
+        assert main(["train", "--features", str(features), "--out", str(tmp_path / "m")]) == 2
+        assert (f"error: feature file {features}: labels must contain both classes 0 and 1"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "m" / "model.json").exists()
+
+    def test_evaluate_names_the_file_without_rows(self, tmp_path, capsys):
+        predictions = tmp_path / "predictions.csv"
+        predictions.write_text("prediction,label\n", encoding="utf-8")
+        assert main(["evaluate", "--predictions", str(predictions)]) == 2
+        assert f"error: {predictions}: nothing to evaluate" in capsys.readouterr().err
+
     def test_evaluate_names_the_missing_column(self, tmp_path, capsys):
         predictions = tmp_path / "predictions.csv"
         predictions.write_text("date,label\n2021-01-04,increase\n", encoding="utf-8")
@@ -384,16 +462,17 @@ class TestOneFitPath:
         if lam is not None:
             model["lam"] = lam
             lam_args = ["--lam", repr(lam)]
-        report = run_experiment({
-            "data": {"series": {"path": str(series)}, "text": {"path": str(tweets)}},
-            "task": {"kind": task, "horizon": 1},
-            "features": {"text": "sentiment-window", "financial": "value-window", "window": 7},
-            "models": [model],
-        }, out_dir=tmp_path / "experiment")
+        config = _series_config(
+            tmp_path / "exp.json", series, data={"text": {"path": str(tweets)}},
+            task={"kind": task, "horizon": 1},
+            features={"text": "sentiment-window", "financial": "value-window", "window": 7},
+            models=[model],
+        )
+        report = run_experiment(json.loads(config.read_text("utf-8")),
+                                out_dir=tmp_path / "experiment")
         expected = [[d, p] for d, _, p, _ in _csv_rows(tmp_path / "experiment" / "predictions.csv")]
 
-        assert main(["features", "--tweets", str(tweets), "--series", str(series),
-                     "--task", task, "--out", str(tmp_path)]) == 0
+        assert main(["features", "--config", str(config), "--out", str(tmp_path)]) == 0
         header, *rows = (tmp_path / "features.csv").read_text("utf-8").splitlines(keepends=True)
         (tmp_path / "train.csv").write_text(header + "".join(rows[:report.n_train]), "utf-8")
         (tmp_path / "test.csv").write_text(header + "".join(rows[report.n_train:]), "utf-8")
@@ -407,8 +486,8 @@ class TestOneFitPath:
 
     def test_linear_model_refuses_lam(self, tmp_path, capsys):
         series = _write_walk_csv(tmp_path / "series.csv")
-        assert main(["features", "--series", str(series), "--kind", "none", "--task", "pct-change",
-                     "--out", str(tmp_path)]) == 0
+        config = _series_config(tmp_path / "exp.json", series, task={"kind": "pct-change"})
+        assert main(["features", "--config", str(config), "--out", str(tmp_path)]) == 0
         code = main(["train", "--features", str(tmp_path / "features.csv"), "--model", "linear",
                      "--lam", "0.5", "--out", str(tmp_path / "model")])
         assert code == 2
@@ -417,8 +496,8 @@ class TestOneFitPath:
 
     def test_default_features_fit_a_logistic_model(self, tmp_path):
         series, tweets = _planted_inputs(tmp_path)
-        assert main(["features", "--tweets", str(tweets), "--series", str(series),
-                     "--out", str(tmp_path)]) == 0
+        config = _series_config(tmp_path / "exp.json", series, data={"text": {"path": str(tweets)}})
+        assert main(["features", "--config", str(config), "--out", str(tmp_path)]) == 0
         assert main(["train", "--features", str(tmp_path / "features.csv"),
                      "--out", str(tmp_path / "model")]) == 0
         doc = json.loads((tmp_path / "model" / "model.json").read_text())
@@ -426,8 +505,8 @@ class TestOneFitPath:
 
     def test_train_writes_only_the_keys_predict_reads(self, tmp_path):
         series = _write_walk_csv(tmp_path / "series.csv")
-        assert main(["features", "--series", str(series), "--kind", "none",
-                     "--out", str(tmp_path)]) == 0
+        config = _series_config(tmp_path / "exp.json", series)
+        assert main(["features", "--config", str(config), "--out", str(tmp_path)]) == 0
         assert main(["train", "--features", str(tmp_path / "features.csv"),
                      "--out", str(tmp_path / "model")]) == 0
         doc = json.loads((tmp_path / "model" / "model.json").read_text())
@@ -436,8 +515,9 @@ class TestOneFitPath:
     def test_predict_rejects_features_of_another_width(self, tmp_path, capsys):
         series = _write_walk_csv(tmp_path / "series.csv")
         for window in (3, 1):
-            assert main(["features", "--series", str(series), "--kind", "none", "--task",
-                         "pct-change", "--window", str(window),
+            config = _series_config(tmp_path / f"w{window}.json", series,
+                                    task={"kind": "pct-change"}, features={"window": window})
+            assert main(["features", "--config", str(config),
                          "--out", str(tmp_path / f"w{window}")]) == 0
         assert main(["train", "--features", str(tmp_path / "w3" / "features.csv"),
                      "--model", "ridge", "--out", str(tmp_path / "model")]) == 0
@@ -449,8 +529,8 @@ class TestOneFitPath:
 
     def test_predict_rejects_a_model_that_is_not_a_column_model(self, tmp_path, capsys):
         series = _write_walk_csv(tmp_path / "series.csv")
-        assert main(["features", "--series", str(series), "--kind", "none",
-                     "--out", str(tmp_path)]) == 0
+        config = _series_config(tmp_path / "exp.json", series)
+        assert main(["features", "--config", str(config), "--out", str(tmp_path)]) == 0
         doc = model_to_doc(AttentionRnn.init(T=7, n=1, m=4, p=4, seed=0))
         (tmp_path / "model.json").write_text(json.dumps(doc))
         assert main(["predict", "--model", str(tmp_path / "model.json"),
@@ -458,16 +538,16 @@ class TestOneFitPath:
                      "--out", str(tmp_path / "preds")]) == 2
         assert "not AttentionRnn" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("kind, feature_args", [
-        ("logistic", ["--financial", "direction-window"]),
-        ("ridge", ["--financial", "value-window", "--task", "pct-change"]),
+    @pytest.mark.parametrize("kind, sections", [
+        ("logistic", {"features": {"financial": "direction-window"}}),
+        ("ridge", {"features": {"financial": "value-window"}, "task": {"kind": "pct-change"}}),
     ])
-    def test_schema_one_model_predicts_as_before(self, tmp_path, kind, feature_args):
+    def test_schema_one_model_predicts_as_before(self, tmp_path, kind, sections):
         # the goldens are a model.json and predictions.csv written by `train` and
         # `predict` before schema 2, on these features
         series = _write_walk_csv(tmp_path / "series.csv")
-        assert main(["features", "--series", str(series), "--kind", "none", *feature_args,
-                     "--out", str(tmp_path)]) == 0
+        config = _series_config(tmp_path / "exp.json", series, **sections)
+        assert main(["features", "--config", str(config), "--out", str(tmp_path)]) == 0
         assert main(["predict", "--model", str(GOLDENS / f"schema1_{kind}_model.json"),
                      "--features", str(tmp_path / "features.csv"),
                      "--out", str(tmp_path / "preds")]) == 0
@@ -559,6 +639,41 @@ class TestExperimentCommand:
         assert main(["experiment", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert f"error: {config}: stage 'config': the top level must be an object" in err
+
+
+class TestErrorReport:
+    """A runtime error is printed once on stderr and kept once in run.log."""
+
+    def _inputs(self, tmp_path, write_jsonl):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"seed": }', encoding="utf-8")
+        empty = tmp_path / "features.csv"
+        empty.write_text("date,x0,label\n", encoding="utf-8")
+        predictions = tmp_path / "predictions.csv"
+        predictions.write_text("date,label\n2021-01-04,increase\n", encoding="utf-8")
+        tweets = write_jsonl(
+            [{"id": "1", "date": "2021-01-04", "text": "markets rally", "followers": 100}]
+        )
+        return {"bad": bad, "empty": empty, "predictions": predictions, "tweets": tweets}
+
+    @pytest.mark.parametrize("argv, message", [
+        (["experiment", "--config", "{bad}"], "{bad}: Expecting value: line 1 column 10 (char 9)"),
+        (["features", "--config", "{bad}"], "{bad}: Expecting value: line 1 column 10 (char 9)"),
+        (["train", "--features", "{empty}"], "feature file {empty} has no data rows"),
+        (["evaluate", "--predictions", "{predictions}"], "{predictions} has no 'prediction' column"),
+        (["analyze", "freq", "--tweets", "{tweets}", "--term", "markets rally"],
+         "term 'markets rally' is not one token"),
+    ])
+    def test_message_appears_once(self, tmp_path, capsys, write_jsonl, argv, message):
+        files = self._inputs(tmp_path, write_jsonl)
+        out = tmp_path / "out"
+        argv = [arg.format(**files) for arg in argv] + ["--out", str(out)]
+        message = message.format(**files)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count(message) == 1
+        assert f"error: {message}" in err
+        assert (out / "run.log").read_text("utf-8").count(message) == 1
 
 
 class TestLlmAnalyzeCommand:

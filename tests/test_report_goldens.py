@@ -11,7 +11,9 @@ To rewrite the goldens after a deliberate change of output, run
 `PYTHONPATH=src python tests/test_report_goldens.py` from the repository root.
 """
 
+import json
 import os
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -46,12 +48,17 @@ CONFIGS["direction-window"] = {
     "features": {"financial": "direction-window", "window": 10},
     "models": [{"type": "baseline", "kind": "up"}, {"type": "baseline", "kind": "week-majority"}],
 }
-FEATURES_ARGS = ["features", "--series", "series.csv", "--kind", "none",
-                 "--financial", "direction-window", "--window", "10"]
 
 
 def _write(name, out_dir):
     run_experiment(CONFIGS[name], out_dir=out_dir)
+
+
+def _write_features(out_dir, config_dir):
+    """`econarrative features` over the `direction-window` config, saved in `config_dir`."""
+    config = Path(config_dir) / "direction-window.json"
+    config.write_text(json.dumps(CONFIGS["direction-window"]), encoding="utf-8")
+    return main(["features", "--config", str(config), "--out", str(out_dir)])
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
@@ -64,7 +71,7 @@ def test_report_bytes_match_golden(name, tmp_path, monkeypatch):
 
 def test_direction_window_features_match_golden(tmp_path, monkeypatch):
     monkeypatch.chdir(REPORTS)
-    assert main(FEATURES_ARGS + ["--out", str(tmp_path)]) == 0
+    assert _write_features(tmp_path, tmp_path) == 0
     golden = REPORTS / "direction-window" / "features.csv"
     assert (tmp_path / "features.csv").read_bytes() == golden.read_bytes()
 
@@ -74,5 +81,6 @@ if __name__ == "__main__":
     for name in CONFIGS:
         _write(name, name)
         (Path(name) / "manifest.json").unlink()
-    main(FEATURES_ARGS + ["--out", "direction-window"])
+    with tempfile.TemporaryDirectory() as config_dir:
+        _write_features("direction-window", config_dir)
     Path("direction-window", "run.log").unlink()
