@@ -7,6 +7,13 @@ machine. Every baseline kind runs on every task it fits at horizons 1 and 7,
 and `up` and `week-majority` run once more over `direction-window` features,
 whose `features.csv` is kept too.
 
+F-only logistic fits go through a BLAS reduction, so their floats may
+differ in the last digits from one CPU kernel to the next. For those,
+`goldens/reports/logistic.json` keeps only what such digits cannot move
+(each model's class on each test date, each model's accuracy, and McNemar's `b`
+and `c` for each pair) and the test compares them exactly. Every test-row
+probability of these fits lies at least 1e-3 from the 0.5 threshold.
+
 To rewrite the goldens after a deliberate change of output, run
 `PYTHONPATH=src python tests/test_report_goldens.py` from the repository root.
 """
@@ -49,6 +56,31 @@ CONFIGS["direction-window"] = {
     "models": [{"type": "baseline", "kind": "up"}, {"type": "baseline", "kind": "week-majority"}],
 }
 
+LOGISTIC_CONFIGS = {
+    f"logistic-h{horizon}": {
+        "data": {"series": SERIES},
+        "task": {"kind": "direction-change", "horizon": horizon},
+        "models": [
+            {"type": "logistic", "inputs": "F"},
+            {"type": "logistic", "inputs": "F", "lam": 0.0, "name": "logistic-F-unpenalised"},
+            {"type": "baseline", "kind": "as-previous"},
+        ],
+    }
+    for horizon in (1, 7)
+}
+LOGISTIC_GOLDEN = REPORTS / "logistic.json"
+
+
+def _logistic_summary(name):
+    """What a logistic run's report keeps on any BLAS kernel."""
+    report = run_experiment(LOGISTIC_CONFIGS[name])
+    return {
+        "classes": {model: dict((d, p) for d, p, _ in rows) for model, rows in report.predictions.items()},
+        "accuracy": {row["name"]: row["accuracy"] for row in report.models},
+        "mcnemar": [[pair["model_a"], pair["model_b"], pair["b"], pair["c"]]
+                    for pair in report.mcnemar_pairs],
+    }
+
 
 def _write(name, out_dir):
     run_experiment(CONFIGS[name], out_dir=out_dir)
@@ -76,6 +108,13 @@ def test_direction_window_features_match_golden(tmp_path, monkeypatch):
     assert (tmp_path / "features.csv").read_bytes() == golden.read_bytes()
 
 
+@pytest.mark.parametrize("name", sorted(LOGISTIC_CONFIGS))
+def test_logistic_classes_match_golden(name, monkeypatch):
+    monkeypatch.chdir(REPORTS)
+    golden = json.loads(LOGISTIC_GOLDEN.read_text(encoding="utf-8"))[name]
+    assert _logistic_summary(name) == golden
+
+
 if __name__ == "__main__":
     os.chdir(REPORTS)
     for name in CONFIGS:
@@ -84,3 +123,5 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as config_dir:
         _write_features("direction-window", config_dir)
     Path("direction-window", "run.log").unlink()
+    summaries = {name: _logistic_summary(name) for name in sorted(LOGISTIC_CONFIGS)}
+    LOGISTIC_GOLDEN.write_text(json.dumps(summaries, indent=1) + "\n", encoding="utf-8")
