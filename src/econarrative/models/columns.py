@@ -50,6 +50,11 @@ def fit_columns(model_cfg: dict, X, labels) -> Standardized:
     scale = np.where(std > 0, std, 1.0)
     Z = (X - mean) / scale
     if reg is None:
+        if len(set(y)) == 1:
+            present = str(y[0])
+            missing = "decrease" if present == "increase" else "increase"
+            raise ValueError(f"labels must contain both classes: every label is {present!r}, "
+                             f"none is {missing!r}")
         model = fit_logistic(Z, (y == "increase").astype(float), lam=lam)
     else:
         model = fit_linear(Z, y, reg=reg, lam=lam)

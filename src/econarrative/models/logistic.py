@@ -1,8 +1,18 @@
-"""Binary logistic regression trained by gradient descent.
+"""Binary logistic regression trained by Newton's method.
 
 Minimizes the mean negative log-likelihood plus an L2 penalty on the
-weights (bias unpenalized), with backtracking line search. Training
-stops when the gradient norm drops below tolerance.
+weights (bias unpenalized). Each step solves the penalized Hessian system
+for the Newton direction (IRLS; Hastie, Tibshirani & Friedman, *Elements
+of Statistical Learning*, 4.4.1), then halves the step until the
+objective falls enough. Training stops when the gradient norm drops
+below tolerance.
+
+With lam=0 and classes that a hyperplane separates, completely or
+quasi-completely, no finite optimum exists (Albert & Anderson, 1984), yet
+Newton's steps take the gradient below tolerance at large finite weights.
+So an unpenalized fit is refused when its linear predictor is not
+constant and scores every class-1 row at least as high as every class-0
+row: the fit itself then separates the classes, weakly.
 """
 
 from __future__ import annotations
@@ -60,25 +70,31 @@ def fit_logistic(X, y, lam: float = 0.01) -> LogisticModel:
         raise ValueError(f"lam must be finite and >= 0, got {lam!r}")
 
     tol, max_iter = GRAD_TOL, MAX_ITER
-    w = np.zeros(d)
-    b = 0.0
-    objective = logistic_objective(X, y, w, b, lam)
+    Xb = np.hstack([X, np.ones((n, 1))])  # the last weight is the bias
+    penalty = np.append(np.full(d, lam), 0.0)
+    wb = np.zeros(d + 1)
+    objective = logistic_objective(X, y, wb[:d], wb[d], lam)
     for _ in range(max_iter):
-        p = _sigmoid(X @ w + b)
-        grad_w = X.T @ (p - y) / n + lam * w
-        grad_b = float(np.mean(p - y))
-        grad_sq = float(grad_w @ grad_w) + grad_b * grad_b
-        if np.sqrt(grad_sq) < tol:
-            return LogisticModel(weights=w, bias=b)
+        z = Xb @ wb
+        p = _sigmoid(z)
+        grad = Xb.T @ (p - y) / n + penalty * wb
+        if np.sqrt(grad @ grad) < tol:
+            if lam == 0 and z.min() < z.max() and z[y == 0].max() <= z[y == 1].min():
+                raise ConvergenceError(
+                    "with lam=0 the fit separates the classes, so the optimum is at infinity")
+            return LogisticModel(weights=wb[:d], bias=float(wb[d]))
+        hessian = (Xb.T * (p * (1.0 - p))) @ Xb / n + np.diag(penalty)
+        # least squares, as with lam=0 a constant or collinear column makes it singular
+        direction = np.linalg.lstsq(hessian, grad, rcond=None)[0]
+        slope = float(grad @ direction)
         step = 1.0
         while step > 1e-16:
-            new_w = w - step * grad_w
-            new_b = b - step * grad_b
-            new_objective = logistic_objective(X, y, new_w, new_b, lam)
-            if new_objective <= objective - 1e-4 * step * grad_sq:
+            new = wb - step * direction
+            new_objective = logistic_objective(X, y, new[:d], new[d], lam)
+            if new_objective <= objective - 1e-4 * step * slope:
                 break
             step *= 0.5
-        w, b, objective = new_w, new_b, new_objective
+        wb, objective = new, new_objective
     raise ConvergenceError(
         f"gradient norm did not reach {tol} within {max_iter} iterations; "
         "with lam=0 and separable data the optimum is at infinity"

@@ -401,8 +401,8 @@ class TestBadInput:
             f"2021-01-0{4 + i},{0.1 * i},increase\n" for i in range(3)
         ), encoding="utf-8")
         assert main(["train", "--features", str(features), "--out", str(tmp_path / "m")]) == 2
-        assert (f"error: feature file {features}: labels must contain both classes 0 and 1"
-                in capsys.readouterr().err)
+        assert (f"error: feature file {features}: labels must contain both classes: "
+                "every label is 'increase', none is 'decrease'" in capsys.readouterr().err)
         assert not (tmp_path / "m" / "model.json").exists()
 
     def test_evaluate_names_the_file_without_rows(self, tmp_path, capsys):

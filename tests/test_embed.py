@@ -4,7 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from econarrative import embed, retry
 from econarrative.embed import (
@@ -85,6 +85,7 @@ TEXTS = st.lists(WORDS, max_size=6).map(" ".join)
 
 
 class TestTokenMemo:
+    @settings(deadline=None)
     @given(
         st.lists(st.tuples(st.text(min_size=1, max_size=4), st.sampled_from(CASE_VARIANTS))),
         st.integers(min_value=1, max_value=64),
@@ -98,6 +99,7 @@ class TestTokenMemo:
             text = " ".join(case(token) for token, case in tokens[:end])
             assert np.array_equal(embedder.embed(text), _embed_uncached(embedder, text))
 
+    @settings(deadline=None)
     @given(st.lists(TEXTS, max_size=8), st.integers(min_value=1, max_value=64), st.integers(0, 3))
     def test_batch_rows_equal_uncached_loop(self, texts, dimension, seed):
         embedder = HashingEmbedder(dimension=dimension, seed=seed)

@@ -1,6 +1,6 @@
 import json
 import re
-from datetime import date
+from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -115,6 +115,20 @@ class TestStages:
         with pytest.raises(ExperimentError, match="stage 'ingest': line 3: bad date '2015-13-06'") as err:
             run_experiment(config)
         assert err.value.stage == "ingest"
+
+    def test_one_class_training_labels_name_both_classes(self, tmp_path):
+        series = tmp_path / "series.csv"
+        series.write_text("date,value\n" + "".join(
+            f"{day.isoformat()},{10.0 + i}\n"
+            for i, day in enumerate(date(2015, 1, 5) + timedelta(days=k) for k in range(40))
+        ), encoding="utf-8")
+        config = {"data": {"series": {"path": str(series)}}, "features": {"window": 3},
+                  "models": [{"type": "logistic", "inputs": "F"}]}
+        with pytest.raises(ExperimentError, match=re.escape(
+            "labels must contain both classes: every label is 'increase', none is 'decrease'"
+        )) as err:
+            run_experiment(config)
+        assert err.value.stage == "model:logistic-F"
 
     def test_bad_model_type_names_config_stage(self, tmp_path):
         config = _planted_config(NARRATIVES)

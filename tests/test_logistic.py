@@ -5,7 +5,15 @@ import pytest
 
 from econarrative.models import fit_logistic, logistic_objective
 from econarrative.models import logistic
-from econarrative.models.logistic import ConvergenceError, _sigmoid
+from econarrative.models.logistic import GRAD_TOL, ConvergenceError, _sigmoid
+from oracles import logistic_gd_oracle
+
+
+def _gradient_norm(model, X, y, lam):
+    p = model.predict_proba(X)
+    grad_w = X.T @ (p - y) / len(y) + lam * model.weights
+    grad_b = np.mean(p - y)
+    return np.sqrt(grad_w @ grad_w + grad_b**2)
 
 
 class TestFitLogistic:
@@ -34,10 +42,7 @@ class TestFitLogistic:
         y = (rng.random(60) < 0.5).astype(float)
         lam = 0.05
         model = fit_logistic(X, y, lam=lam)
-        p = model.predict_proba(X)
-        grad_w = X.T @ (p - y) / len(y) + lam * model.weights
-        grad_b = np.mean(p - y)
-        assert np.sqrt(grad_w @ grad_w + grad_b**2) < 1e-6
+        assert _gradient_norm(model, X, y, lam) < 1e-6
 
     def test_probabilities_strictly_inside_unit_interval(self):
         X = np.array([[-2.0], [2.0]])
@@ -69,6 +74,68 @@ class TestFitLogistic:
         y = np.array([0.0, 1.0, 0.0, 1.0])
         with pytest.raises(ValueError, match=re.escape(f"lam must be finite and >= 0, got {lam!r}")):
             fit_logistic(X, y, lam=lam)
+
+
+class TestSeparation:
+    """With lam=0, data a hyperplane separates have no finite optimum
+    (Albert & Anderson, 1984); these run with the default MAX_ITER."""
+
+    def test_complete_separation_raises(self):
+        X = np.array([[-2.0, 0.3], [-1.0, -1.0], [0.5, 2.0], [1.0, -0.4], [2.0, 1.0]])
+        y = np.array([0.0, 0.0, 1.0, 1.0, 1.0])
+        with pytest.raises(ConvergenceError, match="optimum is at infinity"):
+            fit_logistic(X, y, lam=0.0)
+
+    def test_quasi_complete_separation_raises(self):
+        # the two rows at 0 share x but not their class
+        X = np.array([[-1.0], [0.0], [0.0], [1.0]])
+        y = np.array([0.0, 0.0, 1.0, 1.0])
+        with pytest.raises(ConvergenceError, match="optimum is at infinity"):
+            fit_logistic(X, y, lam=0.0)
+
+    def test_overlapping_classes_converge(self):
+        X = np.array([[-2.0], [-1.0], [-0.5], [0.5], [1.0], [2.0]])
+        y = np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
+        model = fit_logistic(X, y, lam=0.0)
+        assert _gradient_norm(model, X, y, 0.0) < GRAD_TOL
+
+    def test_columns_without_signal_converge(self):
+        # the optimum is w=0: every row scores the same, so none is separated
+        X = np.array([[1.0], [1.0], [-1.0], [-1.0]])
+        y = np.array([0.0, 1.0, 0.0, 1.0])
+        model = fit_logistic(X, y, lam=0.0)
+        assert model.weights[0] == 0.0 and model.bias == 0.0
+
+    def test_constant_column_converges(self):
+        # with lam=0 the zero column leaves the Hessian singular
+        X = np.array([[-2.0, 0.0], [-1.0, 0.0], [-0.5, 0.0], [0.5, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        y = np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
+        model = fit_logistic(X, y, lam=0.0)
+        assert model.weights[1] == 0.0
+        assert _gradient_norm(model, X, y, 0.0) < GRAD_TOL
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("lam", [0.0, 0.01, 0.1, 1.0])
+def test_newton_matches_gradient_descent_oracle(seed, lam):
+    """Both stop with a gradient norm below GRAD_TOL, so each lies within
+    GRAD_TOL / mu of the optimum, mu the Hessian's least eigenvalue there;
+    the weights may differ by twice that. Classes overlap, so lam=0 has a
+    finite optimum too."""
+    rng = np.random.default_rng(seed)
+    n, d = 80, 4
+    X = rng.normal(size=(n, d))
+    y = (X @ rng.normal(size=d) + rng.logistic(size=n) > 0).astype(float)
+    model = fit_logistic(X, y, lam=lam)
+    w, b = logistic_gd_oracle(X, y, lam)
+
+    Xb = np.hstack([X, np.ones((n, 1))])
+    p = model.predict_proba(X)
+    hessian = (Xb.T * (p * (1.0 - p))) @ Xb / n + np.diag([lam] * d + [0.0])
+    tolerance = 2 * GRAD_TOL / np.linalg.eigvalsh(hessian).min()
+    assert np.abs(np.append(model.weights - w, model.bias - b)).max() < tolerance
+    assert (logistic_objective(X, y, model.weights, model.bias, lam)
+            <= logistic_objective(X, y, w, b, lam) + 1e-12)
 
 
 def test_sigmoid_saturates_safely():
