@@ -2,17 +2,13 @@
 
 Minimizes the mean negative log-likelihood plus an L2 penalty on the
 weights (bias unpenalized). Each step solves the penalized Hessian system
-for the Newton direction (IRLS; Hastie, Tibshirani & Friedman, *Elements
-of Statistical Learning*, 4.4.1), then halves the step until the
-objective falls enough. Training stops when the gradient norm drops
-below tolerance.
-
-With lam=0 and classes that a hyperplane separates, completely or
-quasi-completely, no finite optimum exists (Albert & Anderson, 1984), yet
-Newton's steps take the gradient below tolerance at large finite weights.
-So an unpenalized fit is refused when its linear predictor is not
-constant and scores every class-1 row at least as high as every class-0
-row: the fit itself then separates the classes, weakly.
+(IRLS; Hastie, Tibshirani & Friedman, ESL 4.4.1), then halves the step
+until the objective falls enough. Training stops when the gradient norm
+drops below tolerance. With lam=0, classes that a hyperplane separates,
+even weakly, have no finite optimum (Albert & Anderson, 1984), yet Newton
+reaches the tolerance at large finite weights. So an unpenalized fit whose
+linear predictor is not constant and scores every class-1 row at least as
+high as every class-0 row is refused.
 """
 
 from __future__ import annotations
@@ -71,27 +67,24 @@ def fit_logistic(X, y, lam: float = 0.01) -> LogisticModel:
 
     tol, max_iter = GRAD_TOL, MAX_ITER
     Xb = np.hstack([X, np.ones((n, 1))])  # the last weight is the bias
-    penalty = np.append(np.full(d, lam), 0.0)
+    penalty = np.diag(np.append(np.full(d, lam), 0.0))
     wb = np.zeros(d + 1)
     objective = logistic_objective(X, y, wb[:d], wb[d], lam)
     for _ in range(max_iter):
         z = Xb @ wb
         p = _sigmoid(z)
-        grad = Xb.T @ (p - y) / n + penalty * wb
+        grad = Xb.T @ (p - y) / n + penalty @ wb
         if np.sqrt(grad @ grad) < tol:
             if lam == 0 and z.min() < z.max() and z[y == 0].max() <= z[y == 1].min():
-                raise ConvergenceError(
-                    "with lam=0 the fit separates the classes, so the optimum is at infinity")
+                raise ConvergenceError("with lam=0 the fit separates the classes, so the optimum is at infinity")
             return LogisticModel(weights=wb[:d], bias=float(wb[d]))
-        hessian = (Xb.T * (p * (1.0 - p))) @ Xb / n + np.diag(penalty)
-        # least squares, as with lam=0 a constant or collinear column makes it singular
-        direction = np.linalg.lstsq(hessian, grad, rcond=None)[0]
-        slope = float(grad @ direction)
+        # least squares: with lam=0 a constant or collinear column makes the Hessian singular
+        direction = np.linalg.lstsq((Xb.T * (p * (1.0 - p))) @ Xb / n + penalty, grad, rcond=None)[0]
         step = 1.0
         while step > 1e-16:
             new = wb - step * direction
             new_objective = logistic_objective(X, y, new[:d], new[d], lam)
-            if new_objective <= objective - 1e-4 * step * slope:
+            if new_objective <= objective - 1e-4 * step * (grad @ direction):
                 break
             step *= 0.5
         wb, objective = new, new_objective

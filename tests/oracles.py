@@ -1,5 +1,5 @@
-"""Slow reference solvers for the linear and logistic fits, independent of the paths
-under test; shared by the unit tests and the acceptance suite."""
+"""Slow reference solvers for the linear and logistic fits, independent of
+the paths under test; shared by the unit tests and the acceptance suite."""
 
 import numpy as np
 

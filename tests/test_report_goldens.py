@@ -10,9 +10,10 @@ whose `features.csv` is kept too.
 F-only logistic fits go through a BLAS reduction, so their floats may
 differ in the last digits from one CPU kernel to the next. For those,
 `goldens/reports/logistic.json` keeps only what such digits cannot move
-(each model's class on each test date, each model's accuracy, and McNemar's `b`
-and `c` for each pair) and the test compares them exactly. Every test-row
-probability of these fits lies at least 1e-3 from the 0.5 threshold.
+(each model's class on each test date, its accuracy, and McNemar's `b`
+and `c` for each pair), and the test compares them exactly. Every
+test-row probability of these fits lies at least 1e-3 from the 0.5
+threshold.
 
 To rewrite the goldens after a deliberate change of output, run
 `PYTHONPATH=src python tests/test_report_goldens.py` from the repository root.
@@ -75,7 +76,7 @@ def _logistic_summary(name):
     """What a logistic run's report keeps on any BLAS kernel."""
     report = run_experiment(LOGISTIC_CONFIGS[name])
     return {
-        "classes": {model: dict((d, p) for d, p, _ in rows) for model, rows in report.predictions.items()},
+        "classes": {model: {d: p for d, p, _ in rows} for model, rows in report.predictions.items()},
         "accuracy": {row["name"]: row["accuracy"] for row in report.models},
         "mcnemar": [[pair["model_a"], pair["model_b"], pair["b"], pair["c"]]
                     for pair in report.mcnemar_pairs],
