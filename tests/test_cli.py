@@ -443,6 +443,13 @@ def _csv_rows(path):
         return list(csv.reader(fh))[1:]
 
 
+# the features each saved-model golden was trained and predicted on
+GOLDEN_SECTIONS = [
+    ("logistic", {"features": {"financial": "direction-window"}}),
+    ("ridge", {"features": {"financial": "value-window"}, "task": {"kind": "pct-change"}}),
+]
+
+
 class TestOneFitPath:
     """`features` -> `train` -> `predict` is the experiment's own fit."""
 
@@ -538,21 +545,29 @@ class TestOneFitPath:
                      "--out", str(tmp_path / "preds")]) == 2
         assert "not AttentionRnn" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("kind, sections", [
-        ("logistic", {"features": {"financial": "direction-window"}}),
-        ("ridge", {"features": {"financial": "value-window"}, "task": {"kind": "pct-change"}}),
-    ])
+    @pytest.mark.parametrize("kind, sections", GOLDEN_SECTIONS)
     def test_schema_one_model_predicts_as_before(self, tmp_path, kind, sections):
         # the goldens are a model.json and predictions.csv written by `train` and
         # `predict` before schema 2, on these features
+        self._predicts_golden(tmp_path, f"schema1_{kind}", sections)
+
+    @pytest.mark.parametrize("kind, sections", GOLDEN_SECTIONS)
+    def test_schema_two_model_with_a_config_predicts_as_before(self, tmp_path, kind, sections):
+        # the goldens were written by `train` and `predict` with the default `lam`
+        # while a column model.json still carried a `config`
+        assert "config" in json.loads((GOLDENS / f"schema2_{kind}_model.json").read_text("utf-8"))
+        self._predicts_golden(tmp_path, f"schema2_{kind}", sections)
+
+    @staticmethod
+    def _predicts_golden(tmp_path, golden, sections):
         series = _write_walk_csv(tmp_path / "series.csv")
         config = _series_config(tmp_path / "exp.json", series, **sections)
         assert main(["features", "--config", str(config), "--out", str(tmp_path)]) == 0
-        assert main(["predict", "--model", str(GOLDENS / f"schema1_{kind}_model.json"),
+        assert main(["predict", "--model", str(GOLDENS / f"{golden}_model.json"),
                      "--features", str(tmp_path / "features.csv"),
                      "--out", str(tmp_path / "preds")]) == 0
         assert (tmp_path / "preds" / "predictions.csv").read_bytes() == (
-            GOLDENS / f"schema1_{kind}_predictions.csv"
+            GOLDENS / f"{golden}_predictions.csv"
         ).read_bytes()
 
 

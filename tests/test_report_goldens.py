@@ -15,6 +15,11 @@ and `c` for each pair), and the test compares them exactly. Every
 test-row probability of these fits lies at least 1e-3 from the 0.5
 threshold.
 
+F-only `ridge`, `linear` and `lasso` fits move in the last digits too, so
+`goldens/reports/regression.json` keeps their predictions and MSEs with
+`as-previous` for comparison. Dates, model names and row counts must match
+exactly, and each float to a relative `REGRESSION_REL_TOL`.
+
 To rewrite the goldens after a deliberate change of output, run
 `PYTHONPATH=src python tests/test_report_goldens.py` from the repository root.
 """
@@ -71,6 +76,27 @@ LOGISTIC_CONFIGS = {
 }
 LOGISTIC_GOLDEN = REPORTS / "logistic.json"
 
+REGRESSION_CONFIGS = {
+    f"{task}-h{horizon}": {
+        "data": {"series": SERIES},
+        "task": {"kind": task, "horizon": horizon},
+        "models": [
+            {"type": "ridge", "inputs": "F"},
+            {"type": "linear", "inputs": "F"},
+            {"type": "lasso", "inputs": "F"},
+            {"type": "baseline", "kind": "as-previous"},
+        ],
+    }
+    for task in ("pct-change", "next-value")
+    for horizon in (1, 7)
+}
+REGRESSION_GOLDEN = REPORTS / "regression.json"
+# Against the golden, the largest relative difference measured under
+# OPENBLAS_CORETYPE Haswell, Sandybridge and Nehalem at 1 and 2 BLAS threads
+# was 2.3e-13 (Sandybridge, a `linear-F` prediction); the bound leaves a
+# margin of over 4,000 times that for other kernels.
+REGRESSION_REL_TOL = 1e-9
+
 
 def _logistic_summary(name):
     """What a logistic run's report keeps on any BLAS kernel."""
@@ -80,6 +106,16 @@ def _logistic_summary(name):
         "accuracy": {row["name"]: row["accuracy"] for row in report.models},
         "mcnemar": [[pair["model_a"], pair["model_b"], pair["b"], pair["c"]]
                     for pair in report.mcnemar_pairs],
+    }
+
+
+def _regression_summary(name):
+    """Each model's MSE and its prediction per test date."""
+    report = run_experiment(REGRESSION_CONFIGS[name])
+    return {
+        "mse": {row["name"]: row["mse"] for row in report.models},
+        "predictions": {model: {d: p for d, p, _ in rows}
+                        for model, rows in report.predictions.items()},
     }
 
 
@@ -116,6 +152,19 @@ def test_logistic_classes_match_golden(name, monkeypatch):
     assert _logistic_summary(name) == golden
 
 
+@pytest.mark.parametrize("name", sorted(REGRESSION_CONFIGS))
+def test_regression_predictions_match_golden(name, monkeypatch):
+    monkeypatch.chdir(REPORTS)
+    golden = json.loads(REGRESSION_GOLDEN.read_text(encoding="utf-8"))[name]
+    summary = _regression_summary(name)
+    # model names, dates and row counts exactly
+    assert ({model: list(rows) for model, rows in summary["predictions"].items()}
+            == {model: list(rows) for model, rows in golden["predictions"].items()})
+    assert summary["mse"] == pytest.approx(golden["mse"], rel=REGRESSION_REL_TOL, abs=0)
+    for model, rows in golden["predictions"].items():
+        assert summary["predictions"][model] == pytest.approx(rows, rel=REGRESSION_REL_TOL, abs=0)
+
+
 if __name__ == "__main__":
     os.chdir(REPORTS)
     for name in CONFIGS:
@@ -126,3 +175,5 @@ if __name__ == "__main__":
     Path("direction-window", "run.log").unlink()
     summaries = {name: _logistic_summary(name) for name in sorted(LOGISTIC_CONFIGS)}
     LOGISTIC_GOLDEN.write_text(json.dumps(summaries, indent=1) + "\n", encoding="utf-8")
+    summaries = {name: _regression_summary(name) for name in sorted(REGRESSION_CONFIGS)}
+    REGRESSION_GOLDEN.write_text(json.dumps(summaries, indent=1) + "\n", encoding="utf-8")
