@@ -30,8 +30,6 @@ class SingularSystemError(np.linalg.LinAlgError):
 class LinearModel:
     weights: np.ndarray
     bias: float
-    regularization: str = "none"
-    lam: float = 0.0
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -79,11 +77,11 @@ def fit_linear(X, y, reg: str = "none", lam: float = 0.0) -> LinearModel:
         raise ValueError("non-finite entries in training data")
 
     if reg in ("none", "l2"):
-        return _fit_closed_form(X, y, reg, lam)
+        return _fit_closed_form(X, y, lam)
     return _fit_coordinate_descent(X, y, lam)
 
 
-def _fit_closed_form(X, y, reg, lam) -> LinearModel:
+def _fit_closed_form(X, y, lam) -> LinearModel:
     n, d = X.shape
     # augmented system over [w; b] with the penalty applied to w only
     A = np.empty((d + 1, d + 1))
@@ -97,7 +95,7 @@ def _fit_closed_form(X, y, reg, lam) -> LinearModel:
     if lam == 0 and np.linalg.cond(A) > 1e12:
         raise SingularSystemError("normal equations are singular; refit with reg='l2' and lam > 0")
     solution = np.linalg.solve(A, rhs)
-    return LinearModel(weights=solution[:d], bias=float(solution[d]), regularization=reg, lam=lam)
+    return LinearModel(weights=solution[:d], bias=float(solution[d]))
 
 
 def _fit_coordinate_descent(X, y, lam) -> LinearModel:
@@ -123,7 +121,7 @@ def _fit_coordinate_descent(X, y, lam) -> LinearModel:
         max_delta = max(max_delta, abs(new_b - b))
         b = new_b
         if max_delta < CD_TOL:
-            return LinearModel(weights=w, bias=b, regularization="l1", lam=lam)
+            return LinearModel(weights=w, bias=b)
     raise ConvergenceError(
         f"coordinate descent did not converge in {CD_MAX_SWEEPS} sweeps; "
         f"last max change {max_delta:.3g}, tolerance {CD_TOL}"

@@ -4,11 +4,9 @@ Minimizes the mean negative log-likelihood plus an L2 penalty on the
 weights (bias unpenalized). Each step solves the penalized Hessian system
 (IRLS; Hastie, Tibshirani & Friedman, ESL 4.4.1), then halves the step
 until the objective falls enough. Training stops when the gradient norm
-drops below tolerance. With lam=0, classes that a hyperplane separates,
-even weakly, have no finite optimum (Albert & Anderson, 1984), yet Newton
-reaches the tolerance at large finite weights. So an unpenalized fit whose
-linear predictor is not constant and scores every class-1 row at least as
-high as every class-0 row is refused.
+drops below tolerance. The penalty must be positive: it gives every fit a
+finite optimum and a positive definite Hessian, where with lam=0 classes
+that a hyperplane separates have none (Albert & Anderson, 1984).
 """
 
 from __future__ import annotations
@@ -35,14 +33,13 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 class LogisticModel:
     weights: np.ndarray
     bias: float
-    threshold: float = 0.5
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         return _sigmoid(X @ self.weights + self.bias)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return (self.predict_proba(X) >= self.threshold).astype(int)
+        return (self.predict_proba(X) >= 0.5).astype(int)
 
 
 def logistic_objective(X, y, weights, bias, lam: float) -> float:
@@ -62,8 +59,8 @@ def fit_logistic(X, y, lam: float = 0.01) -> LogisticModel:
     n, d = X.shape
     if set(np.unique(y)) != {0.0, 1.0}:
         raise ValueError("labels must contain both classes 0 and 1")
-    if not 0.0 <= lam < float("inf"):  # False for NaN too
-        raise ValueError(f"lam must be finite and >= 0, got {lam!r}")
+    if not 0.0 < lam < float("inf"):  # False for NaN too
+        raise ValueError(f"lam must be finite and > 0, got {lam!r}")
 
     tol, max_iter = GRAD_TOL, MAX_ITER
     Xb = np.hstack([X, np.ones((n, 1))])  # the last weight is the bias
@@ -71,15 +68,11 @@ def fit_logistic(X, y, lam: float = 0.01) -> LogisticModel:
     wb = np.zeros(d + 1)
     objective = logistic_objective(X, y, wb[:d], wb[d], lam)
     for _ in range(max_iter):
-        z = Xb @ wb
-        p = _sigmoid(z)
+        p = _sigmoid(Xb @ wb)
         grad = Xb.T @ (p - y) / n + penalty @ wb
         if np.sqrt(grad @ grad) < tol:
-            if lam == 0 and z.min() < z.max() and z[y == 0].max() <= z[y == 1].min():
-                raise ConvergenceError("with lam=0 the fit separates the classes, so the optimum is at infinity")
             return LogisticModel(weights=wb[:d], bias=float(wb[d]))
-        # least squares: with lam=0 a constant or collinear column makes the Hessian singular
-        direction = np.linalg.lstsq((Xb.T * (p * (1.0 - p))) @ Xb / n + penalty, grad, rcond=None)[0]
+        direction = np.linalg.solve((Xb.T * (p * (1.0 - p))) @ Xb / n + penalty, grad)
         step = 1.0
         while step > 1e-16:
             new = wb - step * direction
@@ -88,7 +81,4 @@ def fit_logistic(X, y, lam: float = 0.01) -> LogisticModel:
                 break
             step *= 0.5
         wb, objective = new, new_objective
-    raise ConvergenceError(
-        f"gradient norm did not reach {tol} within {max_iter} iterations; "
-        "with lam=0 and separable data the optimum is at infinity"
-    )
+    raise ConvergenceError(f"gradient norm did not reach {tol} within {max_iter} iterations")

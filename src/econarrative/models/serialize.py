@@ -38,12 +38,7 @@ def model_to_doc(model: Standardized | AttentionRnn) -> dict:
     doc = {"schema": SCHEMA_VERSION}
     if isinstance(model, Standardized):
         column = model.model
-        if isinstance(column, LinearModel):
-            doc["architecture"] = "linear"
-            doc["config"] = {"regularization": column.regularization, "lam": column.lam}
-        else:
-            doc["architecture"] = "logistic"
-            doc["config"] = {"threshold": column.threshold}
+        doc["architecture"] = "linear" if isinstance(column, LinearModel) else "logistic"
         doc["parameters"] = {"weights": _encode(column.weights), "bias": _encode(np.array(column.bias))}
         doc["transform"] = {"mean": _encode(model.mean), "scale": _encode(model.scale)}
     elif isinstance(model, AttentionRnn):
@@ -59,7 +54,8 @@ def model_from_doc(doc: dict) -> Standardized | AttentionRnn:
     """Rebuild what model_to_doc wrote. Schema 2 added the `transform` of a
     column model; a column doc without one, as every schema 1 doc, reads
     with the identity transform, mean 0 and scale 1. The `config` of an older
-    attention-RNN doc, the seed of its initial weights, is not read."""
+    doc is not read: for an attention RNN the seed of its initial weights, for
+    a column model the penalty it was fitted with or the 0.5 threshold."""
     if not isinstance(doc, dict):
         raise ValueError("the top level must be an object")
     if doc.get("schema") not in (1, SCHEMA_VERSION):
@@ -68,11 +64,7 @@ def model_from_doc(doc: dict) -> Standardized | AttentionRnn:
     params = doc.get("parameters", {})
     if arch in ("linear", "logistic"):
         weights, bias = _decode("weights", params["weights"]), float(_decode("bias", params["bias"]))
-        config = doc["config"]
-        if arch == "linear":
-            model = LinearModel(weights, bias, config["regularization"], config["lam"])
-        else:
-            model = LogisticModel(weights, bias, config.get("threshold", 0.5))
+        model = (LinearModel if arch == "linear" else LogisticModel)(weights, bias)
         transform = doc.get("transform")
         if transform is None:
             return Standardized(model)

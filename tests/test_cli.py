@@ -286,8 +286,8 @@ class TestPipelineCommands:
         assert sum(int(line.rsplit(",", 1)[1]) for line in body[1:]) == 1
 
 
-def _without_config(doc):
-    del doc["config"]
+def _without_bias(doc):
+    del doc["parameters"]["bias"]
     return json.dumps(doc)
 
 
@@ -347,7 +347,7 @@ class TestBadInput:
 
     @pytest.mark.parametrize("spoil, problem", [
         (lambda doc: "{\n", "Expecting property name enclosed in double quotes: line 2 column 1"),
-        (_without_config, "missing key 'config'"),
+        (_without_bias, "missing key 'bias'"),
         (_mean_of_three, "cannot reshape array of size 2 into shape (3,)"),
         (lambda doc: "[]", "the top level must be an object"),
         (_weights_not_base64, "tensor 'weights': data is not base64"),
@@ -501,6 +501,16 @@ class TestOneFitPath:
         assert "lam 0.5 does nothing without a penalty" in capsys.readouterr().err
         assert not (tmp_path / "model" / "model.json").exists()
 
+    def test_logistic_model_refuses_zero_lam(self, tmp_path, capsys):
+        series = _write_walk_csv(tmp_path / "series.csv")
+        config = _series_config(tmp_path / "exp.json", series)
+        assert main(["features", "--config", str(config), "--out", str(tmp_path)]) == 0
+        code = main(["train", "--features", str(tmp_path / "features.csv"), "--model", "logistic",
+                     "--lam", "0", "--out", str(tmp_path / "model")])
+        assert code == 2
+        assert "lam must be finite and > 0, got 0.0" in capsys.readouterr().err
+        assert not (tmp_path / "model" / "model.json").exists()
+
     def test_default_features_fit_a_logistic_model(self, tmp_path):
         series, tweets = _planted_inputs(tmp_path)
         config = _series_config(tmp_path / "exp.json", series, data={"text": {"path": str(tweets)}})
@@ -517,7 +527,7 @@ class TestOneFitPath:
         assert main(["train", "--features", str(tmp_path / "features.csv"),
                      "--out", str(tmp_path / "model")]) == 0
         doc = json.loads((tmp_path / "model" / "model.json").read_text())
-        assert set(doc) == {"schema", "architecture", "config", "parameters", "transform"}
+        assert set(doc) == {"schema", "architecture", "parameters", "transform"}
 
     def test_predict_rejects_features_of_another_width(self, tmp_path, capsys):
         series = _write_walk_csv(tmp_path / "series.csv")

@@ -41,12 +41,14 @@ class TestFitColumns:
         X2 = X[:, :2]  # without the constant column, which leaves `linear` singular
         fitted = fit_columns({"type": kind}, X2, VALUES)
         direct = fit_linear(_standardised(X2), np.array(VALUES), reg=reg, lam=lam)
-        assert (fitted.model.regularization, fitted.model.lam) == (reg, lam)
         assert np.array_equal(fitted.model.weights, direct.weights)
+        assert fitted.model.bias == direct.bias
         assert fitted.predict(X2) == [float(v) for v in direct.predict(_standardised(X2))]
 
     def test_explicit_lam_wins(self):
-        assert fit_columns({"type": "ridge", "lam": 0.25}, X, VALUES).model.lam == 0.25
+        fitted = fit_columns({"type": "ridge", "lam": 0.25}, X, VALUES)
+        direct = fit_linear(_standardised(X), np.array(VALUES), reg="l2", lam=0.25)
+        assert np.array_equal(fitted.model.weights, direct.weights)
 
     def test_constant_column_keeps_scale_one(self):
         fitted = fit_columns({"type": "ridge"}, X, VALUES)

@@ -130,6 +130,13 @@ class TestStages:
             run_experiment(config)
         assert err.value.stage == "model:logistic-F"
 
+    def test_unpenalised_logistic_fails_at_its_model_stage(self):
+        config = _planted_config(NARRATIVES)
+        config["models"] = [{"name": "f-plain", "type": "logistic", "inputs": "F", "lam": 0.0}]
+        with pytest.raises(ExperimentError, match=re.escape("lam must be finite and > 0, got 0.0")) as err:
+            run_experiment(config)
+        assert err.value.stage == "model:f-plain"
+
     def test_bad_model_type_names_config_stage(self, tmp_path):
         config = _planted_config(NARRATIVES)
         # the missing file shows the check runs before any ingest

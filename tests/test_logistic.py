@@ -60,68 +60,53 @@ class TestFitLogistic:
         at_zero = logistic_objective(X, y, np.zeros(3), 0.0, 0.1)
         assert at_fit < at_zero
 
-    def test_unregularized_separable_fails_to_converge(self, monkeypatch):
-        monkeypatch.setattr(logistic, "MAX_ITER", 200)
-        X = np.array([[-1.0], [1.0]])
-        y = np.array([0.0, 1.0])
-        with pytest.raises(ConvergenceError):
-            fit_logistic(X, y, lam=0.0)
+    def test_iteration_cap_raises(self, monkeypatch):
+        # one Newton step leaves the gradient above GRAD_TOL; without the cap the fit would converge
+        monkeypatch.setattr(logistic, "MAX_ITER", 1)
+        X = np.array([[-2.0], [-1.0], [-0.5], [0.5], [1.0], [2.0]])
+        y = np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
+        with pytest.raises(ConvergenceError, match=f"did not reach {GRAD_TOL} within 1 iterations"):
+            fit_logistic(X, y, lam=0.01)
 
-    @pytest.mark.parametrize("lam", [-0.1, float("nan"), float("inf")])
+    @pytest.mark.parametrize("lam", [0.0, -0.1, float("nan"), float("inf")])
     def test_penalty_that_is_negative_or_not_finite_rejected(self, monkeypatch, lam):
         monkeypatch.setattr(logistic, "MAX_ITER", 200)  # a fit that slips past the check ends soon
         X = np.array([[-2.0], [-1.0], [1.0], [2.0]])
         y = np.array([0.0, 1.0, 0.0, 1.0])
-        with pytest.raises(ValueError, match=re.escape(f"lam must be finite and >= 0, got {lam!r}")):
+        with pytest.raises(ValueError, match=re.escape(f"lam must be finite and > 0, got {lam!r}")):
             fit_logistic(X, y, lam=lam)
 
-
-class TestSeparation:
-    """With lam=0, data a hyperplane separates have no finite optimum
-    (Albert & Anderson, 1984); these run with the default MAX_ITER."""
-
-    def test_complete_separation_raises(self):
-        X = np.array([[-2.0, 0.3], [-1.0, -1.0], [0.5, 2.0], [1.0, -0.4], [2.0, 1.0]])
-        y = np.array([0.0, 0.0, 1.0, 1.0, 1.0])
-        with pytest.raises(ConvergenceError, match="optimum is at infinity"):
+    def test_zero_penalty_refused_where_a_separation_check_missed_it(self):
+        # column 0 weakly separates the classes and the rows at 0 mix along column 1:
+        # an unpenalised Newton fit reached GRAD_TOL here at w=[12.83, -0.43]
+        X = np.array([[0, 1], [0, 1], [0, -1], [0, -1], [0, 2], [0, 0.5], [1, 0], [2, 1], [-1, 0],
+                      [-2, 1]], dtype=float)
+        y = np.array([1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match=re.escape("lam must be finite and > 0, got 0.0")):
             fit_logistic(X, y, lam=0.0)
-
-    def test_quasi_complete_separation_raises(self):
-        # the two rows at 0 share x but not their class
-        X = np.array([[-1.0], [0.0], [0.0], [1.0]])
-        y = np.array([0.0, 0.0, 1.0, 1.0])
-        with pytest.raises(ConvergenceError, match="optimum is at infinity"):
-            fit_logistic(X, y, lam=0.0)
-
-    def test_overlapping_classes_converge(self):
-        X = np.array([[-2.0], [-1.0], [-0.5], [0.5], [1.0], [2.0]])
-        y = np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
-        model = fit_logistic(X, y, lam=0.0)
-        assert _gradient_norm(model, X, y, 0.0) < GRAD_TOL
 
     def test_columns_without_signal_converge(self):
-        # the optimum is w=0: every row scores the same, so none is separated
+        # the optimum is w=0: every row scores the same
         X = np.array([[1.0], [1.0], [-1.0], [-1.0]])
         y = np.array([0.0, 1.0, 0.0, 1.0])
-        model = fit_logistic(X, y, lam=0.0)
+        model = fit_logistic(X, y, lam=0.01)
         assert model.weights[0] == 0.0 and model.bias == 0.0
 
     def test_constant_column_converges(self):
-        # with lam=0 the zero column leaves the Hessian singular
+        # the zero column's Hessian row is the penalty alone, so the solve still has a unique answer
         X = np.array([[-2.0, 0.0], [-1.0, 0.0], [-0.5, 0.0], [0.5, 0.0], [1.0, 0.0], [2.0, 0.0]])
         y = np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
-        model = fit_logistic(X, y, lam=0.0)
+        model = fit_logistic(X, y, lam=0.01)
         assert model.weights[1] == 0.0
-        assert _gradient_norm(model, X, y, 0.0) < GRAD_TOL
+        assert _gradient_norm(model, X, y, 0.01) < GRAD_TOL
 
 
 @pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize("lam", [0.0, 0.01, 0.1, 1.0])
+@pytest.mark.parametrize("lam", [0.01, 0.1, 1.0])
 def test_newton_matches_gradient_descent_oracle(seed, lam):
     """Both stop with a gradient norm below GRAD_TOL, so each lies within
     GRAD_TOL / mu of the optimum, mu the Hessian's least eigenvalue there;
-    the weights may differ by twice that. Classes overlap, so lam=0 has a
-    finite optimum too."""
+    the weights may differ by twice that."""
     rng = np.random.default_rng(seed)
     n, d = 80, 4
     X = rng.normal(size=(n, d))

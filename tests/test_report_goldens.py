@@ -68,7 +68,6 @@ LOGISTIC_CONFIGS = {
         "task": {"kind": "direction-change", "horizon": horizon},
         "models": [
             {"type": "logistic", "inputs": "F"},
-            {"type": "logistic", "inputs": "F", "lam": 0.0, "name": "logistic-F-unpenalised"},
             {"type": "baseline", "kind": "as-previous"},
         ],
     }

@@ -52,6 +52,11 @@ class TestTextClassifier:
         clf = fit_text_classifier(prompts, labels, self.EMBEDDER)
         assert (clf.predict(prompts) == np.array(labels)).all()
 
+    def test_zero_penalty_refused(self):
+        prompts = ["markets surge", "markets plunge"]
+        with pytest.raises(ValueError, match="lam must be finite and > 0, got 0"):
+            fit_text_classifier(prompts, [1, 0], self.EMBEDDER, lam=0)
+
     def test_conflicting_duplicates_cap_accuracy(self):
         prompts = ["identical text"] * 8
         labels = [1, 0] * 4
@@ -153,7 +158,6 @@ class TestSerialization:
         restored = model_from_doc(doc).model
         assert np.array_equal(restored.weights, model.weights)
         assert restored.bias == model.bias
-        assert restored.lam == 0.5
 
     def test_logistic_round_trip(self):
         X = np.array([[-1.0], [1.0], [-2.0], [2.0]])
