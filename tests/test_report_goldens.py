@@ -20,6 +20,12 @@ F-only `ridge`, `linear` and `lasso` fits move in the last digits too, so
 `as-previous` for comparison. Dates, model names and row counts must match
 exactly, and each float to a relative `REGRESSION_REL_TOL`.
 
+`goldens/reports/darnn.json` keeps one small DA-RNN's predictions and MSE
+the same way, with `as-previous` for comparison. Its text drivers are the
+`sentiment-window` scores of `goldens/reports/tweets.jsonl`, which
+`econarrative synth --kind narratives --series series.csv --seed 3` writes
+over the walk.
+
 To rewrite the goldens after a deliberate change of output, run
 `PYTHONPATH=src python tests/test_report_goldens.py` from the repository root.
 """
@@ -96,6 +102,21 @@ REGRESSION_GOLDEN = REPORTS / "regression.json"
 # margin of over 4,000 times that for other kernels.
 REGRESSION_REL_TOL = 1e-9
 
+DARNN_CONFIGS = {
+    "darnn-next-value-h1": {
+        "data": {"series": SERIES, "text": {"path": "tweets.jsonl"}},
+        "task": {"kind": "next-value", "horizon": 1},
+        "features": {"text": "sentiment-window", "financial": "value-window", "window": 7},
+        "models": [
+            {"type": "darnn", "m": 4, "p": 4, "epochs": 10, "lr": 0.01, "batch_size": 16,
+             "seed": 1},
+            {"type": "baseline", "kind": "as-previous"},
+        ],
+    }
+}
+DARNN_GOLDEN = REPORTS / "darnn.json"  # equal bit for bit on the same six kernel settings
+TWEETS_SEED = 3  # the synth seed of goldens/reports/tweets.jsonl
+
 
 def _logistic_summary(name):
     """What a logistic run's report keeps on any BLAS kernel."""
@@ -108,9 +129,9 @@ def _logistic_summary(name):
     }
 
 
-def _regression_summary(name):
+def _regression_summary(config):
     """Each model's MSE and its prediction per test date."""
-    report = run_experiment(REGRESSION_CONFIGS[name])
+    report = run_experiment(config)
     return {
         "mse": {row["name"]: row["mse"] for row in report.models},
         "predictions": {model: {d: p for d, p, _ in rows}
@@ -151,11 +172,15 @@ def test_logistic_classes_match_golden(name, monkeypatch):
     assert _logistic_summary(name) == golden
 
 
-@pytest.mark.parametrize("name", sorted(REGRESSION_CONFIGS))
-def test_regression_predictions_match_golden(name, monkeypatch):
+@pytest.mark.parametrize("configs, golden_file, name", [
+    pytest.param(configs, golden_file, name, id=name)
+    for configs, golden_file in ((REGRESSION_CONFIGS, REGRESSION_GOLDEN), (DARNN_CONFIGS, DARNN_GOLDEN))
+    for name in sorted(configs)
+])
+def test_regression_predictions_match_golden(configs, golden_file, name, monkeypatch):
     monkeypatch.chdir(REPORTS)
-    golden = json.loads(REGRESSION_GOLDEN.read_text(encoding="utf-8"))[name]
-    summary = _regression_summary(name)
+    golden = json.loads(golden_file.read_text(encoding="utf-8"))[name]
+    summary = _regression_summary(configs[name])
     # model names, dates and row counts exactly
     assert ({model: list(rows) for model, rows in summary["predictions"].items()}
             == {model: list(rows) for model, rows in golden["predictions"].items()})
@@ -174,5 +199,9 @@ if __name__ == "__main__":
     Path("direction-window", "run.log").unlink()
     summaries = {name: _logistic_summary(name) for name in sorted(LOGISTIC_CONFIGS)}
     LOGISTIC_GOLDEN.write_text(json.dumps(summaries, indent=1) + "\n", encoding="utf-8")
-    summaries = {name: _regression_summary(name) for name in sorted(REGRESSION_CONFIGS)}
-    REGRESSION_GOLDEN.write_text(json.dumps(summaries, indent=1) + "\n", encoding="utf-8")
+    main(["synth", "--kind", "narratives", "--series", "series.csv",
+          "--seed", str(TWEETS_SEED), "--out", "."])
+    Path("run.log").unlink()
+    for configs, golden in ((REGRESSION_CONFIGS, REGRESSION_GOLDEN), (DARNN_CONFIGS, DARNN_GOLDEN)):
+        summaries = {name: _regression_summary(configs[name]) for name in sorted(configs)}
+        golden.write_text(json.dumps(summaries, indent=1) + "\n", encoding="utf-8")
