@@ -38,6 +38,10 @@ class ExperimentError(RuntimeError):
         self.stage = stage
         self.cause = cause
 
+    def __reduce__(self):
+        # pickle rebuilds an exception from its args, here the message alone
+        return type(self), (self.stage, self.cause)
+
 
 @contextmanager
 def _stage(name: str):

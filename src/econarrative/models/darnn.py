@@ -4,7 +4,10 @@ Forward pass, per sample: an encoder walks T steps of n driving series,
 re-weighting the drivers at every step with an input-attention softmax
 conditioned on its own LSTM state; a decoder then attends over the T
 encoder hidden states (temporal attention), combines the context vector
-with the target history, and a final affine map emits a scalar.
+with the target history, and a final affine map emits a scalar. With one
+driver (n = 1) the input attention is a softmax over one item, exactly
+1.0, so the encoder skips it: the results are the same bit for bit, and
+the att_in_* gradients are exactly 0.
 
 All gradients are derived by hand and verified against central finite
 differences (see gradient_check); training is plain mini-batch gradient
@@ -44,16 +47,16 @@ def _lstm(W, b, h, s, x):
     go = _sigmoid(pre[..., 2 * k:3 * k])
     gg = np.tanh(pre[..., 3 * k:])
     s_new = gf * s + gi * gg
-    h_new = go * np.tanh(s_new)
-    return h_new, s_new, (lstm_in, s, s_new, gi, gf, go, gg)
+    tc = np.tanh(s_new)
+    h_new = go * tc
+    return h_new, s_new, (lstm_in, s, tc, gi, gf, go, gg)
 
 
 def _lstm_backward(W, g_W, g_b, cell, g_h, g_s):
     """Backward through one _lstm step, given the gradients of its new
     hidden and cell states. Adds into g_W and g_b; returns the gradients
     of [h; x] and of the previous cell state."""
-    lstm_in, s_prev, s_new, gi, gf, go, gg = cell
-    tc = np.tanh(s_new)
+    lstm_in, s_prev, tc, gi, gf, go, gg = cell
     g_s_tot = g_s + g_h * go * (1.0 - tc * tc)
     g_pre = np.concatenate(
         [
@@ -171,17 +174,26 @@ class AttentionRnn:
         P = self.params
 
         lead = P["out_c"].shape[:-1]  # (K,) for stacked params, else ()
+        # input attention over one driver is a softmax over one item, exactly
+        # 1.0, so the encoder skips it and reads the driver as it is
+        one_driver = self.n == 1
+        X_lead = np.broadcast_to(X, (*lead, *X.shape))
 
         # driver-series projection, shared by every encoder step
-        att_in_proj = np.einsum("...ts,bsk->...bkt", P["att_in_U"], X)  # (B, n, T)
+        att_in_proj = None if one_driver else np.einsum(
+            "...ts,bsk->...bkt", P["att_in_U"], X)  # (B, n, T)
 
         h = np.zeros((*lead, B, m))
         s = np.zeros((*lead, B, m))
         H = np.zeros((*lead, B, T, m))
         enc_steps = []
         for t in range(T):
-            alpha, att = _attend(P["att_in_W"], P["att_in_v"], h, s, att_in_proj)
-            h, s, cell = _lstm(P["enc_W"], P["enc_b"], h, s, alpha * X[:, t, :])
+            if one_driver:
+                att, x = None, X_lead[..., t, :]
+            else:
+                alpha, att = _attend(P["att_in_W"], P["att_in_v"], h, s, att_in_proj)
+                x = alpha * X[:, t, :]
+            h, s, cell = _lstm(P["enc_W"], P["enc_b"], h, s, x)
             enc_steps.append((att, cell))
             H[..., t, :] = h
 
@@ -191,11 +203,11 @@ class AttentionRnn:
         ds = np.zeros((*lead, B, p))
         dec_steps = []
         context = np.zeros((*lead, B, m))
+        Y_lead = np.broadcast_to(Y, (*lead, *Y.shape))
         for t in range(T):
             beta, att = _attend(P["att_tm_W"], P["att_tm_v"], dh, ds, att_tm_proj)
             context = np.einsum("...bt,...btm->...bm", beta, H)
-            history = np.broadcast_to(Y[:, t:t + 1], (*lead, B, 1))
-            mix_in = np.concatenate([history, context], axis=-1)    # (B, 1+m)
+            mix_in = np.concatenate([Y_lead[..., t:t + 1], context], axis=-1)  # (B, 1+m)
             y_mix = (mix_in @ P["mix_w"][..., None])[..., 0] + P["mix_b"]  # (B,)
             dh, ds, cell = _lstm(P["dec_W"], P["dec_b"], dh, ds, y_mix[..., None])
             dec_steps.append((att, mix_in, cell))
@@ -282,24 +294,29 @@ class AttentionRnn:
         g_H += np.einsum("btm,mj->btj", g_att_tm_proj, P["att_tm_U"])
 
         X = cache["X"]
-        g_att_in_proj = np.zeros_like(cache["att_in_proj"])
         g_h = np.zeros((B, m))
         g_s = np.zeros((B, m))
+        if self.n > 1:
+            g_att_in_proj = np.zeros_like(cache["att_in_proj"])
         for t in range(T - 1, -1, -1):
             att, cell = cache["enc_steps"][t]
-            g_in, g_s_prev = _lstm_backward(
+            g_in, g_s = _lstm_backward(
                 P["enc_W"], grads["enc_W"], grads["enc_b"], cell, g_h + g_H[:, t, :], g_s
             )
+            g_h = g_in[:, :m]
+            if att is None:  # one driver: no input attention, whose gradients stay 0
+                continue
             g_proj, g_z = _attend_backward(
                 P["att_in_W"], P["att_in_v"], grads["att_in_W"], grads["att_in_v"], att,
                 g_in[:, m:] * X[:, t, :],
             )
             g_att_in_proj += g_proj
-            g_h = g_in[:, :m] + g_z[:, :m]
-            g_s = g_s_prev + g_z[:, m:]
+            g_h = g_h + g_z[:, :m]
+            g_s = g_s + g_z[:, m:]
 
-        # shared driver projection: att_in_proj[b,k,t] = sum_s att_in_U[t,s] X[b,s,k]
-        grads["att_in_U"] += np.einsum("bkt,bsk->ts", g_att_in_proj, X)
+        if self.n > 1:
+            # shared driver projection: att_in_proj[b,k,t] = sum_s att_in_U[t,s] X[b,s,k]
+            grads["att_in_U"] += np.einsum("bkt,bsk->ts", g_att_in_proj, X)
 
         return loss, grads
 
@@ -344,8 +361,8 @@ def train_darnn(
                 raise DivergenceError(f"training diverged at epoch {epoch}")
             for key, grad in grads.items():
                 trained.params[key] -= learning_rate * grad
-                if not np.isfinite(trained.params[key]).all():
-                    raise DivergenceError(f"training diverged at epoch {epoch}")
+            if not all(np.isfinite(value).all() for value in trained.params.values()):
+                raise DivergenceError(f"training diverged at epoch {epoch}")
             total += loss * len(idx)
         trained.epoch_mse.append(total / n_samples)
     return trained

@@ -25,7 +25,7 @@ class ConvergenceError(RuntimeError):
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # +-35 keeps the output strictly inside (0, 1) in float64
-    z = np.clip(z, -35.0, 35.0)
+    z = np.minimum(np.maximum(z, -35.0), 35.0)
     return 1.0 / (1.0 + np.exp(-z))
 
 

@@ -10,6 +10,7 @@ from econarrative import ingest, synthgen
 from econarrative.cli import build_parser, main
 from econarrative.experiment import run_experiment
 from econarrative.models import AttentionRnn, model_to_doc
+from test_report_goldens import REGRESSION_REL_TOL
 
 GOLDENS = Path(__file__).parent / "goldens"
 README = Path(__file__).parent.parent / "README.md"
@@ -559,26 +560,36 @@ class TestOneFitPath:
     def test_schema_one_model_predicts_as_before(self, tmp_path, kind, sections):
         # the goldens are a model.json and predictions.csv written by `train` and
         # `predict` before schema 2, on these features
-        self._predicts_golden(tmp_path, f"schema1_{kind}", sections)
+        self._predicts_golden(tmp_path, kind, f"schema1_{kind}", sections)
 
     @pytest.mark.parametrize("kind, sections", GOLDEN_SECTIONS)
     def test_schema_two_model_with_a_config_predicts_as_before(self, tmp_path, kind, sections):
         # the goldens were written by `train` and `predict` with the default `lam`
         # while a column model.json still carried a `config`
         assert "config" in json.loads((GOLDENS / f"schema2_{kind}_model.json").read_text("utf-8"))
-        self._predicts_golden(tmp_path, f"schema2_{kind}", sections)
+        self._predicts_golden(tmp_path, kind, f"schema2_{kind}", sections)
 
     @staticmethod
-    def _predicts_golden(tmp_path, golden, sections):
+    def _predicts_golden(tmp_path, kind, golden, sections):
         series = _write_walk_csv(tmp_path / "series.csv")
         config = _series_config(tmp_path / "exp.json", series, **sections)
         assert main(["features", "--config", str(config), "--out", str(tmp_path)]) == 0
         assert main(["predict", "--model", str(GOLDENS / f"{golden}_model.json"),
                      "--features", str(tmp_path / "features.csv"),
                      "--out", str(tmp_path / "preds")]) == 0
-        assert (tmp_path / "preds" / "predictions.csv").read_bytes() == (
-            GOLDENS / f"{golden}_predictions.csv"
-        ).read_bytes()
+        produced = tmp_path / "preds" / "predictions.csv"
+        expected = GOLDENS / f"{golden}_predictions.csv"
+        if kind == "logistic":  # classes: no kernel's last digits can move them
+            assert produced.read_bytes() == expected.read_bytes()
+            return
+        # a ridge prediction goes through a BLAS reduction, so it is compared
+        # as regression.json's are: header, dates and row count exactly, each
+        # value to a relative REGRESSION_REL_TOL
+        assert produced.read_bytes().split(b"\n")[0] == expected.read_bytes().split(b"\n")[0]
+        rows, golden_rows = _csv_rows(produced), _csv_rows(expected)
+        assert [d for d, _ in rows] == [d for d, _ in golden_rows]
+        assert [float(v) for _, v in rows] == pytest.approx(
+            [float(v) for _, v in golden_rows], rel=REGRESSION_REL_TOL, abs=0)
 
 
 class TestExperimentCommand:

@@ -3,7 +3,8 @@ import re
 import numpy as np
 import pytest
 
-from econarrative.models.darnn import AttentionRnn, DivergenceError, gradient_check, train_darnn
+from econarrative.models.darnn import (AttentionRnn, DivergenceError, _attend, gradient_check,
+                                        train_darnn)
 
 
 def _instance(seed, T=4, n=2, m=5, p=6, B=3):
@@ -61,6 +62,19 @@ class TestGradientCheck:
             model.params[key] = model.params[key] * 3.0
         assert gradient_check(model, X, Y, labels) < 1e-5
 
+    @pytest.mark.parametrize("widen", [1.0, 3.0])
+    def test_one_driver_skips_input_attention(self, widen):
+        # the experiments' shape: 7 steps of one driver, whose input
+        # attention is the identity and so has gradients of exactly 0
+        for seed in range(3):
+            model, X, Y, labels = _instance(seed, T=7, n=1)
+            for key in model.params:
+                model.params[key] = model.params[key] * widen
+            _, grads = model.loss_and_grads(X, Y, labels)
+            for key in ("att_in_W", "att_in_U", "att_in_v"):
+                assert not grads[key].any(), key
+            assert gradient_check(model, X, Y, labels) < 1e-4
+
     def test_large_step_degrades_accuracy(self):
         model, X, Y, labels = _instance(7)
         fine = gradient_check(model, X, Y, labels, step=1e-5)
@@ -87,6 +101,19 @@ class TestForward:
         assert np.all(alphas >= 0) and np.all(betas >= 0)
         assert np.allclose(alphas.sum(axis=2), 1.0)
         assert np.allclose(betas.sum(axis=2), 1.0)
+
+    def test_attention_over_one_item_is_exactly_one(self):
+        # why the one-driver encoder may skip its input attention: the
+        # softmax weight of a single item is 1.0 bit for bit, for any finite
+        # score however large
+        rng = np.random.default_rng(9)
+        for scale in (1.0, 1e3, 1e100):
+            W = rng.normal(size=(7, 8)) * scale
+            v = rng.normal(size=7) * scale
+            h, s = rng.normal(size=(2, 5, 4)) * scale
+            proj = rng.normal(size=(5, 1, 7)) * scale
+            weights, _ = _attend(W, v, h, s, proj)
+            assert weights.shape == (5, 1) and (weights == 1.0).all()
 
     def test_shape_validation(self):
         model, X, Y, _ = _instance(0)

@@ -1,4 +1,5 @@
 import json
+import pickle
 import re
 from datetime import date, timedelta
 from pathlib import Path
@@ -98,6 +99,18 @@ class TestStages:
         with pytest.raises(ExperimentError, match="stage 'ingest'") as err:
             run_experiment(config)
         assert err.value.stage == "ingest"
+
+    def test_error_survives_pickling(self, tmp_path):
+        # a process pool hands a worker's exception back pickled
+        config = _planted_config(NARRATIVES)
+        config["data"]["series"] = {"path": str(tmp_path / "missing.csv")}
+        with pytest.raises(ExperimentError) as err:
+            run_experiment(config)
+        for error in (ExperimentError("ingest", ValueError("x")), err.value):
+            copy = pickle.loads(pickle.dumps(error))
+            assert type(copy) is ExperimentError and str(copy) == str(error)
+            assert copy.stage == error.stage == "ingest"
+            assert type(copy.cause) is type(error.cause) and copy.cause.args == error.cause.args
 
     def test_malformed_tweet_line_names_ingest_stage(self, tmp_path):
         tweets = tmp_path / "tweets.jsonl"

@@ -116,6 +116,8 @@ DARNN_CONFIGS = {
 }
 DARNN_GOLDEN = REPORTS / "darnn.json"  # equal bit for bit on the same six kernel settings
 TWEETS_SEED = 3  # the synth seed of goldens/reports/tweets.jsonl
+# each set of regression configs with the golden file of its summaries
+REGRESSION_GOLDENS = ((REGRESSION_CONFIGS, REGRESSION_GOLDEN), (DARNN_CONFIGS, DARNN_GOLDEN))
 
 
 def _logistic_summary(name):
@@ -174,8 +176,7 @@ def test_logistic_classes_match_golden(name, monkeypatch):
 
 @pytest.mark.parametrize("configs, golden_file, name", [
     pytest.param(configs, golden_file, name, id=name)
-    for configs, golden_file in ((REGRESSION_CONFIGS, REGRESSION_GOLDEN), (DARNN_CONFIGS, DARNN_GOLDEN))
-    for name in sorted(configs)
+    for configs, golden_file in REGRESSION_GOLDENS for name in sorted(configs)
 ])
 def test_regression_predictions_match_golden(configs, golden_file, name, monkeypatch):
     monkeypatch.chdir(REPORTS)
@@ -202,6 +203,6 @@ if __name__ == "__main__":
     main(["synth", "--kind", "narratives", "--series", "series.csv",
           "--seed", str(TWEETS_SEED), "--out", "."])
     Path("run.log").unlink()
-    for configs, golden in ((REGRESSION_CONFIGS, REGRESSION_GOLDEN), (DARNN_CONFIGS, DARNN_GOLDEN)):
+    for configs, golden in REGRESSION_GOLDENS:
         summaries = {name: _regression_summary(configs[name]) for name in sorted(configs)}
         golden.write_text(json.dumps(summaries, indent=1) + "\n", encoding="utf-8")
