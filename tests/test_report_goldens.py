@@ -19,6 +19,9 @@ F-only `ridge`, `linear` and `lasso` fits move in the last digits too, so
 `goldens/reports/regression.json` keeps their predictions and MSEs with
 `as-previous` for comparison. Dates, model names and row counts must match
 exactly, and each float to a relative `REGRESSION_REL_TOL`.
+`goldens/reports/text_regression.json` does the same for the three models on
+T and TF inputs, whose text columns are the `sentiment-window` scores of
+`goldens/reports/tweets.jsonl`.
 
 `goldens/reports/darnn.json` keeps one small DA-RNN's predictions and MSE
 the same way, with `as-previous` for comparison. Its text drivers are the
@@ -96,10 +99,24 @@ REGRESSION_CONFIGS = {
     for horizon in (1, 7)
 }
 REGRESSION_GOLDEN = REPORTS / "regression.json"
-# Against the golden, the largest relative difference measured under
+TEXT_REGRESSION_CONFIGS = {
+    f"text-{task}-h{horizon}": {
+        "data": {"series": SERIES, "text": {"path": "tweets.jsonl"}},
+        "task": {"kind": task, "horizon": horizon},
+        "features": {"text": "sentiment-window"},
+        "models": [{"type": kind, "inputs": inputs}
+                   for kind in ("ridge", "linear", "lasso") for inputs in ("T", "TF")]
+                  + [{"type": "baseline", "kind": "as-previous"}],
+    }
+    for task in ("pct-change", "next-value")
+    for horizon in (1, 7)
+}
+TEXT_REGRESSION_GOLDEN = REPORTS / "text_regression.json"
+# Against the goldens, the largest relative difference measured under
 # OPENBLAS_CORETYPE Haswell, Sandybridge and Nehalem at 1 and 2 BLAS threads
-# was 2.3e-13 (Sandybridge, a `linear-F` prediction); the bound leaves a
-# margin of over 4,000 times that for other kernels.
+# was 2.3e-13 for F inputs (Sandybridge, a `linear-F` prediction) and 4.8e-13
+# for T and TF inputs (Nehalem, a `ridge-TF` prediction); the bound leaves a
+# margin of over 2,000 times that for other kernels.
 REGRESSION_REL_TOL = 1e-9
 
 DARNN_CONFIGS = {
@@ -117,7 +134,9 @@ DARNN_CONFIGS = {
 DARNN_GOLDEN = REPORTS / "darnn.json"  # equal bit for bit on the same six kernel settings
 TWEETS_SEED = 3  # the synth seed of goldens/reports/tweets.jsonl
 # each set of regression configs with the golden file of its summaries
-REGRESSION_GOLDENS = ((REGRESSION_CONFIGS, REGRESSION_GOLDEN), (DARNN_CONFIGS, DARNN_GOLDEN))
+REGRESSION_GOLDENS = ((REGRESSION_CONFIGS, REGRESSION_GOLDEN),
+                      (TEXT_REGRESSION_CONFIGS, TEXT_REGRESSION_GOLDEN),
+                      (DARNN_CONFIGS, DARNN_GOLDEN))
 
 
 def _logistic_summary(name):
