@@ -15,8 +15,8 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from . import __version__, ingest, sentiment, synthgen
-from .experiment import prepare, run_experiment
+from . import __version__, ingest, sentiment
+from .experiment import load_data, prepare, run_experiment
 from .harness import TASKS, EntryError, evaluate
 from .models import Standardized, fit_columns, model_from_doc, model_to_doc
 from .models.columns import COLUMN_MODELS
@@ -61,33 +61,26 @@ def _on_config(path: Path, action):
 
 def _cmd_ingest(args) -> int:
     out = Path(args.out)
-    summary = {}
-    if args.tweets:
-        corpus = ingest.preprocess(ingest.load_tweets(args.tweets, min_followers=args.min_followers))
+    config, series, corpus = _on_config(Path(args.config), load_data)
+    ingest.write_series_csv(series, out / "series.csv")
+    summary = {
+        "series": {"name": series.name, "points": len(series), "skipped_rows": series.skipped_rows},
+    }
+    logger.info("ingested %d series points", len(series))
+    if config["data"]["text"] is not None:
         ingest.write_tweets_jsonl(corpus, out / "tweets.jsonl")
         summary["tweets"] = {
             "records": len(corpus),
             "date_range": [d.isoformat() for d in corpus.date_range] if corpus.date_range else None,
         }
         logger.info("ingested %d tweets", len(corpus))
-    if args.series:
-        series = ingest.load_series(args.series, column=args.column, name=args.name)
-        ingest.write_series_csv(series, out / "series.csv")
-        summary["series"] = {
-            "name": series.name,
-            "points": len(series),
-            "skipped_rows": series.skipped_rows,
-        }
-        logger.info("ingested %d series points", len(series))
-    if not summary:
-        raise UsageError("nothing to ingest: pass --tweets and/or --series")
     _write_json(out / "ingest.json", summary)
     return 0
 
 
 def _cmd_features(args) -> int:
     out = Path(args.out)
-    _, matrix = _on_config(Path(args.config), prepare)
+    _, _, matrix = _on_config(Path(args.config), prepare)
     with (out / "features.csv").open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         width = matrix.X.shape[1]
@@ -187,33 +180,6 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def _cmd_synth(args) -> int:
-    out = Path(args.out)
-    if args.kind == "walk":
-        series = synthgen.gen_random_walk(n=args.n, sigma=args.sigma, v0=args.v0, seed=args.seed)
-        ingest.write_series_csv(series, out / "series.csv")
-        logger.info("wrote %d-point walk", len(series))
-        return 0
-    cfg = synthgen.SynthConfig(seed=args.seed, alignment_p=args.p, per_day=args.per_day)
-    if args.kind == "random-texts":
-        if not args.series:
-            raise UsageError("--series is required to know the date grid")
-        series = ingest.load_series(args.series, column=args.column)
-        corpus = synthgen.gen_random_texts(cfg, series.dates)
-    elif args.kind == "narratives":
-        if not args.series:
-            raise UsageError("--series is required for aligned narratives")
-        series = ingest.load_series(args.series, column=args.column)
-        corpus = synthgen.gen_synthetic_narratives(series, args.horizon, cfg)
-    else:  # shuffled
-        if not args.tweets:
-            raise UsageError("--tweets is required for shuffling")
-        corpus = synthgen.shuffle_dates(ingest.load_tweets(args.tweets), seed=args.seed)
-    ingest.write_tweets_jsonl(corpus, out / "tweets.jsonl")
-    logger.info("wrote %d synthetic tweets", len(corpus))
-    return 0
-
-
 def _cmd_analyze(args) -> int:
     corpus = ingest.preprocess(ingest.load_tweets(args.tweets))
     out = Path(args.out)
@@ -239,12 +205,16 @@ def _cmd_analyze(args) -> int:
 def _cmd_llm_analyze(args) -> int:
     from .narrative import LlmClient, LlmClientConfig, build_analysis_prompt
 
-    corpus = ingest.preprocess(ingest.load_tweets(args.tweets))
-    series = ingest.load_series(args.series, column=args.column, name=args.target)
-    aligned = ingest.align(corpus, series)
-    tweets_by_date = dict(zip(aligned.dates, map(list, aligned.tweets)))
-    values_by_date = dict(zip(aligned.dates, aligned.values))
-    prompt = build_analysis_prompt(tweets_by_date, values_by_date, target=args.target)
+    def config_prompt(config):
+        config, series, corpus = load_data(config)
+        aligned = ingest.align(corpus, series)
+        tweets_by_date = dict(zip(aligned.dates, map(list, aligned.tweets)))
+        values_by_date = dict(zip(aligned.dates, aligned.values))
+        target = config["task"]["target"]
+        return build_analysis_prompt(tweets_by_date, values_by_date,
+                                     target=series.name if target is None else target)
+
+    prompt = _on_config(Path(args.config), config_prompt)
     client = LlmClient(
         LlmClientConfig(
             endpoint=args.endpoint,
@@ -306,12 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
     verbose = argparse.ArgumentParser(add_help=False)
     verbose.add_argument("-v", "--verbose", action="count", default=0)
 
-    p = sub.add_parser("ingest", help="load and preprocess tweets and/or a series", parents=[verbose])
-    p.add_argument("--tweets")
-    p.add_argument("--series")
-    p.add_argument("--column", default="value")
-    p.add_argument("--name")
-    p.add_argument("--min-followers", type=int, default=0)
+    p = sub.add_parser("ingest", help="load an experiment config's series and text",
+                       parents=[verbose])
+    p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_ingest)
 
@@ -340,21 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_evaluate)
 
-    p = sub.add_parser("synth", help="generate synthetic corpora or series", parents=[verbose])
-    p.add_argument("--kind", required=True, choices=["random-texts", "narratives", "shuffled", "walk"])
-    p.add_argument("--series")
-    p.add_argument("--column", default="value")
-    p.add_argument("--tweets")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--p", type=float, default=1.0)
-    p.add_argument("--per-day", type=int, default=3)
-    p.add_argument("--horizon", type=int, default=1)
-    p.add_argument("--n", type=int, default=500)
-    p.add_argument("--sigma", type=float, default=0.01)
-    p.add_argument("--v0", type=float, default=100.0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_synth)
-
     p = sub.add_parser("analyze", help="corpus analyses (word frequency, sentiment histogram)")
     what = p.add_subparsers(dest="what", required=True)
     freq = what.add_parser("freq", help="term frequency timeline", parents=[verbose])
@@ -370,10 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     hist.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("llm-analyze", help="request a cached narrative analysis", parents=[verbose])
-    p.add_argument("--tweets", required=True)
-    p.add_argument("--series", required=True)
-    p.add_argument("--column", default="value")
-    p.add_argument("--target", required=True)
+    p.add_argument("--config", required=True)
     p.add_argument("--endpoint", required=True)
     p.add_argument("--model", default="gpt-3.5-turbo")
     p.add_argument("--cache-dir")

@@ -1,10 +1,10 @@
 """End-to-end experiment runner: config in, persisted report out.
 
-A config names the data sources, feature pipeline, task, model list and
-seed. The run is fully deterministic given the config (external LLM
-calls are out of scope here; text either comes from files or from the
-seeded generators). Reports serialize with sorted keys and no
-timestamps so identical runs are byte-identical.
+A config names the data sources, feature pipeline, task and model list;
+`load_data` is the one reader of its data. The run is fully deterministic
+given the config (external LLM calls are out of scope here; text either
+comes from files or from the seeded generators). Reports serialize with
+sorted keys and no timestamps so identical runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -285,7 +285,9 @@ INPUTS = ("TF", "T", "F")
 # also takes null. A function default derives the value from the keys above
 # it. A data spec maps each source to its own table, and the
 # first source it names, in table order, picks the table. The run reads no
-# other key, so any other key is a typo that would change nothing.
+# other key, so any other key is a typo that would change nothing. Nothing
+# reads the top-level `seed` either: it enters only config_hash, and each
+# generator and model takes its own.
 SCHEMA = {
     "": {"seed": (int, 0), "data": (dict, REQUIRED), "task": (dict, {}), "features": (dict, {}),
          "models": (list, []), "eval": (dict, {})},
@@ -428,33 +430,34 @@ def resolve_config(config: dict) -> dict:
 # -- runner ---------------------------------------------------------------
 
 
-def prepare(config: dict) -> tuple[AlignedDataset, FeatureMatrix]:
-    """Check a config, ingest and align its data, label it and build its features."""
+def load_data(config: dict) -> tuple[dict, FinancialSeries, TweetCorpus]:
+    """`config` resolved at stage 'config', then its series and text loaded
+    at stage 'ingest', before alignment: the one reader of a `data` section."""
     with _stage("config"):
         config = resolve_config(config)
-    return _ingest_and_features(config)
-
-
-def _ingest_and_features(config: dict) -> tuple[AlignedDataset, FeatureMatrix]:
-    task = config["task"]
     with _stage("ingest"):
         series = _load_series(config["data"]["series"])
-        corpus = _load_text(config["data"]["text"], series, task["horizon"])
+        corpus = _load_text(config["data"]["text"], series, config["task"]["horizon"])
+    return config, series, corpus
+
+
+def prepare(config: dict) -> tuple[dict, AlignedDataset, FeatureMatrix]:
+    """`config` resolved, its data loaded and aligned, labelled and made into features."""
+    config, series, corpus = load_data(config)
+    task = config["task"]
+    with _stage("ingest"):
         aligned = ingest.align(corpus, series)
 
     with _stage("features"):
         labels = make_labels(aligned, task["kind"], task["horizon"])
         matrix = build_features(aligned, labels, config["features"])
-    return aligned, matrix
+    return config, aligned, matrix
 
 
 def run_experiment(config: dict, out_dir: str | Path | None = None) -> ExperimentReport:
     chash = config_hash(config)
-    with _stage("config"):
-        resolved = resolve_config(config)
+    resolved, aligned, matrix = prepare(config)
     task, horizon, target = (resolved["task"][key] for key in ("kind", "horizon", "target"))
-
-    aligned, matrix = _ingest_and_features(resolved)
 
     with _stage("split"):
         n_rows = len(matrix.dates)

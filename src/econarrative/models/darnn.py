@@ -6,8 +6,8 @@ conditioned on its own LSTM state; a decoder then attends over the T
 encoder hidden states (temporal attention), combines the context vector
 with the target history, and a final affine map emits a scalar. With one
 driver (n = 1) the input attention is a softmax over one item, exactly
-1.0, so the encoder skips it: the results are the same bit for bit, and
-the att_in_* gradients are exactly 0.
+1.0, so the encoder skips it and the model has no att_in_* tensors: the
+results are the same bit for bit.
 
 All gradients are derived by hand and verified against central finite
 differences (see gradient_check); training is plain mini-batch gradient
@@ -125,11 +125,15 @@ class AttentionRnn:
             r = 1.0 / np.sqrt(fan)
             return rng.uniform(-r, r, size=shape)
 
-        params = {
-            # input attention over the n drivers
+        # input attention over the n drivers: drawn for one driver too, so the
+        # other tensors take the same values for any n, but kept only for n > 1
+        att_in = {
             "att_in_W": uniform((T, 2 * m), 2 * m),
             "att_in_U": uniform((T, T), T),
             "att_in_v": uniform((T,), T),
+        }
+        params = {
+            **(att_in if n > 1 else {}),
             # encoder LSTM, gates stacked [i, f, o, g]
             "enc_W": uniform((4 * m, m + n), m + n),
             "enc_b": np.zeros(4 * m),
@@ -304,7 +308,7 @@ class AttentionRnn:
                 P["enc_W"], grads["enc_W"], grads["enc_b"], cell, g_h + g_H[:, t, :], g_s
             )
             g_h = g_in[:, :m]
-            if att is None:  # one driver: no input attention, whose gradients stay 0
+            if att is None:  # one driver: no input attention
                 continue
             g_proj, g_z = _attend_backward(
                 P["att_in_W"], P["att_in_v"], grads["att_in_W"], grads["att_in_v"], att,

@@ -17,7 +17,7 @@ README = Path(__file__).parent.parent / "README.md"
 
 SUBCOMMANDS = [
     "ingest", "features", "train", "predict", "evaluate",
-    "synth", "analyze", "llm-analyze", "experiment",
+    "analyze", "llm-analyze", "experiment",
 ]
 
 
@@ -55,28 +55,33 @@ class TestParser:
         assert main(["frobnicate"]) == 1
 
     def test_unknown_flag_is_usage_error(self):
-        assert main(["synth", "--kind", "walk", "--out", "x", "--bogus"]) == 1
+        assert main(["ingest", "--config", "c", "--out", "x", "--bogus"]) == 1
 
     @pytest.mark.parametrize("argv", [
         ["features", "--out", "o"],  # --config is required
         ["features", "--config", "c", "--series", "s", "--out", "o"],
         ["features", "--config", "c", "--kind", "none", "--out", "o"],
         ["baseline", "--kind", "up", "--series", "s", "--out", "o"],
+        ["synth", "--kind", "walk", "--out", "o"],
+        ["ingest", "--out", "o"],  # --config is required
+        ["ingest", "--tweets", "t", "--out", "o"],
+        ["ingest", "--config", "c", "--series", "s", "--out", "o"],
+        ["llm-analyze", "--tweets", "t", "--series", "s", "--target", "VIX",
+         "--endpoint", "e", "--out", "o"],
+        ["llm-analyze", "--config", "c", "--target", "VIX", "--endpoint", "e", "--out", "o"],
     ])
     def test_removed_and_missing_options_are_usage_errors(self, argv):
         assert main(argv) == 1
 
     @pytest.mark.parametrize("argv", [
-        ["ingest", "--out", "o"],
+        ["ingest", "--config", "c", "--out", "o"],
         ["features", "--config", "c", "--out", "o"],
         ["train", "--features", "f", "--out", "o"],
         ["predict", "--model", "m", "--features", "f", "--out", "o"],
         ["evaluate", "--predictions", "p"],
-        ["synth", "--kind", "walk", "--out", "o"],
         ["analyze", "freq", "--tweets", "t", "--term", "x", "--out", "o"],
         ["analyze", "sent-hist", "--tweets", "t", "--out", "o"],
-        ["llm-analyze", "--tweets", "t", "--series", "s", "--target", "VIX",
-         "--endpoint", "e", "--out", "o"],
+        ["llm-analyze", "--config", "c", "--endpoint", "e", "--out", "o"],
         ["experiment", "--config", "c", "--out", "o"],
     ])
     def test_every_subcommand_takes_verbosity(self, argv):
@@ -113,47 +118,69 @@ class TestReadme:
         assert {shlex.split(line)[1] for line in _readme_commands()} == set(SUBCOMMANDS)
 
 
-class TestSynth:
+class TestIngestCommand:
+    """`ingest --config` writes the data of a config as the run loads it."""
+
+    def _ingest(self, tmp_path, data, out):
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps({"data": data}), encoding="utf-8")
+        return main(["ingest", "--config", str(config), "--out", str(tmp_path / out)])
+
     def test_walk_deterministic_across_runs(self, tmp_path):
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        args = ["synth", "--kind", "walk", "--n", "50", "--seed", "7"]
-        assert main(args + ["--out", str(out_a)]) == 0
-        assert main(args + ["--out", str(out_b)]) == 0
-        assert (out_a / "series.csv").read_bytes() == (out_b / "series.csv").read_bytes()
+        data = {"series": {"random_walk": {"n": 50, "sigma": 0.01, "seed": 7}}}
+        assert self._ingest(tmp_path, data, "a") == 0
+        assert self._ingest(tmp_path, data, "b") == 0
+        assert (tmp_path / "a" / "series.csv").read_bytes() == (
+            tmp_path / "b" / "series.csv"
+        ).read_bytes()
+        assert not (tmp_path / "a" / "tweets.jsonl").exists()  # the config states no text
+        summary = json.loads((tmp_path / "a" / "ingest.json").read_text())
+        assert summary == {"series": {"name": "SYNTH", "points": 50, "skipped_rows": 0}}
 
     def test_narratives_deterministic(self, tmp_path):
         series = _write_walk_csv(tmp_path / "series.csv")
-        args = ["synth", "--kind", "narratives", "--p", "1.0", "--seed", "7",
-                "--series", str(series)]
-        assert main(args + ["--out", str(tmp_path / "a")]) == 0
-        assert main(args + ["--out", str(tmp_path / "b")]) == 0
+        data = {"series": {"path": str(series)},
+                "text": {"synthetic_narratives": {"p": 1.0, "seed": 7}}}
+        assert self._ingest(tmp_path, data, "a") == 0
+        assert self._ingest(tmp_path, data, "b") == 0
         assert (tmp_path / "a" / "tweets.jsonl").read_bytes() == (
             tmp_path / "b" / "tweets.jsonl"
         ).read_bytes()
 
-    def test_narratives_requires_series(self, tmp_path):
-        assert main(["synth", "--kind", "narratives", "--out", str(tmp_path)]) == 1
+    def test_narratives_require_a_series(self, tmp_path, capsys):
+        assert self._ingest(tmp_path, {"text": {"synthetic_narratives": {}}}, "o") == 2
+        err = capsys.readouterr().err
+        assert f"error: {tmp_path / 'exp.json'}: stage 'config': section 'data' is missing" in err
+
+    def test_writes_summary(self, tmp_path, write_jsonl):
+        tweets = write_jsonl(
+            [{"id": "1", "date": "2021-01-04", "text": "markets up", "followers": 5000},
+             {"id": "2", "date": "2021-01-05", "text": "markets up", "followers": 10}]
+        )
+        series = _write_walk_csv(tmp_path / "series.csv", n=10)
+        data = {"series": {"path": str(series), "name": "IDX"},
+                "text": {"path": str(tweets), "min_followers": 100}}
+        assert self._ingest(tmp_path, data, "out") == 0
+        out = tmp_path / "out"
+        summary = json.loads((out / "ingest.json").read_text())
+        assert summary == {
+            "series": {"name": "IDX", "points": 10, "skipped_rows": 0},
+            "tweets": {"records": 1, "date_range": ["2021-01-04", "2021-01-04"]},
+        }
+        assert (out / "tweets.jsonl").read_text().count("\n") == 1
+        assert (out / "run.log").exists()
+
+    def test_missing_file_is_runtime_error(self, tmp_path, capsys):
+        series = _write_walk_csv(tmp_path / "series.csv", n=10)
+        missing = tmp_path / "nope.jsonl"
+        data = {"series": {"path": str(series)}, "text": {"path": str(missing)}}
+        assert self._ingest(tmp_path, data, "o") == 2
+        err = capsys.readouterr().err
+        assert f"error: {tmp_path / 'exp.json'}: stage 'ingest': tweet file not found: {missing}" in err
+        assert not (tmp_path / "o" / "ingest.json").exists()
 
 
 class TestPipelineCommands:
-    def test_ingest_writes_summary(self, tmp_path, write_jsonl):
-        tweets = write_jsonl(
-            [{"id": "1", "date": "2021-01-04", "text": "markets up", "followers": 5000}]
-        )
-        out = tmp_path / "out"
-        assert main(["ingest", "--tweets", str(tweets), "--out", str(out)]) == 0
-        summary = json.loads((out / "ingest.json").read_text())
-        assert summary["tweets"]["records"] == 1
-        assert (out / "run.log").exists()
-
-    def test_ingest_without_inputs_is_usage_error(self, tmp_path):
-        assert main(["ingest", "--out", str(tmp_path / "o")]) == 1
-
-    def test_missing_file_is_runtime_error(self, tmp_path):
-        code = main(["ingest", "--tweets", str(tmp_path / "nope.jsonl"),
-                     "--out", str(tmp_path / "o")])
-        assert code == 2
-
     def test_features_train_predict_evaluate_chain(self, tmp_path):
         series = _write_walk_csv(tmp_path / "series.csv")
         feat_dir = tmp_path / "features"
@@ -714,6 +741,8 @@ class TestErrorReport:
 
 class TestLlmAnalyzeCommand:
     def test_against_stub(self, tmp_path, write_jsonl, stub_server):
+        from econarrative.narrative import LlmClient, LlmClientConfig, build_analysis_prompt
+
         stub_server.state.set_chat_content(
             "<Analysis of Tweets>worry about rates</Analysis of Tweets>\n"
             "<Potential Effects on VIX>may rise</Potential Effects on VIX>"
@@ -722,13 +751,48 @@ class TestLlmAnalyzeCommand:
             [{"id": "1", "date": "2021-01-04", "text": "rates will rise", "followers": 5000}]
         )
         series = _write_walk_csv(tmp_path / "series.csv", n=10)
+        config = _series_config(tmp_path / "exp.json", series, data={"text": {"path": str(tweets)}},
+                                task={"target": "VIX"})
         out = tmp_path / "out"
         code = main([
-            "llm-analyze", "--tweets", str(tweets), "--series", str(series),
-            "--target", "VIX", "--endpoint", stub_server.url,
+            "llm-analyze", "--config", str(config), "--endpoint", stub_server.url,
             "--cache-dir", str(tmp_path / "cache"), "--out", str(out),
         ])
         assert code == 0
         payload = json.loads((out / "analysis.json").read_text())
         assert payload["tweet_analysis"] == "worry about rates"
         assert stub_server.calls == 1
+        # the key of the prompt over the same data, aligned by hand
+        aligned = ingest.align(ingest.preprocess(ingest.load_tweets(tweets)),
+                               ingest.load_series(series))
+        prompt = build_analysis_prompt(dict(zip(aligned.dates, map(list, aligned.tweets))),
+                                       dict(zip(aligned.dates, aligned.values)), target="VIX")
+        client = LlmClient(LlmClientConfig(endpoint=stub_server.url, model="gpt-3.5-turbo"))
+        assert payload["cache_key"] == client.cache_key(prompt.text)
+
+    def test_target_defaults_to_the_series_name(self, tmp_path, write_jsonl, stub_server):
+        stub_server.state.set_chat_content(
+            "<Analysis of Tweets>a</Analysis of Tweets>\n<Potential Effects on VIX>b</Potential Effects on VIX>"
+        )
+        tweets = write_jsonl(
+            [{"id": "1", "date": "2021-01-04", "text": "rates will rise", "followers": 5000}]
+        )
+        series = _write_walk_csv(tmp_path / "series.csv", n=10)
+        keys = []
+        for i, sections in enumerate([{"task": {"target": "VIX"}},
+                                      {"data": {"series": {"path": str(series), "name": "VIX"}}}]):
+            data = {"text": {"path": str(tweets)}, **sections.pop("data", {})}
+            config = _series_config(tmp_path / f"exp{i}.json", series, data=data, **sections)
+            out = tmp_path / f"out{i}"
+            assert main(["llm-analyze", "--config", str(config), "--endpoint", stub_server.url,
+                         "--out", str(out)]) == 0
+            keys.append(json.loads((out / "analysis.json").read_text())["cache_key"])
+        assert keys[0] == keys[1]
+
+    def test_config_errors_name_the_file(self, tmp_path, capsys):
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps({"data": {"series": {"path": "s.csv"}}, "task": {"horizn": 1}}))
+        assert main(["llm-analyze", "--config", str(config), "--endpoint", "http://127.0.0.1:9/",
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {config}: stage 'config': unknown config key 'horizn'" in err

@@ -25,9 +25,10 @@ T and TF inputs, whose text columns are the `sentiment-window` scores of
 
 `goldens/reports/darnn.json` keeps one small DA-RNN's predictions and MSE
 the same way, with `as-previous` for comparison. Its text drivers are the
-`sentiment-window` scores of `goldens/reports/tweets.jsonl`, which
-`econarrative synth --kind narratives --series series.csv --seed 3` writes
-over the walk.
+`sentiment-window` scores of `goldens/reports/tweets.jsonl`: the planted
+narratives over the walk at seed `TWEETS_SEED`, which `econarrative ingest`
+writes from a config whose text is
+`{"synthetic_narratives": {"seed": 3}}`.
 
 To rewrite the goldens after a deliberate change of output, run
 `PYTHONPATH=src python tests/test_report_goldens.py` from the repository root.
@@ -35,6 +36,7 @@ To rewrite the goldens after a deliberate change of output, run
 
 import json
 import os
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -132,7 +134,7 @@ DARNN_CONFIGS = {
     }
 }
 DARNN_GOLDEN = REPORTS / "darnn.json"  # equal bit for bit on the same six kernel settings
-TWEETS_SEED = 3  # the synth seed of goldens/reports/tweets.jsonl
+TWEETS_SEED = 3  # the `synthetic_narratives` seed of goldens/reports/tweets.jsonl
 # each set of regression configs with the golden file of its summaries
 REGRESSION_GOLDENS = ((REGRESSION_CONFIGS, REGRESSION_GOLDEN),
                       (TEXT_REGRESSION_CONFIGS, TEXT_REGRESSION_GOLDEN),
@@ -164,6 +166,16 @@ def _write(name, out_dir):
     run_experiment(CONFIGS[name], out_dir=out_dir)
 
 
+def _write_tweets(out_dir, config_dir):
+    """`econarrative ingest` over the walk with planted narratives at
+    TWEETS_SEED, its config saved in `config_dir`."""
+    config = Path(config_dir) / "tweets.json"
+    data = {"series": {"path": "series.csv"},
+            "text": {"synthetic_narratives": {"seed": TWEETS_SEED}}}
+    config.write_text(json.dumps({"data": data}), encoding="utf-8")
+    return main(["ingest", "--config", str(config), "--out", str(out_dir)])
+
+
 def _write_features(out_dir, config_dir):
     """`econarrative features` over the `direction-window` config, saved in `config_dir`."""
     config = Path(config_dir) / "direction-window.json"
@@ -184,6 +196,12 @@ def test_direction_window_features_match_golden(tmp_path, monkeypatch):
     assert _write_features(tmp_path, tmp_path) == 0
     golden = REPORTS / "direction-window" / "features.csv"
     assert (tmp_path / "features.csv").read_bytes() == golden.read_bytes()
+
+
+def test_ingest_writes_the_golden_tweets(tmp_path, monkeypatch):
+    monkeypatch.chdir(REPORTS)
+    assert _write_tweets(tmp_path, tmp_path) == 0
+    assert (tmp_path / "tweets.jsonl").read_bytes() == (REPORTS / "tweets.jsonl").read_bytes()
 
 
 @pytest.mark.parametrize("name", sorted(LOGISTIC_CONFIGS))
@@ -219,9 +237,10 @@ if __name__ == "__main__":
     Path("direction-window", "run.log").unlink()
     summaries = {name: _logistic_summary(name) for name in sorted(LOGISTIC_CONFIGS)}
     LOGISTIC_GOLDEN.write_text(json.dumps(summaries, indent=1) + "\n", encoding="utf-8")
-    main(["synth", "--kind", "narratives", "--series", "series.csv",
-          "--seed", str(TWEETS_SEED), "--out", "."])
-    Path("run.log").unlink()
+    # only tweets.jsonl: ingest also rewrites series.csv, with CRLF line ends
+    with tempfile.TemporaryDirectory() as work:
+        _write_tweets(work, work)
+        shutil.copyfile(Path(work) / "tweets.jsonl", "tweets.jsonl")
     for configs, golden in REGRESSION_GOLDENS:
         summaries = {name: _regression_summary(configs[name]) for name in sorted(configs)}
         golden.write_text(json.dumps(summaries, indent=1) + "\n", encoding="utf-8")

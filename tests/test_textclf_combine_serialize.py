@@ -109,7 +109,7 @@ class TestCombineFeatures:
     attention RNN."""
 
     def test_concat_dimensions(self):
-        aligned, matrix = prepare(_walk_config(SENTIMENT_AND_VALUES))
+        _, aligned, matrix = prepare(_walk_config(SENTIMENT_AND_VALUES))
         assert matrix.X.shape == (len(matrix.dates), 14)
         assert (matrix.t_columns, matrix.f_columns) == (slice(0, 7), slice(7, 14))
         i = aligned.index_of(matrix.dates[0])
@@ -118,7 +118,7 @@ class TestCombineFeatures:
     def test_zeroed_text_block_matches_financial_only(self):
         # a combined-input linear model scored with a zeroed text block
         # equals the same weights applied to the financial block alone
-        _, matrix = prepare(_walk_config(SENTIMENT_AND_VALUES))
+        _, _, matrix = prepare(_walk_config(SENTIMENT_AND_VALUES))
         X = matrix.X
         y = np.array(matrix.labels, dtype=float)
         model = fit_linear(X, y, reg="l2", lam=0.1)
@@ -175,6 +175,22 @@ class TestSerialization:
         rng = np.random.default_rng(0)
         X, Y = rng.normal(size=(3, 4, 2)), rng.normal(size=(3, 4))
         assert np.array_equal(restored.forward(X, Y), model.forward(X, Y))
+
+    def test_one_driver_attention_rnn_round_trip_bit_exact(self):
+        model = AttentionRnn.init(T=7, n=1, m=3, p=4, seed=5)
+        doc = json.loads(json.dumps(model_to_doc(model)))
+        assert not any(name.startswith("att_in_") for name in doc["parameters"])
+        restored = model_from_doc(doc)
+        assert sorted(restored.params) == sorted(model.params)
+        assert all(np.array_equal(restored.params[k], model.params[k]) for k in model.params)
+        rng = np.random.default_rng(1)
+        X, Y = rng.normal(size=(3, 7, 1)), rng.normal(size=(3, 7))
+        assert np.array_equal(restored.forward(X, Y), model.forward(X, Y))
+        # a doc from before one-driver models dropped their input attention
+        doc["parameters"]["att_in_v"] = model_to_doc(
+            AttentionRnn.init(T=7, n=2, m=3, p=4))["parameters"]["att_in_v"]
+        with pytest.raises(ValueError, match="unknown tensor 'att_in_v'"):
+            model_from_doc(doc)
 
     def test_older_attention_rnn_doc_reads_bit_exact_without_its_config(self):
         # written by an earlier model_to_doc, which also saved the seed of the
