@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__, ingest, sentiment
-from .experiment import load_data, prepare, run_experiment
+from .experiment import align_data, load_data, prepare, run_experiment
 from .harness import TASKS, EntryError, evaluate
 from .models import Standardized, fit_columns, model_from_doc, model_to_doc
 from .models.columns import COLUMN_MODELS
@@ -206,13 +206,12 @@ def _cmd_llm_analyze(args) -> int:
     from .narrative import LlmClient, LlmClientConfig, build_analysis_prompt
 
     def config_prompt(config):
-        config, series, corpus = load_data(config)
-        aligned = ingest.align(corpus, series)
+        config, aligned = align_data(config)
         tweets_by_date = dict(zip(aligned.dates, map(list, aligned.tweets)))
         values_by_date = dict(zip(aligned.dates, aligned.values))
         target = config["task"]["target"]
         return build_analysis_prompt(tweets_by_date, values_by_date,
-                                     target=series.name if target is None else target)
+                                     target=aligned.indicator if target is None else target)
 
     prompt = _on_config(Path(args.config), config_prompt)
     client = LlmClient(

@@ -441,13 +441,17 @@ def load_data(config: dict) -> tuple[dict, FinancialSeries, TweetCorpus]:
     return config, series, corpus
 
 
+def align_data(config: dict) -> tuple[dict, AlignedDataset]:
+    """`config` resolved and its data loaded and aligned, all as the run does."""
+    config, series, corpus = load_data(config)
+    with _stage("ingest"):
+        return config, ingest.align(corpus, series)
+
+
 def prepare(config: dict) -> tuple[dict, AlignedDataset, FeatureMatrix]:
     """`config` resolved, its data loaded and aligned, labelled and made into features."""
-    config, series, corpus = load_data(config)
+    config, aligned = align_data(config)
     task = config["task"]
-    with _stage("ingest"):
-        aligned = ingest.align(corpus, series)
-
     with _stage("features"):
         labels = make_labels(aligned, task["kind"], task["horizon"])
         matrix = build_features(aligned, labels, config["features"])

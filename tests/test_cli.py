@@ -789,10 +789,16 @@ class TestLlmAnalyzeCommand:
             keys.append(json.loads((out / "analysis.json").read_text())["cache_key"])
         assert keys[0] == keys[1]
 
-    def test_config_errors_name_the_file(self, tmp_path, capsys):
-        config = tmp_path / "exp.json"
-        config.write_text(json.dumps({"data": {"series": {"path": "s.csv"}}, "task": {"horizn": 1}}))
+    @pytest.mark.parametrize("sections, problem", [
+        ({"task": {"horizn": 1}}, "stage 'config': unknown config key 'horizn' in section 'task'"),
+        ({}, "stage 'ingest': tweet corpus and series date ranges do not overlap"),
+    ])
+    def test_errors_name_the_config_and_stage(self, tmp_path, capsys, write_jsonl, sections,
+                                              problem):
+        tweets = write_jsonl([{"id": "1", "date": "2022-01-04", "text": "x", "followers": 1}])
+        series = _write_walk_csv(tmp_path / "series.csv", n=10)  # 2021 only
+        config = _series_config(tmp_path / "exp.json", series, data={"text": {"path": str(tweets)}},
+                                **sections)
         assert main(["llm-analyze", "--config", str(config), "--endpoint", "http://127.0.0.1:9/",
                      "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert f"error: {config}: stage 'config': unknown config key 'horizn'" in err
+        assert f"error: {config}: {problem}" in capsys.readouterr().err
