@@ -11,7 +11,9 @@ results are the same bit for bit.
 
 All gradients are derived by hand and verified against central finite
 differences (see gradient_check); training is plain mini-batch gradient
-descent on the mean squared error.
+descent on the mean squared error. Every contraction, forward and
+backward, is a matrix product (@), and training updates and checks all
+tensors as one flat vector.
 
 Shapes: drivers (B, T, n), target history (B, T), labels (B,). The
 forward pass and the loss also take params stacked along a leading axis,
@@ -92,7 +94,7 @@ def _attend_backward(W, v, g_W, g_v, att, g_weights):
     [h; s]."""
     z, G, weights = att
     g_E = weights * (g_weights - (g_weights * weights).sum(axis=1, keepdims=True))
-    g_v += np.einsum("bk,bkd->d", g_E, G)
+    g_v += g_E.reshape(-1) @ G.reshape(-1, G.shape[-1])
     g_G = g_E[:, :, None] * v[None, None, :]
     g_proj = g_G * (1.0 - G * G)
     g_state = g_proj.sum(axis=1)
@@ -161,7 +163,7 @@ class AttentionRnn:
         if X.ndim != 3 or X.shape[1:] != (self.T, self.n):
             raise ValueError(f"drivers must have shape (B, {self.T}, {self.n}), got {X.shape}")
         if Y.shape != X.shape[:2]:
-            raise ValueError(f"target history must have shape (B, {self.T}), got {Y.shape}")
+            raise ValueError(f"target history must have shape {X.shape[:2]}, got {Y.shape}")
 
     def forward(self, X, Y, want_cache: bool = False):
         X = np.asarray(X, dtype=float)
@@ -184,8 +186,8 @@ class AttentionRnn:
         X_lead = np.broadcast_to(X, (*lead, *X.shape))
 
         # driver-series projection, shared by every encoder step
-        att_in_proj = None if one_driver else np.einsum(
-            "...ts,bsk->...bkt", P["att_in_U"], X)  # (B, n, T)
+        att_in_proj = None if one_driver else (
+            X.swapaxes(1, 2) @ P["att_in_U"][..., None, :, :].swapaxes(-1, -2))  # (B, n, T)
 
         h = np.zeros((*lead, B, m))
         s = np.zeros((*lead, B, m))
@@ -201,7 +203,7 @@ class AttentionRnn:
             enc_steps.append((att, cell))
             H[..., t, :] = h
 
-        att_tm_proj = np.einsum("...mj,...btj->...btm", P["att_tm_U"], H)   # (B, T, m)
+        att_tm_proj = H @ P["att_tm_U"][..., None, :, :].swapaxes(-1, -2)  # (B, T, m)
 
         dh = np.zeros((*lead, B, p))
         ds = np.zeros((*lead, B, p))
@@ -210,7 +212,7 @@ class AttentionRnn:
         Y_lead = np.broadcast_to(Y, (*lead, *Y.shape))
         for t in range(T):
             beta, att = _attend(P["att_tm_W"], P["att_tm_v"], dh, ds, att_tm_proj)
-            context = np.einsum("...bt,...btm->...bm", beta, H)
+            context = (beta[..., None, :] @ H)[..., 0, :]
             mix_in = np.concatenate([Y_lead[..., t:t + 1], context], axis=-1)  # (B, 1+m)
             y_mix = (mix_in @ P["mix_w"][..., None])[..., 0] + P["mix_b"]  # (B,)
             dh, ds, cell = _lstm(P["dec_W"], P["dec_b"], dh, ds, y_mix[..., None])
@@ -284,7 +286,7 @@ class AttentionRnn:
             if t == T - 1:
                 g_context = g_context + g_context_out
 
-            g_beta = np.einsum("bm,btm->bt", g_context, H)
+            g_beta = (H @ g_context[:, :, None])[:, :, 0]
             g_H += att[2][:, :, None] * g_context[:, None, :]  # att[2]: the step's beta
             g_proj, g_z = _attend_backward(
                 P["att_tm_W"], P["att_tm_v"], grads["att_tm_W"], grads["att_tm_v"], att, g_beta
@@ -294,8 +296,9 @@ class AttentionRnn:
             g_ds = g_ds_prev + g_z[:, p:]
 
         # shared temporal projection: att_tm_proj = H @ att_tm_U.T
-        grads["att_tm_U"] += np.einsum("btm,btj->mj", g_att_tm_proj, H)
-        g_H += np.einsum("btm,mj->btj", g_att_tm_proj, P["att_tm_U"])
+        g_proj_rows = g_att_tm_proj.reshape(-1, m)
+        grads["att_tm_U"] += g_proj_rows.T @ H.reshape(-1, m)
+        g_H += (g_proj_rows @ P["att_tm_U"]).reshape(H.shape)
 
         X = cache["X"]
         g_h = np.zeros((B, m))
@@ -320,7 +323,7 @@ class AttentionRnn:
 
         if self.n > 1:
             # shared driver projection: att_in_proj[b,k,t] = sum_s att_in_U[t,s] X[b,s,k]
-            grads["att_in_U"] += np.einsum("bkt,bsk->ts", g_att_in_proj, X)
+            grads["att_in_U"] += g_att_in_proj.reshape(-1, T).T @ X.swapaxes(1, 2).reshape(-1, T)
 
         return loss, grads
 
@@ -340,8 +343,11 @@ def train_darnn(
     epoch_mse records each epoch's training loss: the mean of the epoch's
     minibatch MSEs weighted by batch size, each taken before its update.
     No separate full-data pass is run; the loss feeds no update, so the
-    trained parameters do not depend on it. Raises DivergenceError on a
-    non-finite batch loss or parameter.
+    trained parameters do not depend on it. The trained tensors are views
+    of one contiguous vector, which each batch updates and checks for
+    finiteness as a whole. Raises ValueError unless there is at least one
+    sample and one label per sample, and DivergenceError on a non-finite
+    batch loss or parameter.
     """
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
@@ -352,9 +358,21 @@ def train_darnn(
     X = np.asarray(drivers, dtype=float)
     Y = np.asarray(target_history, dtype=float)
     labels = np.asarray(labels, dtype=float)
-    trained = replace(model, params={k: v.copy() for k, v in model.params.items()}, epoch_mse=[])
-    rng = np.random.default_rng(seed)
+    model._check_shapes(X, Y)
     n_samples = X.shape[0]
+    if labels.shape != (n_samples,):
+        raise ValueError(f"labels must have shape ({n_samples},) for drivers of shape "
+                         f"{X.shape}, got {labels.shape}")
+    if n_samples < 1:
+        raise ValueError(f"training needs at least one sample, got drivers of shape {X.shape} "
+                         f"and labels of shape {labels.shape}")
+    # one contiguous copy of every tensor; the trained params are views of it
+    flat = np.concatenate([value.reshape(-1) for value in model.params.values()])
+    ends = np.cumsum([value.size for value in model.params.values()])
+    params = {key: part.reshape(value.shape) for (key, value), part
+              in zip(model.params.items(), np.split(flat, ends[:-1]))}
+    trained = replace(model, params=params, epoch_mse=[])
+    rng = np.random.default_rng(seed)
     for epoch in range(1, epochs + 1):
         order = rng.permutation(n_samples)
         total = 0.0
@@ -363,9 +381,8 @@ def train_darnn(
             loss, grads = trained.loss_and_grads(X[idx], Y[idx], labels[idx])
             if not np.isfinite(loss):
                 raise DivergenceError(f"training diverged at epoch {epoch}")
-            for key, grad in grads.items():
-                trained.params[key] -= learning_rate * grad
-            if not all(np.isfinite(value).all() for value in trained.params.values()):
+            flat -= learning_rate * np.concatenate([grads[key].reshape(-1) for key in params])
+            if not np.isfinite(flat).all():
                 raise DivergenceError(f"training diverged at epoch {epoch}")
             total += loss * len(idx)
         trained.epoch_mse.append(total / n_samples)

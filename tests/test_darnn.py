@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -91,7 +92,26 @@ class TestGradientCheck:
         assert abs(float(grads["out_c"][0])) < 1e-12
 
 
+def _scaled_copies(model, K, seed):
+    """K copies of the parameters, each entry scaled by its own 1 + 0.1 N(0, 1)."""
+    rng = np.random.default_rng(seed)
+    return [{k: v * (1.0 + 0.1 * rng.normal(size=v.shape)) for k, v in model.params.items()}
+            for _ in range(K)]
+
+
 class TestForward:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_stacked_loss_equals_separate_losses(self, n):
+        # gradient_check rests on this: one pass over K stacked copies gives
+        # each copy's own loss
+        model, X, Y, labels = _instance(12, T=5, n=n, B=4)
+        copies = _scaled_copies(model, 4, seed=n)
+        stacked = {k: np.stack([c[k] for c in copies]) for k in model.params}
+        losses = replace(model, params=stacked).loss(X, Y, labels)
+        assert losses.shape == (4,)
+        for got, params in zip(losses, copies):
+            assert got == pytest.approx(replace(model, params=params).loss(X, Y, labels), rel=1e-12)
+
     def test_attention_weights_are_simplexes(self):
         model, X, Y, _ = _instance(5, T=6, n=3, m=4, p=4, B=2)
         _, cache = model.forward(X, Y, want_cache=True)
@@ -127,7 +147,86 @@ class TestForward:
             AttentionRnn.init(T=4, n=0, m=4, p=4)
 
 
+def _reference_training(model, X, Y, labels, epochs, learning_rate, seed, batch_size):
+    """train_darnn's update rule, one tensor at a time."""
+    params = {k: v.copy() for k, v in model.params.items()}
+    net = replace(model, params=params)
+    rng = np.random.default_rng(seed)
+    epoch_mse = []
+    for _ in range(epochs):
+        order = rng.permutation(len(labels))
+        total = 0.0
+        for start in range(0, len(labels), batch_size):
+            idx = order[start:start + batch_size]
+            loss, grads = net.loss_and_grads(X[idx], Y[idx], labels[idx])
+            for key, grad in grads.items():
+                params[key] -= learning_rate * grad
+            total += loss * len(idx)
+        epoch_mse.append(total / len(labels))
+    return params, epoch_mse
+
+
 class TestTraining:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_flat_update_equals_per_tensor_update(self, n):
+        # the flat parameter vector is the same elementwise arithmetic as
+        # updating each tensor on its own, so every bit agrees
+        model, X, Y, labels = _instance(13, T=5, n=n, B=30)
+        settings = dict(epochs=4, learning_rate=0.05, seed=7, batch_size=8)
+        trained = train_darnn(model, X, Y, labels, **settings)
+        params, epoch_mse = _reference_training(model, X, Y, labels, **settings)
+        assert list(trained.params) == list(params)
+        for key, value in params.items():
+            assert trained.params[key].shape == value.shape
+            assert trained.params[key].tobytes() == value.tobytes(), key
+        assert trained.epoch_mse == epoch_mse
+        assert not all(np.array_equal(model.params[k], params[k]) for k in params)
+
+    @pytest.mark.parametrize("value", [np.inf, np.finfo(float).max])
+    @pytest.mark.parametrize("position", ["first", "last"])
+    def test_one_bad_tensor_after_the_last_update_fails(self, monkeypatch, position, value):
+        # a finite loss and one bad gradient entry at either end of the
+        # parameter vector, in the last batch of the last epoch: nothing
+        # after it could catch the bad parameter. The largest finite
+        # gradient overflows the parameter only through the update.
+        model, X, Y, labels = _instance(14, n=2, B=10)
+        key = list(model.params)[0 if position == "first" else -1]
+        entry = 0 if position == "first" else -1
+        honest = AttentionRnn.loss_and_grads
+        calls = []
+
+        def planted(self, *args):
+            loss, grads = honest(self, *args)
+            calls.append(None)
+            if len(calls) == 2 * 3:  # 2 epochs of 3 batches
+                grads[key].reshape(-1)[entry] = value
+            return loss, grads
+
+        monkeypatch.setattr(AttentionRnn, "loss_and_grads", planted)
+        with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="at epoch 2$"):
+            train_darnn(model, X, Y, labels, epochs=2, learning_rate=2.0, seed=0, batch_size=4)
+        assert len(calls) == 6
+
+    @pytest.mark.parametrize("n_samples, labels_shape, message", [
+        (10, (12,), "labels must have shape (10,) for drivers of shape (10, 3, 1), got (12,)"),
+        (10, (10, 1), "labels must have shape (10,) for drivers of shape (10, 3, 1), got (10, 1)"),
+        (0, (0,), "at least one sample, got drivers of shape (0, 3, 1) and labels of shape (0,)"),
+    ])
+    def test_labels_that_do_not_match_the_samples_are_refused(self, n_samples, labels_shape,
+                                                               message):
+        # were: training on the first 10 of 12 labels, a broadcasting error
+        # inside the backward pass, and ZeroDivisionError from epoch_mse
+        model = AttentionRnn.init(T=3, n=1, m=4, p=4, seed=0)
+        X = np.zeros((n_samples, 3, 1))
+        Y = np.zeros((n_samples, 3))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            train_darnn(model, X, Y, np.zeros(labels_shape), epochs=1)
+
+    def test_target_history_that_does_not_match_the_samples_is_refused(self):
+        model = AttentionRnn.init(T=3, n=1, m=4, p=4, seed=0)
+        with pytest.raises(ValueError, match=re.escape("shape (10, 3), got (12, 3)")):
+            train_darnn(model, np.zeros((10, 3, 1)), np.zeros((12, 3)), np.zeros(10), epochs=1)
+
     def test_constant_target_converges(self):
         rng = np.random.default_rng(1)
         model = AttentionRnn.init(T=5, n=2, m=8, p=8, seed=0)
