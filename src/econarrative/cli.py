@@ -10,9 +10,11 @@ import argparse
 import csv
 import json
 import logging
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__, ingest, sentiment
@@ -43,17 +45,23 @@ def _setup_logging(out_dir: Path | None, verbosity: int) -> None:
     )
 
 
-def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+@contextmanager
+def _naming(where, lines=()):
+    """Start every error raised in the block with `where`, the input file;
+    main reports it. An EntryError also names its line, `lines[exc.index]`."""
+    try:
+        yield
+    except Exception as exc:
+        if isinstance(exc, EntryError) and lines:
+            raise ValueError(f"{where} line {lines[exc.index]}: {exc}") from None
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"{where}: {detail}") from exc
 
 
 def _on_config(path: Path, action):
-    """`action(config)` on the JSON config at `path`; every error it raises
-    starts with the path."""
-    try:
+    """`action(config)` on the JSON config at `path`."""
+    with _naming(path):
         return action(json.loads(path.read_text("utf-8")))
-    except Exception as exc:  # main reports the error
-        raise ValueError(f"{path}: {exc}") from exc
 
 
 # -- subcommand implementations -------------------------------------------
@@ -74,21 +82,17 @@ def _cmd_ingest(args) -> int:
             "date_range": [d.isoformat() for d in corpus.date_range] if corpus.date_range else None,
         }
         logger.info("ingested %d tweets", len(corpus))
-    _write_json(out / "ingest.json", summary)
+    ingest.write_json(out / "ingest.json", summary)
     return 0
 
 
 def _cmd_features(args) -> int:
     out = Path(args.out)
     _, _, matrix = _on_config(Path(args.config), prepare)
-    with (out / "features.csv").open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        width = matrix.X.shape[1]
-        writer.writerow(["date"] + [f"x{i}" for i in range(width)] + ["label"])
-        for i, d in enumerate(matrix.dates):
-            writer.writerow(
-                [d.isoformat()] + [repr(float(v)) for v in matrix.X[i]] + [matrix.labels[i]]
-            )
+    ingest.write_csv(out / "features.csv",
+                     ["date"] + [f"x{i}" for i in range(matrix.X.shape[1])] + ["label"],
+                     ([d.isoformat()] + [repr(float(v)) for v in row] + [label]
+                      for d, row, label in zip(matrix.dates, matrix.X, matrix.labels)))
     logger.info("wrote %d feature rows", len(matrix.dates))
     return 0
 
@@ -111,9 +115,12 @@ def _load_features_csv(path: str):
             row = []
             for column, cell in zip(header[1:-1], record[1:-1]):
                 try:
-                    row.append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise ValueError(f"{where}: column {column!r} is {cell!r}, not a number") from None
+                if not math.isfinite(value):
+                    raise ValueError(f"{where}: column {column!r} is {cell!r}, not a finite number")
+                row.append(value)
             dates.append(record[0])
             rows.append(row)
             labels.append(record[-1])
@@ -127,32 +134,21 @@ def _cmd_train(args) -> int:
     out = Path(args.out)
     dates, X, labels, lines = _load_features_csv(args.features)
     model_cfg = {"type": args.model} if args.lam is None else {"type": args.model, "lam": args.lam}
-    try:
+    with _naming(f"feature file {args.features}", lines):
         model = fit_columns(model_cfg, X, labels)
-    except EntryError as exc:
-        raise ValueError(f"feature file {args.features} line {lines[exc.index]}: {exc}") from None
-    except Exception as exc:
-        raise ValueError(f"feature file {args.features}: {exc}") from exc
-    _write_json(out / "model.json", model_to_doc(model))
+    ingest.write_json(out / "model.json", model_to_doc(model))
     logger.info("trained %s on %d rows", args.model, len(dates))
     return 0
 
 
 def _cmd_predict(args) -> int:
     out = Path(args.out)
-    try:  # name the file in every error; main reports it
+    with _naming(args.model):
         model = model_from_doc(json.loads(Path(args.model).read_text("utf-8")))
         if not isinstance(model, Standardized):
             raise ValueError(f"predict applies logistic and linear models, not {type(model).__name__}")
-    except KeyError as exc:
-        raise ValueError(f"{args.model}: missing key {exc}") from exc
-    except Exception as exc:
-        raise ValueError(f"{args.model}: {exc}") from exc
     dates, X, _, _ = _load_features_csv(args.features)
-    with (out / "predictions.csv").open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "prediction"])
-        writer.writerows(zip(dates, model.predict(X)))
+    ingest.write_csv(out / "predictions.csv", ["date", "prediction"], zip(dates, model.predict(X)))
     return 0
 
 
@@ -167,16 +163,12 @@ def _cmd_evaluate(args) -> int:
             predictions.append(row["prediction"])
             labels.append(row["label"])
             lines.append(reader.line_num)
-    try:
+    with _naming(args.predictions, lines):
         report = evaluate(predictions, labels, args.task)
-    except EntryError as exc:
-        raise ValueError(f"{args.predictions} line {lines[exc.index]}: {exc}") from None
-    except Exception as exc:
-        raise ValueError(f"{args.predictions}: {exc}") from exc
     payload = report.to_dict()
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    sys.stdout.write(ingest.json_text(payload))
     if args.out:
-        _write_json(Path(args.out) / "metrics.json", payload)
+        ingest.write_json(Path(args.out) / "metrics.json", payload)
     return 0
 
 
@@ -186,18 +178,12 @@ def _cmd_analyze(args) -> int:
     if args.what == "freq":
         timeline = sentiment.word_frequency_timeline(corpus, args.term, granularity=args.by)
         path = out / f"freq_{args.term}.csv"
-        with path.open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["period", "count"])
-            writer.writerows(timeline)
+        ingest.write_csv(path, ["period", "count"], timeline)
     else:
         histogram = sentiment.sentiment_histogram(corpus, args.bin)
         path = out / "sentiment_histogram.csv"
-        with path.open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["bin_low", "bin_high", "count"])
-            for (lo, hi), count in histogram.items():
-                writer.writerow([repr(lo), repr(hi), count])
+        ingest.write_csv(path, ["bin_low", "bin_high", "count"],
+                         ([repr(lo), repr(hi), count] for (lo, hi), count in histogram.items()))
     logger.info("wrote %s", path.name)
     return 0
 
@@ -225,7 +211,7 @@ def _cmd_llm_analyze(args) -> int:
         analysis = client.request_analysis(prompt)
     finally:
         client.service.close()
-    _write_json(
+    ingest.write_json(
         Path(args.out) / "analysis.json",
         {
             "window": [analysis.window[0].isoformat(), analysis.window[1].isoformat()],

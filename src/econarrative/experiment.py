@@ -9,7 +9,6 @@ sorted keys and no timestamps so identical runs are byte-identical.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import itertools
 import json
@@ -242,10 +241,11 @@ def _darnn_model(model_cfg: dict, matrix: FeatureMatrix, n_train: int, *_) -> li
             f"darnn needs text windows of {window} days, got {matrix.t_steps}-day text features"
         )
     drivers = t_block.reshape(len(matrix.dates), window, -1)
-    label_mean = float(np.mean([float(v) for v in matrix.labels[:n_train]]))
-    label_std = float(np.std([float(v) for v in matrix.labels[:n_train]])) or 1.0
+    labels = np.array(matrix.labels, dtype=float)
+    label_mean = float(np.mean(labels[:n_train]))
+    label_std = float(np.std(labels[:n_train])) or 1.0
     history = (f_block - label_mean) / label_std
-    targets = (np.array([float(v) for v in matrix.labels]) - label_mean) / label_std
+    targets = (labels - label_mean) / label_std
     model = AttentionRnn.init(
         T=window, n=drivers.shape[2], m=model_cfg["m"], p=model_cfg["p"], seed=model_cfg["seed"]
     )
@@ -536,9 +536,7 @@ def write_report(report: ExperimentReport, out_dir: str | Path) -> list[str]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    (out / "report.json").write_text(
-        json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    ingest.write_json(out / "report.json", report.to_dict())
 
     lines = [
         f"# Experiment {report.config_hash[:12]}",
@@ -569,19 +567,11 @@ def write_report(report: ExperimentReport, out_dir: str | Path) -> list[str]:
             )
     (out / "report.md").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    with (out / "predictions.csv").open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "model", "prediction", "label"])
-        for name in sorted(report.predictions):
-            for d, p, l in report.predictions[name]:
-                writer.writerow([d, name, p, l])
+    ingest.write_csv(out / "predictions.csv", ["date", "model", "prediction", "label"],
+                     ([d, name, p, l] for name in sorted(report.predictions)
+                      for d, p, l in report.predictions[name]))
 
     artifacts = ["predictions.csv", "report.json", "report.md"]
-    (out / "manifest.json").write_text(
-        json.dumps(
-            {"artifacts": artifacts, "config_hash": report.config_hash}, sort_keys=True, indent=2
-        )
-        + "\n",
-        encoding="utf-8",
-    )
+    ingest.write_json(out / "manifest.json",
+                      {"artifacts": artifacts, "config_hash": report.config_hash})
     return artifacts + ["manifest.json"]

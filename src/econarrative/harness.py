@@ -107,27 +107,31 @@ class EntryError(ValueError):
 
 
 def check_entry(what: str, i: int, value, regression: bool):
-    """Entry `i`, a prediction or label, as `evaluate` scores it: a float for
-    regression, else "increase" or "decrease". Anything else is an EntryError
-    naming the entry's index and value."""
+    """Entry `i`, a prediction or label, as `evaluate` scores it: a finite
+    float for regression, else "increase" or "decrease". Anything else is
+    an EntryError naming the entry's index and value."""
     if not regression:
         if value not in DIRECTIONS:
             raise EntryError(f"{what} {i} is {value!r}, not 'increase' or 'decrease'", i)
         return value
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError):
         raise EntryError(f"{what} {i} is {value!r}, not a number", i) from None
     except OverflowError:
         raise EntryError(f"{what} {i} is beyond float range", i) from None
+    if not math.isfinite(number):
+        raise EntryError(f"{what} {i} is {value!r}, not a finite number", i)
+    return number
 
 
 def evaluate(predictions: Sequence, labels: Sequence, task: str) -> MetricsReport:
     """MSE for regression; accuracy and increase-positive F1 for classification.
 
-    A regression entry that is not a number, a squared error beyond float
-    range, or a classification entry that is not "increase" or "decrease" is
-    an EntryError naming the entry's index and value.
+    A regression entry that is not a finite number, a squared error beyond
+    float range, or a classification entry that is not "increase" or
+    "decrease" is an EntryError naming the entry's index and value. A mean
+    squared error beyond float range is a ValueError.
     """
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}")
@@ -146,6 +150,8 @@ def evaluate(predictions: Sequence, labels: Sequence, task: str) -> MetricsRepor
             except OverflowError:
                 raise EntryError(f"prediction {i} is {p!r}: its squared error overflows", i) from None
         mse = sum(squares) / len(pairs)
+        if not math.isfinite(mse):
+            raise ValueError(f"the mean squared error of {len(pairs)} entries is beyond float range")
         return MetricsReport(task=task, n=len(pairs), mse=mse)
     for i, pair in enumerate(pairs):
         for what, value in zip(("prediction", "label"), pair):

@@ -409,9 +409,25 @@ def write_tweets_jsonl(corpus: TweetCorpus, path: str | Path) -> None:
 
 
 def write_series_csv(series: FinancialSeries, path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as fh:
+    write_csv(path, ["date", "value"],
+              ([d.isoformat(), repr(v)] for d, v in zip(series.dates, series.values)))
+
+
+# The artifact format: every JSON and CSV file the package writes goes
+# through `write_json` or `write_csv` (the LLM cache and tweets.jsonl excepted).
+def json_text(payload) -> str:
+    """Artifact JSON: sorted keys, a two-space indent, a final newline; NaN and infinity refused."""
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def write_json(path: str | Path, payload) -> None:
+    """`json_text(payload)` as UTF-8 at `path`, which is not opened if encoding fails."""
+    Path(path).write_text(json_text(payload), encoding="utf-8")
+
+
+def write_csv(path: str | Path, header: Sequence, rows: Iterable[Sequence]) -> None:
+    """One header row, then `rows`, as UTF-8 CSV at `path`."""
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["date", "value"])
-        for d, v in zip(series.dates, series.values):
-            writer.writerow([d.isoformat(), repr(v)])
+        writer.writerow(header)
+        writer.writerows(rows)

@@ -147,8 +147,8 @@ def _periods_between(start: date, end: date, granularity: str) -> list[str]:
 
 def sentiment_histogram(corpus: TweetCorpus, bin_width: float) -> dict[tuple[float, float], int]:
     """Histogram of per-tweet compound scores over bins partitioning [-1, 1]."""
-    if bin_width <= 0:
-        raise ValueError("bin_width must be positive")
+    if not 0 < bin_width < math.inf:
+        raise ValueError(f"bin_width must be positive and finite, not {bin_width!r}")
     n_bins = max(1, math.ceil(2.0 / bin_width))
     edges = [-1.0 + i * bin_width for i in range(n_bins)] + [1.0]
     hist = {(edges[i], min(edges[i + 1], 1.0)): 0 for i in range(n_bins)}

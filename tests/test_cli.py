@@ -313,6 +313,19 @@ class TestPipelineCommands:
         assert body[0] == "bin_low,bin_high,count"
         assert sum(int(line.rsplit(",", 1)[1]) for line in body[1:]) == 1
 
+    @pytest.mark.parametrize("width", ["inf", "nan", "0"])
+    def test_analyze_sent_hist_refuses_a_bin_width_that_is_not_positive_and_finite(
+            self, tmp_path, capsys, write_jsonl, width):
+        tweets = write_jsonl(
+            [{"id": "1", "date": "2021-01-04", "text": "great win", "followers": 100}]
+        )
+        out = tmp_path / "o"
+        assert main(["analyze", "sent-hist", "--tweets", str(tweets), "--bin", width,
+                     "--out", str(out)]) == 2
+        assert (f"error: bin_width must be positive and finite, not {float(width)!r}"
+                in capsys.readouterr().err)
+        assert not (out / "sentiment_histogram.csv").exists()
+
 
 def _without_bias(doc):
     del doc["parameters"]["bias"]
@@ -357,6 +370,8 @@ class TestBadInput:
         ("2021-01-06,0.1,increase", "no value for column 'label'"),
         ("", "no value for column 'date'"),
         ("2021-01-06,0.1,0.2,0.3,increase", "5 fields under 4 column headers"),
+        ("2021-01-06,nan,0.5,increase", "column 'x0' is 'nan', not a finite number"),
+        ("2021-01-06,0.1,-inf,increase", "column 'x1' is '-inf', not a finite number"),
     ])
     def test_features_row_errors_name_file_line_and_column(self, tmp_path, capsys, command,
                                                            bad_row, problem):
@@ -395,6 +410,7 @@ class TestBadInput:
     @pytest.mark.parametrize("model, labels, problem", [
         ("logistic", ("increase", "up", "decrease"), "label 1 is 'up', not 'increase' or 'decrease'"),
         ("ridge", ("0.5", "up", "1.5"), "label 1 is 'up', not a number"),
+        ("ridge", ("0.5", "nan", "1.5"), "label 1 is 'nan', not a finite number"),
     ])
     def test_train_names_the_line_of_a_label_it_cannot_read(self, tmp_path, capsys, model,
                                                             labels, problem):
@@ -413,6 +429,29 @@ class TestBadInput:
         assert main(["evaluate", "--predictions", str(predictions), "--task", "pct-change"]) == 2
         # the blank line is skipped, so entry 1 sits on line 4
         assert f"{predictions} line 4: prediction 1 is 'x', not a number" in capsys.readouterr().err
+
+    def test_evaluate_names_the_line_of_a_non_finite_value(self, tmp_path, capsys):
+        predictions = tmp_path / "predictions.csv"
+        predictions.write_text("prediction,label\n1.5,1.0\n2.0,inf\n", encoding="utf-8")
+        out = tmp_path / "metrics"
+        assert main(["evaluate", "--predictions", str(predictions), "--task", "next-value",
+                     "--out", str(out)]) == 2
+        assert (f"error: {predictions} line 3: label 1 is 'inf', not a finite number"
+                in capsys.readouterr().err)
+        assert not (out / "metrics.json").exists()
+
+    def test_evaluate_refuses_a_mean_squared_error_beyond_float_range(self, tmp_path, capsys):
+        # each squared error is finite; their sum is not
+        predictions = tmp_path / "predictions.csv"
+        predictions.write_text("prediction,label\n1.3e154,0\n1.3e154,0\n", encoding="utf-8")
+        out = tmp_path / "metrics"
+        assert main(["evaluate", "--predictions", str(predictions), "--task", "next-value",
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert (f"error: {predictions}: the mean squared error of 2 entries is beyond float range"
+                in captured.err)
+        assert captured.out == ""
+        assert not (out / "metrics.json").exists()
 
     def test_evaluate_names_the_line_of_a_non_direction_entry(self, tmp_path, capsys):
         predictions = tmp_path / "predictions.csv"

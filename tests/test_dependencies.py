@@ -43,3 +43,33 @@ def test_models_reach_the_rest_of_the_package_only_through_the_harness():
                 continue
             outside |= {(path.name, name) for name in names if name != "harness"}
     assert not outside, sorted(outside)
+
+
+def _artifact_writers(tree):
+    """The CSV writers and indented JSON encoders that `tree` calls."""
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)):
+            continue
+        module, name = node.func.value.id, node.func.attr
+        if module == "csv" and name in ("writer", "DictWriter"):
+            yield f"csv.{name}"
+        elif module == "json" and name in ("dump", "dumps") and any(
+                keyword.arg == "indent" for keyword in node.keywords):
+            yield f"json.{name}(indent=...)"
+
+
+def test_only_ingest_writes_artifacts():
+    """Every JSON and CSV artifact goes through `ingest.write_json` and
+    `ingest.write_csv`; the LLM cache in `narrative` has a format of its own."""
+    package = Path(econarrative.__file__).parent
+    found = {
+        (str(path.relative_to(package)), call)
+        for path in sorted(package.rglob("*.py"))
+        for call in _artifact_writers(ast.parse(path.read_text("utf-8")))
+    }
+    assert found == {
+        ("ingest.py", "csv.writer"),
+        ("ingest.py", "json.dumps(indent=...)"),
+        ("narrative.py", "json.dumps(indent=...)"),
+    }

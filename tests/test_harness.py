@@ -105,6 +105,8 @@ class TestEvaluate:
     @pytest.mark.parametrize("predictions, labels, message", [
         ([1.0, "x", 2.0], [1.0, 1.0, 2.0], "prediction 1 is 'x', not a number"),
         ([1.0, 1.0], ["1.0", None], "label 1 is None, not a number"),
+        ([1.0, "nan"], [1.0, 1.0], "prediction 1 is 'nan', not a finite number"),
+        ([1.0, 1.0], [1.0, float("-inf")], "label 1 is -inf, not a finite number"),
     ])
     def test_non_numeric_regression_entry_is_named(self, predictions, labels, message):
         with pytest.raises(EntryError, match=message) as caught:
@@ -115,6 +117,15 @@ class TestEvaluate:
         with pytest.raises(EntryError, match="prediction 0 is beyond float range") as caught:
             evaluate([10**400], [1.0], "next-value")
         assert caught.value.index == 0
+
+    @pytest.mark.parametrize("predictions, labels", [
+        ([1.3e154] * 2, [0.0, 0.0]),  # each square is finite, their sum is not
+        ([1e308, 1.0], [-1e308, 1.0]),  # the difference is inf, so no square overflows
+    ])
+    def test_mean_squared_error_beyond_float_range_is_refused(self, predictions, labels):
+        with pytest.raises(ValueError, match="^the mean squared error of 2 entries is beyond "
+                                             "float range$"):
+            evaluate(predictions, labels, "next-value")
 
     @pytest.mark.parametrize("predictions, labels, index, message", [
         (["increase", "up", 1.5], ["increase", "decrease", "Increase"], 1,

@@ -448,3 +448,27 @@ class TestChronoSplit:
         n_train = train_size(n, fraction)
         assert 0 < n_train < n
         assert max(dates[:n_train]) < min(dates[n_train:])
+
+
+class TestArtifactWriters:
+    """`write_json` and `write_csv` hold the byte format of every artifact."""
+
+    def test_json_has_sorted_keys_an_indent_and_a_final_newline(self, tmp_path):
+        path = tmp_path / "a.json"
+        ingest.write_json(path, {"b": 1, "a": [1.5, "é"]})
+        assert path.read_bytes() == b'{\n  "a": [\n    1.5,\n    "\\u00e9"\n  ],\n  "b": 1\n}\n'
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_json_refuses_a_non_finite_number_before_writing(self, tmp_path, value):
+        fresh, kept = tmp_path / "fresh.json", tmp_path / "kept.json"
+        kept.write_text("{}\n", encoding="utf-8")
+        for path in (fresh, kept):
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                ingest.write_json(path, {"mse": value})
+        assert not fresh.exists()
+        assert kept.read_text("utf-8") == "{}\n"
+
+    def test_csv_has_one_header_row_then_the_rows(self, tmp_path):
+        path = tmp_path / "a.csv"
+        ingest.write_csv(path, ["a", "b"], iter([[1, "x,y"], [2.5, "é"]]))
+        assert path.read_bytes() == 'a,b\r\n1,"x,y"\r\n2.5,é\r\n'.encode("utf-8")

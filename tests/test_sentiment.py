@@ -266,6 +266,11 @@ class TestSentimentHistogram:
         with pytest.raises(ValueError):
             sentiment_histogram(_corpus([]), 0.0)
 
+    @pytest.mark.parametrize("width", [-0.5, 0.0, math.inf, math.nan])
+    def test_width_that_is_not_positive_and_finite_is_named(self, width):
+        with pytest.raises(ValueError, match=f"^bin_width must be positive and finite, not {width!r}$"):
+            sentiment_histogram(_corpus([]), width)
+
     @given(
         st.lists(st.sampled_from(["great win", "bad loss", "fine", "the", "panic crash"]), max_size=30),
         st.sampled_from([0.1, 0.25, 0.5, 0.7, 1.0, 2.0]),
