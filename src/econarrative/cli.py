@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 usage error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import math
@@ -100,34 +99,28 @@ def _cmd_features(args) -> int:
 def _load_features_csv(path: str):
     import numpy as np
 
-    dates, rows, labels, lines = [], [], [], []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"feature file {path} has no header row")
-        for record in reader:
-            where = f"feature file {path} line {reader.line_num}"
-            if len(record) < len(header):  # a blank line is a record of no fields
-                raise ValueError(f"{where}: no value for column {header[len(record)]!r}")
-            if len(record) > len(header):
-                raise ValueError(f"{where}: {len(record)} fields under {len(header)} column headers")
-            row = []
-            for column, cell in zip(header[1:-1], record[1:-1]):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise ValueError(f"{where}: column {column!r} is {cell!r}, not a number") from None
-                if not math.isfinite(value):
-                    raise ValueError(f"{where}: column {column!r} is {cell!r}, not a finite number")
-                row.append(value)
-            dates.append(record[0])
-            rows.append(row)
-            labels.append(record[-1])
-            lines.append(reader.line_num)
+    try:
+        header, records = ingest.read_csv(path)
+    except ingest.IngestError as exc:  # its message starts with the path
+        raise ValueError(f"feature file {exc}") from None
+    rows = []
+    for line, record in records:
+        where = f"feature file {path} line {line}"
+        row = []
+        for column, cell in zip(header[1:-1], record[1:-1]):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise ValueError(f"{where}: column {column!r} is {cell!r}, not a number") from None
+            if not math.isfinite(value):
+                raise ValueError(f"{where}: column {column!r} is {cell!r}, not a finite number")
+            row.append(value)
+        rows.append(row)
     if not rows:
         raise ValueError(f"feature file {path} has no data rows")
-    return dates, np.array(rows), labels, lines
+    dates = [record[0] for _, record in records]
+    labels = [record[-1] for _, record in records]
+    return dates, np.array(rows), labels, [line for line, _ in records]
 
 
 def _cmd_train(args) -> int:
@@ -153,17 +146,14 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    predictions, labels, lines = [], [], []
-    with open(args.predictions, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for column in ("prediction", "label"):
-            if column not in (reader.fieldnames or ()):
-                raise ValueError(f"{args.predictions} has no {column!r} column")
-        for row in reader:
-            predictions.append(row["prediction"])
-            labels.append(row["label"])
-            lines.append(reader.line_num)
-    with _naming(args.predictions, lines):
+    header, records = ingest.read_csv(args.predictions)
+    for column in ("prediction", "label"):
+        if column not in header:
+            raise ValueError(f"{args.predictions} has no {column!r} column")
+    at_prediction, at_label = header.index("prediction"), header.index("label")
+    predictions = [fields[at_prediction] for _, fields in records]
+    labels = [fields[at_label] for _, fields in records]
+    with _naming(args.predictions, [line for line, _ in records]):
         report = evaluate(predictions, labels, args.task)
     payload = report.to_dict()
     sys.stdout.write(ingest.json_text(payload))
@@ -261,17 +251,13 @@ def build_parser() -> argparse.ArgumentParser:
     verbose = argparse.ArgumentParser(add_help=False)
     verbose.add_argument("-v", "--verbose", action="count", default=0)
 
-    p = sub.add_parser("ingest", help="load an experiment config's series and text",
-                       parents=[verbose])
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_ingest)
-
-    p = sub.add_parser("features", help="emit an experiment config's feature matrix",
-                       parents=[verbose])
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_features)
+    for name, func, what in (
+            ("ingest", _cmd_ingest, "load an experiment config's series and text"),
+            ("features", _cmd_features, "emit an experiment config's feature matrix")):
+        p = sub.add_parser(name, help=what, parents=[verbose])
+        p.add_argument("--config", required=True)
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("train", help="fit a model on a feature CSV", parents=[verbose])
     p.add_argument("--features", required=True)

@@ -52,7 +52,7 @@ def moves(values, task: str) -> list:
         zero = np.argwhere(before == 0)
         if len(zero):
             raise ZeroBaseError(tuple(zero[0].tolist()))
-        with np.errstate(over="ignore"):  # beyond float range is inf, as in float arithmetic
+        with np.errstate(over="ignore"):  # beyond float range is inf; make_labels refuses it
             ahead = 100.0 * (ahead - before) / before
     elif task != "next-value":
         raise ValueError(f"unknown task {task!r}")
@@ -77,6 +77,9 @@ def make_labels(series: FinancialSeries | AlignedDataset, task: str, horizon: in
         labels = moves(values[horizon - 1:], task)
     except ZeroBaseError as exc:
         raise ZeroDivisionError(f"zero base value at {dates[horizon - 1 + exc.index[0]]}") from None
+    if task == "pct-change" and not all(map(math.isfinite, labels)):
+        i = next(i for i, label in enumerate(labels) if not math.isfinite(label))
+        raise OverflowError(f"percentage change beyond float range from {dates[horizon - 1 + i]}")
     return LabelSeries(dates=tuple(dates[:n - horizon]), values=tuple(labels))
 
 

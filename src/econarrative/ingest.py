@@ -155,17 +155,17 @@ class AlignedDataset:
         return self.per_day("records")
 
 
+def asset_lines(name: str) -> list[str]:
+    """The lines of the bundled asset file `name` that are not blank."""
+    text = resources.files("econarrative.assets").joinpath(name).read_text("utf-8")
+    return [line for line in text.splitlines() if line.strip()]
+
+
 @lru_cache(maxsize=1)
 def load_emoji_aliases() -> dict[str, str]:
     """Codepoint -> alias phrase table bundled with the package."""
-    table: dict[str, str] = {}
-    src = resources.files("econarrative.assets").joinpath("emoji_aliases.tsv")
-    for line in src.read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        code, alias = line.split("\t", 1)
-        table[chr(int(code, 16))] = alias.strip()
-    return table
+    rows = (line.split("\t", 1) for line in asset_lines("emoji_aliases.tsv"))
+    return {chr(int(code, 16)): alias.strip() for code, alias in rows}
 
 
 @lru_cache(maxsize=1)
@@ -305,37 +305,34 @@ def load_series(path: str | Path, column: str = "value", name: str | None = None
     path = Path(path)
     if not path.exists():
         raise IngestError(f"series file not found: {path}")
+    header, records = read_csv(path)
+    for needed in ("date", column):
+        if needed not in header:
+            raise IngestError(f"missing {needed!r} column in {path.name}")
+    at_date, at_value = header.index("date"), header.index(column)
     dates: list[date] = []
     values: list[float] = []
     skipped = 0
-    with path.open(encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        if "date" not in header:
-            raise IngestError(f"missing 'date' column in {path.name}")
-        if column not in header:
-            raise IngestError(f"missing {column!r} column in {path.name}")
-        for row in reader:
-            where = f"line {reader.line_num}"
-            cell = row["date"] or ""  # None in a short row
-            try:
-                d = date.fromisoformat(cell.strip())
-            except ValueError as exc:
-                raise IngestError(f"{where}: bad date {cell!r} ({exc})") from exc
-            raw = (row[column] or "").strip()
-            if raw.lower() in MISSING_CELLS:
-                skipped += 1
-                continue
-            try:
-                v = float(raw)
-            except ValueError as exc:
-                raise IngestError(f"{where}: non-numeric value {raw!r} at {d}") from exc
-            if not math.isfinite(v):
-                raise IngestError(f"{where}: non-finite value {raw!r} at {d}")
-            if dates and d <= dates[-1]:
-                raise IngestError(f"{where}: series dates not strictly increasing at {d}")
-            dates.append(d)
-            values.append(v)
+    for line, fields in records:
+        where, cell = f"line {line}", fields[at_date]
+        try:
+            d = date.fromisoformat(cell.strip())
+        except ValueError as exc:
+            raise IngestError(f"{where}: bad date {cell!r} ({exc})") from exc
+        raw = fields[at_value].strip()
+        if raw.lower() in MISSING_CELLS:
+            skipped += 1
+            continue
+        try:
+            v = float(raw)
+        except ValueError as exc:
+            raise IngestError(f"{where}: non-numeric value {raw!r} at {d}") from exc
+        if not math.isfinite(v):
+            raise IngestError(f"{where}: non-finite value {raw!r} at {d}")
+        if dates and d <= dates[-1]:
+            raise IngestError(f"{where}: series dates not strictly increasing at {d}")
+        dates.append(d)
+        values.append(v)
     return FinancialSeries(name or column, tuple(dates), tuple(values), skipped_rows=skipped)
 
 
@@ -413,8 +410,8 @@ def write_series_csv(series: FinancialSeries, path: str | Path) -> None:
               ([d.isoformat(), repr(v)] for d, v in zip(series.dates, series.values)))
 
 
-# The artifact format: every JSON and CSV file the package writes goes
-# through `write_json` or `write_csv` (the LLM cache and tweets.jsonl excepted).
+# The artifact format: every JSON and CSV file the package writes goes through
+# `write_json` or `write_csv` (bar the LLM cache and tweets.jsonl); `read_csv` reads CSV.
 def json_text(payload) -> str:
     """Artifact JSON: sorted keys, a two-space indent, a final newline; NaN and infinity refused."""
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
@@ -431,3 +428,22 @@ def write_csv(path: str | Path, header: Sequence, rows: Iterable[Sequence]) -> N
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def read_csv(path: str | Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """The header row of the UTF-8 CSV at `path` and each record as (its first line, its fields).
+    A record, or blank line, of another width than the header fails; errors start with `path`."""
+    with Path(path).open(encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if not header:
+            raise IngestError(f"{path} has no header row")
+        records, start, width = [], reader.line_num + 1, len(header)
+        for fields in reader:
+            if len(fields) != width:
+                problem = (f"no value for column {header[len(fields)]!r}" if len(fields) < width
+                           else f"{len(fields)} fields under {width} column headers")
+                raise IngestError(f"{path} line {start}: {problem}")
+            records.append((start, fields))
+            start = reader.line_num + 1
+    return header, records

@@ -13,12 +13,11 @@ import re
 from dataclasses import dataclass
 from datetime import date
 from functools import cache
-from importlib import resources
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .ingest import AlignedDataset, TweetCorpus, distinct_index
+from .ingest import AlignedDataset, TweetCorpus, asset_lines, distinct_index
 
 TOKEN_RE = re.compile(r"[\w']+")
 
@@ -54,14 +53,8 @@ def tokenize(text: str) -> list[str]:
 @cache
 def load_lexicon() -> SentimentLexicon:
     """The bundled token<TAB>valence table."""
-    raw = resources.files("econarrative.assets").joinpath("lexicon.tsv").read_text("utf-8")
-    valences: dict[str, float] = {}
-    for line in raw.splitlines():
-        if not line.strip():
-            continue
-        token, value = line.split("\t")
-        valences[token.strip().lower()] = float(value)
-    return SentimentLexicon(valences=valences)
+    rows = (line.split("\t") for line in asset_lines("lexicon.tsv"))
+    return SentimentLexicon(valences={token.strip().lower(): float(value) for token, value in rows})
 
 
 def score(text: str) -> float:

@@ -425,10 +425,26 @@ class TestBadInput:
 
     def test_evaluate_names_the_line_of_a_non_numeric_value(self, tmp_path, capsys):
         predictions = tmp_path / "predictions.csv"
-        predictions.write_text("prediction,label\n1.5,1.0\n\nx,-1.0\n", encoding="utf-8")
+        predictions.write_text('prediction,label,note\n1.5,1.0,"two\nlines"\nx,-1.0,\n',
+                               encoding="utf-8")
         assert main(["evaluate", "--predictions", str(predictions), "--task", "pct-change"]) == 2
-        # the blank line is skipped, so entry 1 sits on line 4
+        # entry 0's note spans two lines, so entry 1 sits on line 4
         assert f"{predictions} line 4: prediction 1 is 'x', not a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad_row, problem", [
+        ("0.5", "no value for column 'label'"),
+        ("0.5,1,0", "3 fields under 2 column headers"),
+        ("", "no value for column 'prediction'"),
+    ], ids=["short", "wide", "blank"])
+    def test_evaluate_names_the_line_of_a_row_of_another_width(self, tmp_path, capsys,
+                                                               bad_row, problem):
+        predictions = tmp_path / "predictions.csv"
+        predictions.write_text(f"prediction,label\n1.5,1.0\n{bad_row}\n2.0,2.0\n",
+                               encoding="utf-8")
+        assert main(["evaluate", "--predictions", str(predictions), "--task", "next-value"]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {predictions} line 3: {problem}" in captured.err
+        assert captured.out == ""
 
     def test_evaluate_names_the_line_of_a_non_finite_value(self, tmp_path, capsys):
         predictions = tmp_path / "predictions.csv"

@@ -45,13 +45,17 @@ def test_models_reach_the_rest_of_the_package_only_through_the_harness():
     assert not outside, sorted(outside)
 
 
+def _module_calls(tree):
+    """(module, function, call node) for each `module.function(...)` call in `tree`."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)):
+            yield node.func.value.id, node.func.attr, node
+
+
 def _artifact_writers(tree):
     """The CSV writers and indented JSON encoders that `tree` calls."""
-    for node in ast.walk(tree):
-        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and isinstance(node.func.value, ast.Name)):
-            continue
-        module, name = node.func.value.id, node.func.attr
+    for module, name, node in _module_calls(tree):
         if module == "csv" and name in ("writer", "DictWriter"):
             yield f"csv.{name}"
         elif module == "json" and name in ("dump", "dumps") and any(
@@ -73,3 +77,26 @@ def test_only_ingest_writes_artifacts():
         ("ingest.py", "json.dumps(indent=...)"),
         ("narrative.py", "json.dumps(indent=...)"),
     }
+
+
+def _csv_readers(tree):
+    """The imports of the csv module and the CSV readers in `tree`."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Import) and any(alias.name == "csv" for alias in node.names)
+                or isinstance(node, ast.ImportFrom) and node.module == "csv"):
+            yield "import csv"
+    for module, name, _ in _module_calls(tree):
+        if module == "csv" and name in ("reader", "DictReader"):
+            yield f"csv.{name}"
+
+
+def test_only_ingest_reads_csv():
+    """Every CSV input (series, features, predictions) is parsed by
+    `ingest.read_csv`; no other module imports csv."""
+    package = Path(econarrative.__file__).parent
+    found = {
+        (str(path.relative_to(package)), use)
+        for path in sorted(package.rglob("*.py"))
+        for use in _csv_readers(ast.parse(path.read_text("utf-8")))
+    }
+    assert found == {("ingest.py", "import csv"), ("ingest.py", "csv.reader")}

@@ -143,6 +143,21 @@ class TestStages:
             run_experiment(config)
         assert err.value.stage == "model:logistic-F"
 
+    def test_pct_change_beyond_float_range_fails_at_features_stage(self, tmp_path):
+        values = [1.0] * 20 + [1e-300, 1e10] + [1.0] * 22
+        days = [date(2015, 1, 5) + timedelta(days=k) for k in range(len(values))]
+        series = tmp_path / "series.csv"
+        ingest.write_series_csv(ingest.FinancialSeries("IDX", tuple(days), tuple(values)), series)
+        config = {"data": {"series": {"path": str(series)}},
+                  "task": {"kind": "pct-change"}, "features": {"window": 3},
+                  "models": [{"name": "r", "type": "ridge"},
+                             {"type": "baseline", "kind": "train-mean"}]}
+        with pytest.raises(ExperimentError, match=re.escape(
+            f"stage 'features': percentage change beyond float range from {days[20]}"
+        )) as err:
+            run_experiment(config)
+        assert err.value.stage == "features"
+
     def test_unpenalised_logistic_fails_at_its_model_stage(self):
         config = _planted_config(NARRATIVES)
         config["models"] = [{"name": "f-plain", "type": "logistic", "inputs": "F", "lam": 0.0}]

@@ -71,6 +71,16 @@ class TestMakeLabels:
         # the base day t+h-1, not the labelled day t
         assert str(caught.value) == f"zero base value at {series.dates[9]}"
 
+    @pytest.mark.parametrize("horizon", [1, 7])
+    def test_pct_change_beyond_float_range_names_the_base_day(self, horizon):
+        values = [1.0] * 12
+        values[9:11] = [1e-300, 1e10]  # the move from day 9 is 1e312 percent
+        series = _series(values)
+        with pytest.raises(OverflowError) as caught:
+            make_labels(series, "pct-change", horizon)
+        # the base day t+h-1, as for a zero base
+        assert str(caught.value) == f"percentage change beyond float range from {series.dates[9]}"
+
 
 class TestEvaluate:
     def test_perfect_predictions(self):

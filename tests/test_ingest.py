@@ -314,6 +314,21 @@ class TestLoadSeries:
         with pytest.raises(IngestError, match=re.escape(f"line 3: non-finite value {cell!r} at 2015-01-06")):
             load_series(path)
 
+    @pytest.mark.parametrize("row, problem", [
+        ("2021-01-05,1,234.5", "line 3: 3 fields under 2 column headers"),  # a thousands separator
+        ("2021-01-05", "line 3: no value for column 'value'"),
+        ("", "line 3: no value for column 'date'"),
+    ], ids=["wide", "short", "blank"])
+    def test_row_of_another_width_names_its_line(self, write_csv, row, problem):
+        path = write_csv(["2021-01-04,1.0", row, "2021-01-06,3.0"])
+        with pytest.raises(IngestError, match=re.escape(f"{path} {problem}")):
+            load_series(path)
+
+    def test_trailing_blank_line_is_a_row_of_no_fields(self, write_csv):
+        path = write_csv(["2021-01-04,1.0", "2021-01-05,2.0", ""])
+        with pytest.raises(IngestError, match="line 4: no value for column 'date'"):
+            load_series(path)
+
     def test_series_built_in_code_rejects_non_finite_value(self):
         with pytest.raises(IngestError, match="non-finite value at 2021-01-04"):
             FinancialSeries("TEST", (date(2021, 1, 4),), (float("inf"),))
@@ -472,3 +487,17 @@ class TestArtifactWriters:
         path = tmp_path / "a.csv"
         ingest.write_csv(path, ["a", "b"], iter([[1, "x,y"], [2.5, "é"]]))
         assert path.read_bytes() == 'a,b\r\n1,"x,y"\r\n2.5,é\r\n'.encode("utf-8")
+
+    def test_csv_reads_back_what_it_wrote(self, tmp_path):
+        path = tmp_path / "a.csv"
+        header, rows = ["date", "note"], [["2021-01-04", 'a, "b"\nc'], ["2021-01-05", "d"]]
+        ingest.write_csv(path, header, rows)
+        # the first record's note spans lines 2 and 3, so the second starts on line 4
+        assert ingest.read_csv(path) == (header, [(2, rows[0]), (4, rows[1])])
+
+    @pytest.mark.parametrize("content", ["", "\n"], ids=["empty", "blank"])
+    def test_csv_without_a_header_row_is_refused(self, tmp_path, content):
+        path = tmp_path / "a.csv"
+        path.write_text(content, encoding="utf-8")
+        with pytest.raises(IngestError, match=re.escape(f"{path} has no header row")):
+            ingest.read_csv(path)
